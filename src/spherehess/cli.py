@@ -455,11 +455,11 @@ def cmd_qsymbol(n: int, seed: int) -> ReportEnvelope:
 
 def _suite_spectrum(seed: int, tols: dict[str, float]) -> list[CheckResult]:
     checks = []
-    ok = all(
-        spectrum_generate(n, 40, t0_eigenvalue(KType(n, 0, 2))).value(j, q)
-        == t0_eigenvalue(KType(n, j, q))
-        for n in range(4, 9) for j in range(41) for q in (0, 1, 2)
-    )
+    ok = True
+    for n in range(4, 9):
+        table = spectrum_generate(n, 40, t0_eigenvalue(KType(n, 0, 2)))
+        ok = ok and all(table.value(j, q) == t0_eigenvalue(KType(n, j, q))
+                        for j in range(41) for q in (0, 1, 2))
     checks.append(CheckResult("recursion-equals-closed-form-n4-8",
                               "PASS" if ok else "FAIL", 0.0, 0.0))
     t3 = spectrum_generate3(40, t0_eigenvalue(KType(3, 0, 2)),
@@ -484,6 +484,10 @@ def _suite_greens(seed: int, tols: dict[str, float]) -> list[CheckResult]:
         checks.append(check_against(
             f"ode-residual-L2-n{n}", greens.ode_residual_L2(n, rs),
             tols["tol_ode"]))
+        exact = float(greens.sphere_constants(n).d_n) / (n - 2)
+        checks.append(check_against(
+            f"homogeneous-coefficient-n{n}",
+            abs(greens._fit_homogeneous_coefficient(n) / exact - 1.0), 1e-9))
         worst = max(
             abs(greens.green_D2(n, greens.chart_radius(r))
                 - greens.green_D2_quadrature(n, greens.chart_radius(r)))
@@ -687,6 +691,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _dispatch(args: argparse.Namespace, parser: argparse.ArgumentParser) -> ReportEnvelope:
     tols = {"tol_ode": args.tol_ode, "tol_quad": args.tol_quad,
             "tol_conf": args.tol_conf}
+    if args.seed < 0:
+        parser.error("--seed must be >= 0")
+    for name, tol in tols.items():
+        if not (math.isfinite(tol) and tol >= 0):
+            parser.error(f"--{name.replace('_', '-')} must be finite and >= 0")
     if args.command == "spectrum":
         if args.dim < 2:
             parser.error("--dim must be >= 2")

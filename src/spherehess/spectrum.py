@@ -17,7 +17,7 @@ the table both ways and classifies the resulting quadratic form.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -133,80 +133,75 @@ class SpectrumTable:
         return self.entries[key]
 
 
-@dataclass
-class _EdgeSystem:
-    """Propagates mu_gamma (d - 2 nu) = mu_beta (d + 2 nu) over a lattice."""
+def _solve_lattice(
+    n: int,
+    j_max: int,
+    q_range: tuple[int, ...],
+    seeds: dict[int, Fraction],
+    free_scale_note: str,
+) -> SpectrumTable:
+    """Solve mu_gamma (d - n) = mu_beta (d + n) on the lattice j <= j_max.
 
-    nu: Fraction
-    values: dict[KType, Fraction] = field(default_factory=dict)
+    Every edge joins ``beta`` to ``gamma`` one unit step up in j or q, with
+    ``d = kappa(gamma) - kappa(beta)``; since 2 nu = n both factors are
+    integers.  ``seeds`` maps q to the value at (j=0, q).  An edge with one
+    zero factor forces a zero at the endpoint whose factor is nonzero.  A
+    single worklist sweep from the seeds and the forced zeros fills every
+    reachable mode along the nondegenerate edges; every edge relation is then
+    re-checked exactly.
+    """
+    if j_max < 0:
+        raise DomainError("j_max must be >= 0")
+    nodes = {
+        (j, q): KType(dim_n=n, j=j, q=q)
+        for j in range(j_max + 1)
+        for q in q_range
+    }
+    # (beta, gamma, lo, hi) with the relation mu_gamma * lo == mu_beta * hi.
+    edges = []
+    for (j, q), beta in nodes.items():
+        for key in ((j + 1, q), (j, q + 1)):
+            if key in nodes:
+                d = kappa(nodes[key]) - kappa(beta)
+                edges.append(((j, q), key, d - n, d + n))
 
-    def edge_factors(self, beta: KType, gamma: KType) -> tuple[Fraction, Fraction]:
-        d = kappa(gamma) - kappa(beta)
-        return d - 2 * self.nu, d + 2 * self.nu
-
-    def propagate(self, edges: list[tuple[KType, KType]]) -> None:
-        changed = True
-        while changed:
-            changed = False
-            for beta, gamma in edges:
-                changed |= self._apply(beta, gamma)
-
-    def _set(self, node: KType, value: Fraction) -> bool:
-        old = self.values.get(node)
-        if old is None:
-            self.values[node] = value
-            return True
-        if old != value:
-            raise InconsistentSystem(
-                f"conflicting values {old} and {value} at (j={node.j}, q={node.q})"
-            )
-        return False
-
-    def _apply(self, beta: KType, gamma: KType) -> bool:
-        lo, hi = self.edge_factors(beta, gamma)
-        mu_b, mu_g = self.values.get(beta), self.values.get(gamma)
-        changed = False
-        # Relation: mu_gamma * lo == mu_beta * hi.
+    values = {(0, q): Fraction(v) for q, v in seeds.items()}
+    # neighbours[node] lists (other, r) with mu_other = r * mu_node.
+    neighbours: dict[tuple[int, int], list[tuple[tuple[int, int], Fraction]]] = {
+        key: [] for key in nodes
+    }
+    for beta, gamma, lo, hi in edges:
         if lo == 0 and hi != 0:
-            # Degenerate edge: the relation reads 0 == mu_beta * hi.
-            changed |= self._set(beta, Fraction(0))
+            values.setdefault(beta, Fraction(0))
         elif hi == 0 and lo != 0:
-            changed |= self._set(gamma, Fraction(0))
+            values.setdefault(gamma, Fraction(0))
         elif lo != 0 and hi != 0:
-            if mu_b is not None:
-                changed |= self._set(gamma, mu_b * hi / lo)
-            elif mu_g is not None:
-                changed |= self._set(beta, mu_g * lo / hi)
-        return changed
+            neighbours[beta].append((gamma, Fraction(hi, lo)))
+            neighbours[gamma].append((beta, Fraction(lo, hi)))
 
-    def check_all(self, edges: list[tuple[KType, KType]]) -> None:
-        for beta, gamma in edges:
-            lo, hi = self.edge_factors(beta, gamma)
-            if self.values[gamma] * lo != self.values[beta] * hi:
-                raise InconsistentSystem(
-                    f"edge relation violated between (j={beta.j}, q={beta.q}) "
-                    f"and (j={gamma.j}, q={gamma.q})"
-                )
+    pending = list(values)
+    while pending:
+        node = pending.pop()
+        for other, ratio in neighbours[node]:
+            if other not in values:
+                values[other] = values[node] * ratio
+                pending.append(other)
 
-
-def _lattice_edges(
-    n: int, j_max: int, q_range: tuple[int, ...]
-) -> tuple[list[KType], list[tuple[KType, KType]]]:
-    nodes = [
-        KType(dim_n=n, j=j, q=q) for j in range(j_max + 1) for q in q_range
-    ]
-    edges: list[tuple[KType, KType]] = []
-    for j in range(j_max + 1):
-        for q in q_range:
-            if j + 1 <= j_max:
-                edges.append(
-                    (KType(dim_n=n, j=j, q=q), KType(dim_n=n, j=j + 1, q=q))
-                )
-            if q + 1 in q_range:
-                edges.append(
-                    (KType(dim_n=n, j=j, q=q), KType(dim_n=n, j=j, q=q + 1))
-                )
-    return nodes, edges
+    missing = [t for key, t in nodes.items() if key not in values]
+    if missing:
+        raise InconsistentSystem(f"unreached modes: {missing}")
+    for beta, gamma, lo, hi in edges:
+        if values[gamma] * lo != values[beta] * hi:
+            raise InconsistentSystem(
+                f"edge relation violated between (j={beta[0]}, q={beta[1]}) "
+                f"and (j={gamma[0]}, q={gamma[1]})"
+            )
+    return SpectrumTable(
+        dim_n=n,
+        entries={t: values[key] for key, t in nodes.items()},
+        normalization_base=nodes[(0, 2)],
+        free_scale_note=free_scale_note,
+    )
 
 
 def spectrum_generate(n: int, j_max: int, base_value: Fraction) -> SpectrumTable:
@@ -218,24 +213,12 @@ def spectrum_generate(n: int, j_max: int, base_value: Fraction) -> SpectrumTable
     """
     if n < 4:
         raise DomainError("use spectrum_generate3 for the 3-sphere")
-    if j_max < 0:
-        raise DomainError("j_max must be >= 0")
-    base = KType(dim_n=n, j=0, q=2)
-    system = _EdgeSystem(nu=Fraction(n, 2))
-    system.values[base] = Fraction(base_value)
-    nodes, edges = _lattice_edges(n, j_max, (0, 1, 2))
-    system.propagate(edges)
-    missing = [t for t in nodes if t not in system.values]
-    if missing:
-        raise InconsistentSystem(f"unreached modes: {missing}")
-    system.check_all(edges)
-    return SpectrumTable(
-        dim_n=n,
-        entries=dict(system.values),
-        normalization_base=base,
-        free_scale_note=(
-            "one free overall scale, fixed by the value at (j=0, q=2)"
-        ),
+    return _solve_lattice(
+        n,
+        j_max,
+        (0, 1, 2),
+        {2: base_value},
+        "one free overall scale, fixed by the value at (j=0, q=2)",
     )
 
 
@@ -250,28 +233,13 @@ def spectrum_generate3(
     and a forced-zero middle band q in {-1, 0, 1}, so two independent scales
     remain; they seed (0, 2) and (0, -2).
     """
-    if j_max < 0:
-        raise DomainError("j_max must be >= 0")
-    n = 3
-    base = KType(dim_n=n, j=0, q=2)
-    base_minus = KType(dim_n=n, j=0, q=-2)
-    system = _EdgeSystem(nu=Fraction(n, 2))
-    system.values[base] = Fraction(base_value_plus)
-    system.values[base_minus] = Fraction(base_value_minus)
-    nodes, edges = _lattice_edges(n, j_max, (-2, -1, 0, 1, 2))
-    system.propagate(edges)
-    missing = [t for t in nodes if t not in system.values]
-    if missing:
-        raise InconsistentSystem(f"unreached modes: {missing}")
-    system.check_all(edges)
-    return SpectrumTable(
-        dim_n=n,
-        entries=dict(system.values),
-        normalization_base=base,
-        free_scale_note=(
-            "two free scales on the 3-sphere, fixed by the values at "
-            "(j=0, q=2) and (j=0, q=-2)"
-        ),
+    return _solve_lattice(
+        3,
+        j_max,
+        (-2, -1, 0, 1, 2),
+        {2: base_value_plus, -2: base_value_minus},
+        "two free scales on the 3-sphere, fixed by the values at "
+        "(j=0, q=2) and (j=0, q=-2)",
     )
 
 

@@ -145,3 +145,20 @@ class TestExitCodes:
         code, out, _ = _run(capsys, "verify", "--suite", "confgroup", "--dim", "2")
         assert code == 0
         assert "status: PASS" in out
+
+    def test_negative_seed_is_two(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            console_main(["verify", "--suite", "qcurv", "--seed", "-1"])
+        assert exc.value.code == 2
+        assert "--seed must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--tol-ode", "--tol-quad", "--tol-conf"])
+    @pytest.mark.parametrize("value", ["nan", "-0.001", "inf"])
+    def test_invalid_tolerance_is_two(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            console_main(["greens", "--dim", "5", "--profile", "L2",
+                          flag, value, "--format", "json"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{flag} must be finite and >= 0" in captured.err

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spherehess.errors import DomainError, FitUnstable, ParityError
+from spherehess.errors import DomainError, FitUnstable, ParityError, QuadratureFailure
 from spherehess.greens import (
+    _fit_homogeneous_coefficient,
     RegularPartConfig,
     TraceKind,
     chart_radius,
@@ -31,6 +32,7 @@ from spherehess.greens import (
     regular_part,
     spectral_convention_factor,
     spectral_trace_reference,
+    sphere_constants,
     tau_tail_exact,
     tau_tail_quadrature,
     trace_from_pipeline,
@@ -119,6 +121,11 @@ class TestGreenL2:
         assert green_L2_profile(3).singular_orders == ()
         assert green_L2_profile(5).singular_orders == (-1,)
 
+    @pytest.mark.parametrize("n", range(3, 14, 2))
+    def test_fitted_homogeneous_coefficient_matches_exact(self, n):
+        exact = float(sphere_constants(n).d_n) / (n - 2)
+        assert abs(_fit_homogeneous_coefficient(n) / exact - 1.0) <= 1e-9
+
 
 class TestGreenD2:
     @pytest.mark.parametrize("n", [3, 5, 7])
@@ -128,6 +135,19 @@ class TestGreenD2:
             a = green_D2_printed_bracket(n, x)
             b = green_D2_quadrature(n, x)
             assert abs(a - b) <= 1e-9 * max(abs(a), abs(b))
+
+    @pytest.mark.parametrize("n", range(3, 14, 2))
+    def test_value_is_the_printed_bracket(self, n):
+        for r in R_GRID:
+            x = chart_radius(r)
+            assert green_D2(n, x) == green_D2_printed_bracket(n, x)
+
+    @pytest.mark.parametrize("n,x", [(35, 1.45), (41, 1.45), (51, 1.3), (51, 1.49)])
+    def test_cancelling_bracket_raises(self, n, x):
+        # the literal bracket loses more than 1e-9 here; the quadrature twin
+        # disagrees with it by 2e-9 to 4e-6
+        with pytest.raises(QuadratureFailure):
+            green_D2(n, x)
 
     def test_large_radius_stability(self):
         # the bracket is evaluated through the arctangent remainder series
