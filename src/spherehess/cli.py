@@ -111,6 +111,21 @@ def _fmt_res(x: float) -> str:
     return f"{x:.3e}"
 
 
+def _worst(residuals) -> float:
+    """Largest of the residuals, NaN if any is NaN.
+
+    The builtin ``max`` keeps its first argument when a comparison with NaN
+    is false, so a NaN after the first element would vanish and its check
+    would pass; ``np.max`` propagates it.
+    """
+    return float(np.max(list(residuals)))
+
+
+def _json_number(x: float) -> float | str:
+    """A float for JSON; non-finite values as the string the table prints."""
+    return x if math.isfinite(x) else _fmt_res(x)
+
+
 # ---------------------------------------------------------------------------
 # Renderers.
 # ---------------------------------------------------------------------------
@@ -183,14 +198,14 @@ def _render_json(env: ReportEnvelope) -> str:
             {
                 "name": c.name,
                 "status": c.status,
-                "residual": c.residual,
-                "tolerance": c.tolerance,
+                "residual": _json_number(c.residual),
+                "tolerance": _json_number(c.tolerance),
             }
             for c in env.checks
         ],
         "status": "PASS" if env.all_pass else "FAIL",
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 def render_report(env: ReportEnvelope, fmt: str) -> str:
@@ -377,43 +392,47 @@ def cmd_greens(n: int, profile: str, tol_ode: float, tol_quad: float) -> ReportE
     if profile in ("L", "L2"):
         value_fn = greens.green_L if profile == "L" else greens.green_L2
         res_fn = greens.ode_residual_L if profile == "L" else greens.ode_residual_L2
-        worst = 0.0
+        residuals = []
         for r in rs:
             val = value_fn(n, r)
             res = res_fn(n, [r])
-            worst = max(worst, res)
+            residuals.append(res)
             rows.append((f"{r:.2f}", repr(val), _fmt_res(res)))
         result = ResultTable(columns=("r", "value", "ode_residual"),
                              rows=tuple(rows))
-        checks.append(check_against("ode-residual-max", worst, tol_ode))
+        checks.append(check_against("ode-residual-max", _worst(residuals), tol_ode))
         if profile == "L2":
             checks.append(_tau_check(n - 3, 2, tol_quad))
     elif profile == "D2":
-        worst = 0.0
+        residuals = []
         for r in rs:
             x = greens.chart_radius(r)
             val = greens.green_D2(n, x)
-            other = greens.green_D2_quadrature(n, x)
-            res = abs(val - other) / abs(val)
-            worst = max(worst, res)
+            res = _d2_route_residual(n, x, val)
+            residuals.append(res)
             rows.append((f"{r:.2f}", repr(x), repr(val), _fmt_res(res)))
         result = ResultTable(columns=("r", "x", "value", "route_residual"),
                              rows=tuple(rows))
-        checks.append(check_against("dual-route-max", worst, 1e-9))
+        checks.append(check_against("dual-route-max", _worst(residuals), 1e-9))
         checks.append(_tau_check(n - 1, 1, tol_quad))
     else:
         raise ValueError(f"unknown profile {profile!r}")
     return ReportEnvelope("greens", params, result, tuple(checks))
 
 
+def _d2_route_residual(n: int, x: float, value: float) -> float:
+    """Relative gap between the D2 value and its quadrature twin at |x|."""
+    return abs(value - greens.green_D2_quadrature(n, x)) / abs(value)
+
+
 def _tau_check(a: int, p: int, tol: float) -> CheckResult:
     exact = greens.tau_tail_exact(a, p)
-    worst = 0.0
+    residuals = []
     for x in (0.25, 0.6, 1.0, 1.8, 3.0):
         closed = exact.value(x)
         quad = greens.tau_tail_quadrature(a, p, x)
-        worst = max(worst, abs(closed - quad) / max(1.0, abs(closed)))
-    return check_against("tau-quadrature-vs-closed-form", worst, tol)
+        residuals.append(abs(closed - quad) / max(1.0, abs(closed)))
+    return check_against("tau-quadrature-vs-closed-form", _worst(residuals), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -488,11 +507,9 @@ def _suite_greens(seed: int, tols: dict[str, float]) -> list[CheckResult]:
         checks.append(check_against(
             f"homogeneous-coefficient-n{n}",
             abs(greens._fit_homogeneous_coefficient(n) / exact - 1.0), 1e-9))
-        worst = max(
-            abs(greens.green_D2(n, greens.chart_radius(r))
-                - greens.green_D2_quadrature(n, greens.chart_radius(r)))
-            / abs(greens.green_D2(n, greens.chart_radius(r)))
-            for r in rs
+        worst = _worst(
+            _d2_route_residual(n, x, greens.green_D2(n, x))
+            for x in map(greens.chart_radius, rs)
         )
         checks.append(check_against(f"dual-route-D2-n{n}", worst, 1e-9))
         tau = _tau_check(n - 3, 2, tols["tol_quad"])
@@ -514,7 +531,7 @@ def _suite_greens(seed: int, tols: dict[str, float]) -> list[CheckResult]:
 
 def _suite_symbols(seed: int, tols: dict[str, float]) -> list[CheckResult]:
     checks = []
-    worst = 0.0
+    prefactor_res = []
     for n in range(3, 14):
         for mode in symbols.PrefactorMode:
             try:
@@ -522,14 +539,14 @@ def _suite_symbols(seed: int, tols: dict[str, float]) -> list[CheckResult]:
             except ParityError:
                 continue
             oracle = symbols.gamma_prefactor_oracle(n, mode)
-            worst = max(worst, abs(got - oracle) / abs(oracle))
-    checks.append(check_against("prefactor-vs-oracle", worst, 1e-12))
+            prefactor_res.append(abs(got - oracle) / abs(oracle))
+    checks.append(check_against("prefactor-vs-oracle", _worst(prefactor_res), 1e-12))
     rich = symbols.zeta0_prefactor_richardson(4)
     exact4 = symbols.gamma_prefactor(4, symbols.PrefactorMode.ZETA0_LIMIT_AT_ZERO)[0]
     checks.append(check_against("zeta0-richardson-n4",
                                 abs(rich - exact4) / abs(exact4), 1e-6))
     semi_ok = True
-    null_worst = 0.0
+    null_res = []
     for n in range(3, 14):
         lcof = symbols.bracket_L(n, 0)
         dcof = symbols.bracket_D2(n, 0)
@@ -546,11 +563,10 @@ def _suite_symbols(seed: int, tols: dict[str, float]) -> list[CheckResult]:
         xi[0] = 1.0
         proj = symbols.point_projector(xi)
         p = symbols.PointData(n=n, k=proj, xi=xi)
-        null_worst = max(null_worst,
-                         abs(symbols.evaluate_form(lcof, 1.0, p, 0.0)))
+        null_res.append(abs(symbols.evaluate_form(lcof, 1.0, p, 0.0)))
     checks.append(CheckResult("semidefinite-at-s0",
                               "PASS" if semi_ok else "FAIL", 0.0, 0.0))
-    checks.append(check_against("null-ray-value", null_worst, 1e-12))
+    checks.append(check_against("null-ray-value", _worst(null_res), 1e-12))
     return checks
 
 
@@ -573,22 +589,22 @@ def _suite_confgroup(n: int, seed: int, tols: dict[str, float]) -> list[CheckRes
     points = rng.normal(size=(10, n + 1))
     points /= np.linalg.norm(points, axis=1, keepdims=True)
 
-    lorentz = max(cg.lorentz_form_residual(a) for a in elements)
-    conf = max(cg.conformality_residual(a, y) for a in elements for y in points)
-    cocycle = max(
+    lorentz = _worst(cg.lorentz_form_residual(a) for a in elements)
+    conf = _worst(cg.conformality_residual(a, y) for a in elements for y in points)
+    cocycle = _worst(
         cg.cocycle_residual(a, b, y)
         for a, b in zip(elements[:2], elements[2:]) for y in points
     )
     grid = cg.sphere_grid(n, 40)
-    pair_worst = 0.0
+    pair_res = []
     for _ in range(2):
         h = cg.random_band_limited_field(rng, n)
         k = cg.random_band_limited_field(rng, n)
         a = cg.random_moebius(rng, n, 1.0)
         base = cg.pairing(h, k, grid)
         res = cg.check_pairing_invariance(h, k, a, grid)
-        pair_worst = max(pair_worst, res / (1.0 + abs(base)))
-    cov_worst = 0.0
+        pair_res.append(res / (1.0 + abs(base)))
+    cov_res = []
     for _ in range(2):
         const = rng.normal(size=n)
         lin = rng.normal(size=(n, n))
@@ -598,19 +614,18 @@ def _suite_confgroup(n: int, seed: int, tols: dict[str, float]) -> list[CheckRes
 
         phi = cg.random_chart_map(rng, n, max_log_scale=1.0)
         pts = rng.normal(size=(50, n)) * 0.7
-        cov_worst = max(cov_worst, cg.check_ahlfors_covariance(vec_field, phi, pts))
-    ker_worst = 0.0
+        cov_res.append(cg.check_ahlfors_covariance(vec_field, phi, pts))
     chart_pts = rng.normal(size=(10, n)) * 0.8
-    for fld in cg.sphere_conformal_fields(n):
-        for x in chart_pts:
-            ker_worst = max(ker_worst,
-                            float(np.max(np.abs(cg.ahlfors_chart(fld, x)))))
+    ker_worst = _worst(
+        float(np.max(np.abs(cg.ahlfors_chart(fld, x))))
+        for fld in cg.sphere_conformal_fields(n) for x in chart_pts
+    )
     return [
         check_against("lorentz-form", lorentz, 1e-12),
         check_against("conformality", conf, 1e-7),
         check_against("cocycle", cocycle, 1e-7),
-        check_against("pairing-invariance", pair_worst, tol_conf),
-        check_against("ahlfors-covariance", cov_worst, tol_conf),
+        check_against("pairing-invariance", _worst(pair_res), tol_conf),
+        check_against("ahlfors-covariance", _worst(cov_res), tol_conf),
         check_against("kernel-fields", ker_worst, 1e-8),
     ]
 
@@ -731,10 +746,17 @@ def console_main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         env = _dispatch(args, parser)
+        report = render_report(env, args.format)
     except SphereHessError as exc:
         sys.stderr.write(f"spherehess: computation failed: {exc}\n")
         return 1
-    sys.stdout.write(render_report(env, args.format))
+    except (ArithmeticError, ValueError) as exc:
+        # Overflow, division by zero, numpy's LinAlgError: one line, no
+        # traceback, the same exit status as a library error.
+        sys.stderr.write(
+            f"spherehess: computation failed: {type(exc).__name__}: {exc}\n")
+        return 1
+    sys.stdout.write(report)
     return 0 if env.all_pass else 1
 
 

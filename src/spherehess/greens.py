@@ -42,6 +42,7 @@ provided; see `spectral_trace_reference`.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -50,7 +51,6 @@ from typing import Callable
 
 import mpmath
 import numpy as np
-from scipy import integrate
 
 from .errors import (
     DomainError,
@@ -114,8 +114,12 @@ class SphereConstants:
     d_n: ExactConst
 
 
+@functools.cache
 def sphere_constants(n: int) -> SphereConstants:
-    """C_n = 1/(2^{n-1} (n-2) vol(S^{n-1})) and D_n = 2^{(n-2)/2} C_n."""
+    """C_n = 1/(2^{n-1} (n-2) vol(S^{n-1})) and D_n = 2^{(n-2)/2} C_n.
+
+    Cached: the result is frozen, so every profile of dimension n shares it.
+    """
     _require_odd(n)
     omega = sphere_volume_exact(n - 1)
     c_n = ExactConst(Fraction(1, n - 2), 0, Fraction(1 - n)) / omega
@@ -183,12 +187,16 @@ class TauTailIntegral:
         return float(self.arctan_coeff) * (math.pi / 2) - self.antiderivative_at(x)
 
 
+@functools.cache
 def tau_tail_exact(a: int, p: int) -> TauTailIntegral:
     """Exact tail integral of tau^{-a} (1+tau^2)^{-p} with even a >= 0, p >= 1.
 
     Partial fractions in u = tau^2:
         1/(u^s (1+u)^p) = sum_i A_i u^{-i} + sum_l B_l (1+u)^{-l},
         A_i = (-1)^{s-i} C(p+s-i-1, s-i),  B_l = (-1)^s C(s+p-l-1, p-l).
+
+    Cached: the result is frozen, so every caller with the same (a, p)
+    shares it.
     """
     if a % 2 != 0:
         raise ParityError(f"exponent a = {a} must be even")
@@ -223,9 +231,12 @@ def tau_tail_quadrature(a: int, p: int, x: float, tol: float = 1e-12) -> float:
 
     The tail beyond tau = max(x, 1) is integrated in the inverted variable
     u = 1/tau, so only finite intervals ever reach the quadrature routine.
+    scipy is imported here, at the only call site, so that importing the
+    package and every command that does not run this twin stay free of it.
     """
     if x <= 0:
         raise DomainError("tail integral needs x > 0")
+    from scipy import integrate
 
     def direct(t: float) -> float:
         return t ** (-a) * (1.0 + t * t) ** (-p)
@@ -603,16 +614,23 @@ def _relative_residual(n: int, profile: RadialGreen, r: float, rhs: float) -> fl
 
 
 def ode_residual_L(n: int, rs) -> float:
-    """Max relative residual of L (L-profile) = 0 over the sample radii."""
+    """Max relative residual of L (L-profile) = 0 over the sample radii.
+
+    NaN if any radius gives NaN (``np.max`` propagates it; ``max`` would
+    drop it after the first element).
+    """
     prof = green_L_profile(n)
-    return max(_relative_residual(n, prof, r, 0.0) for r in rs)
+    return float(np.max([_relative_residual(n, prof, r, 0.0) for r in rs]))
 
 
 def ode_residual_L2(n: int, rs) -> float:
-    """Max relative residual of L (L2-profile) = L-profile over the radii."""
+    """Max relative residual of L (L2-profile) = L-profile over the radii.
+
+    NaN if any radius gives NaN, as in :func:`ode_residual_L`.
+    """
     prof = green_L2_profile(n)
     gl = green_L_profile(n)
-    return max(_relative_residual(n, prof, r, gl.evaluate(r)) for r in rs)
+    return float(np.max([_relative_residual(n, prof, r, gl.evaluate(r)) for r in rs]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,131 @@
+"""CLI contract for every input, and a cold start that does not load scipy.
+
+scipy serves only the adaptive-quadrature twin
+(``greens.tau_tail_quadrature``); the package and every command that does
+not run that twin must leave it unimported.  Non-finite residuals must fail
+their check and still print valid JSON, and arithmetic failures must end in
+one stderr line, not a traceback.
+"""
+
+import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import spherehess
+from spherehess import greens
+from spherehess.cli import (
+    ReportEnvelope,
+    ResultTable,
+    _r_grid,
+    _worst,
+    check_against,
+    render_report,
+)
+
+SRC = str(Path(spherehess.__file__).resolve().parent.parent)
+
+
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports this checkout's package."""
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, timeout=120)
+
+
+def _reject_constant(token: str):
+    raise ValueError(f"non-JSON constant {token!r}")
+
+
+def _top_level_imports(*args: str) -> set[str]:
+    """Top-level packages a fresh ``python -X importtime <args>`` imported."""
+    proc = _python("-X", "importtime", *args)
+    assert proc.returncode == 0, proc.stderr
+    return {line.rsplit("|", 1)[-1].strip().split(".")[0]
+            for line in proc.stderr.splitlines()
+            if line.startswith("import time:")}
+
+
+class TestImportHygiene:
+    @pytest.mark.parametrize("args", [
+        ("-c", "import spherehess, spherehess.cli"),
+        ("-m", "spherehess", "--version"),
+        ("-m", "spherehess", "spectrum", "--dim", "4", "--jmax", "2"),
+    ], ids=["import", "version", "spectrum"])
+    def test_cold_start_leaves_scipy_unloaded(self, args):
+        imported = _top_level_imports(*args)
+        assert "spherehess" in imported
+        assert "scipy" not in imported
+
+    def test_quadrature_twin_command_loads_scipy(self):
+        # The control for the test above: the same probe sees scipy where
+        # the twin runs.
+        imported = _top_level_imports("-m", "spherehess", "greens", "--dim",
+                                      "5", "--profile", "L2")
+        assert "scipy" in imported
+
+    def test_quadrature_twin_loads_scipy_and_matches_exact(self):
+        proc = _python("-c", (
+            "import sys\n"
+            "from spherehess.greens import tau_tail_exact, tau_tail_quadrature\n"
+            "before = 'scipy' in sys.modules\n"
+            "quad = tau_tail_quadrature(4, 2, 0.6)\n"
+            "exact = tau_tail_exact(4, 2).value(0.6)\n"
+            "print(before, 'scipy' in sys.modules, abs(quad - exact) / exact)"
+        ))
+        assert proc.returncode == 0, proc.stderr
+        before, after, rel = proc.stdout.split()
+        assert (before, after) == ("False", "True")
+        assert float(rel) <= 1e-10
+
+
+class TestNonFiniteResiduals:
+    def test_worst_keeps_a_late_nan(self):
+        assert math.isnan(_worst([0.0, 1e-16, math.nan, 2e-16]))
+        assert _worst([0.0, 3e-16, 1e-16]) == 3e-16
+
+    def test_library_residual_keeps_a_late_nan(self):
+        # At n = 301 the L2 residual is NaN at r = 0.3, 2.8 and 3.0; from
+        # r = 0.4 on, the first NaN follows finite residuals.
+        rs = _r_grid()[1:]
+        assert math.isnan(greens.ode_residual_L2(301, rs))
+
+    def test_nan_residual_fails_and_prints_valid_json(self):
+        proc = _python("-m", "spherehess", "greens", "--dim", "301",
+                       "--profile", "L", "--format", "json")
+        assert proc.returncode == 1, proc.stderr
+        doc = json.loads(proc.stdout, parse_constant=_reject_constant)
+        assert doc["status"] == "FAIL"
+        [check] = doc["checks"]
+        assert check["name"] == "ode-residual-max"
+        assert check["status"] == "FAIL"
+        assert check["residual"] == "nan"
+
+    def test_infinite_residual_renders_as_string(self):
+        env = ReportEnvelope(
+            "greens", {}, ResultTable(("r",), (("0.30",),)),
+            (check_against("finite", 1e-16, 1e-8),
+             check_against("infinite", math.inf, 1e-8)),
+        )
+        doc = json.loads(render_report(env, "json"),
+                         parse_constant=_reject_constant)
+        assert [c["residual"] for c in doc["checks"]] == [1e-16, "inf"]
+        assert [c["status"] for c in doc["checks"]] == ["PASS", "FAIL"]
+
+
+class TestArithmeticFailures:
+    @pytest.mark.parametrize("profile", ["L", "L2"])
+    def test_overflow_is_one_line_exit_one(self, profile):
+        proc = _python("-m", "spherehess", "greens", "--dim", "401",
+                       "--profile", profile)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("spherehess: computation failed: OverflowError")

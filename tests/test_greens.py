@@ -237,3 +237,18 @@ class TestTraces:
                 factor = spectral_convention_factor(kind, k)
                 ref = spectral_trace_reference(kind, k)
                 assert factor * pipe.value == pytest.approx(ref, rel=1e-5)
+
+
+class TestCachedBuilders:
+    def test_exact_data_is_shared(self):
+        assert sphere_constants(5) is sphere_constants(5)
+        assert tau_tail_exact(4, 2) is tau_tail_exact(4, 2)
+
+    @pytest.mark.parametrize("n", [3, 5, 7, 9])
+    def test_values_equal_fresh_profiles_bitwise(self, n):
+        from spherehess.cli import _r_grid
+
+        prof_l, prof_l2 = green_L_profile(n), green_L2_profile(n)
+        for r in _r_grid():
+            assert green_L(n, r) == prof_l(r)
+            assert green_L2(n, r) == prof_l2(r)
