@@ -8,8 +8,12 @@ closed-form table values and the pipeline/table ratio are also printed;
 the ratio is NOT constant in k, which is exactly why the spectral route is
 the one used for validation.
 
+The float pipeline works only for k <= 2: from k = 3 on, its Laurent fit
+needs powers beyond double precision and raises FitUnstable, so --kmax
+must be 1 or 2.
+
 Usage:
-    python scripts/trace_pipeline.py --kmax 3
+    python scripts/trace_pipeline.py --kmax 2
 """
 
 import argparse
@@ -27,8 +31,12 @@ from spherehess.greens import (
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--kmax", type=int, default=2, help="largest power k >= 1")
+    parser.add_argument("--kmax", type=int, default=2,
+                        help="largest power k, 1 or 2")
     args = parser.parse_args()
+    if not 1 <= args.kmax <= 2:
+        parser.error("--kmax must be 1 or 2: the float pipeline works only "
+                     "for k <= 2")
 
     table_fns = {TraceKind.L2: kv_trace_L2, TraceKind.D2: kv_trace_D2}
     cols = (

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -36,7 +36,6 @@ from .errors import Degenerate, DomainError
 from .exact import sphere_volume
 
 __all__ = [
-    "GeneratorTag",
     "MoebiusElement",
     "moebius_identity",
     "moebius_rotation",
@@ -89,12 +88,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-class GeneratorTag(enum.Enum):
-    ROTATION = "ROTATION"
-    BOOST = "BOOST"
-    COMPOSITE = "COMPOSITE"
-
-
 def _lorentz_metric(n: int) -> np.ndarray:
     j = np.eye(n + 2)
     j[n + 1, n + 1] = -1.0
@@ -107,7 +100,6 @@ class MoebiusElement:
 
     n: int
     matrix: np.ndarray
-    generator_tag: GeneratorTag = GeneratorTag.COMPOSITE
 
     def __post_init__(self) -> None:
         m = np.asarray(self.matrix, dtype=float)
@@ -130,7 +122,7 @@ def lorentz_form_residual(a: MoebiusElement) -> float:
 
 
 def moebius_identity(n: int) -> MoebiusElement:
-    return MoebiusElement(n=n, matrix=np.eye(n + 2), generator_tag=GeneratorTag.ROTATION)
+    return MoebiusElement(n=n, matrix=np.eye(n + 2))
 
 
 def moebius_rotation(n: int, axis_i: int, axis_j: int, angle: float) -> MoebiusElement:
@@ -143,7 +135,7 @@ def moebius_rotation(n: int, axis_i: int, axis_j: int, angle: float) -> MoebiusE
     m[axis_j, axis_j] = c
     m[axis_i, axis_j] = -s
     m[axis_j, axis_i] = s
-    return MoebiusElement(n=n, matrix=m, generator_tag=GeneratorTag.ROTATION)
+    return MoebiusElement(n=n, matrix=m)
 
 
 def moebius_rotation_matrix(n: int, rot: np.ndarray) -> MoebiusElement:
@@ -151,7 +143,7 @@ def moebius_rotation_matrix(n: int, rot: np.ndarray) -> MoebiusElement:
     rot = np.asarray(rot, dtype=float)
     m = np.eye(n + 2)
     m[: n + 1, : n + 1] = rot
-    return MoebiusElement(n=n, matrix=m, generator_tag=GeneratorTag.ROTATION)
+    return MoebiusElement(n=n, matrix=m)
 
 
 def moebius_boost(n: int, direction, rapidity: float) -> MoebiusElement:
@@ -176,24 +168,20 @@ def moebius_boost(n: int, direction, rapidity: float) -> MoebiusElement:
     m[: n + 1, n + 1] = s * v
     m[n + 1, : n + 1] = s * v
     m[n + 1, n + 1] = c
-    return MoebiusElement(n=n, matrix=m, generator_tag=GeneratorTag.BOOST)
+    return MoebiusElement(n=n, matrix=m)
 
 
 def compose(a: MoebiusElement, b: MoebiusElement) -> MoebiusElement:
     """The product element; acts as a then-after b: (a b) . y = a . (b . y)."""
     if a.n != b.n:
         raise DomainError("cannot compose elements of different dimension")
-    return MoebiusElement(
-        n=a.n, matrix=a.matrix @ b.matrix, generator_tag=GeneratorTag.COMPOSITE
-    )
+    return MoebiusElement(n=a.n, matrix=a.matrix @ b.matrix)
 
 
 def inverse(a: MoebiusElement) -> MoebiusElement:
     """Lorentz inverse J M^T J (exact at the matrix level)."""
     j = _lorentz_metric(a.n)
-    return MoebiusElement(
-        n=a.n, matrix=j @ a.matrix.T @ j, generator_tag=a.generator_tag
-    )
+    return MoebiusElement(n=a.n, matrix=j @ a.matrix.T @ j)
 
 
 def random_moebius(
@@ -327,7 +315,6 @@ class SphereGrid:
     n: int
     nodes: np.ndarray
     weights: np.ndarray
-    order: int
 
     def __post_init__(self) -> None:
         total = float(np.sum(self.weights))
@@ -367,7 +354,7 @@ def sphere_grid(n: int, order: int = 40) -> SphereGrid:
             axis=1,
         )
         weights = (gl_weights[:, None] * w_phi * np.ones(n_phi)[None, :]).ravel()
-        return SphereGrid(n=2, nodes=nodes, weights=weights, order=order)
+        return SphereGrid(n=2, nodes=nodes, weights=weights)
     if n == 3:
         m = order
         kk = np.arange(1, m + 1)
@@ -386,7 +373,7 @@ def sphere_grid(n: int, order: int = 40) -> SphereGrid:
             w1[:, None, None] * gl_weights[None, :, None] * w_phi
             * np.ones(n_phi)[None, None, :]
         ).ravel()
-        return SphereGrid(n=3, nodes=nodes, weights=weights, order=order)
+        return SphereGrid(n=3, nodes=nodes, weights=weights)
     raise DomainError("grids implemented for n in {2, 3}")
 
 
@@ -693,29 +680,29 @@ def random_chart_map(rng: np.random.Generator, n: int, max_log_scale: float = 1.
     return compose_chart(chart_translation(v), chart_rotation(q), chart_dilation(s))
 
 
+# Step of the finite-difference Jacobian behind the Ahlfors operator.
+_FD_STEP = 1e-5
+
+
 def _field_jacobian(
-    vec_field: Callable[[np.ndarray], np.ndarray],
-    x: np.ndarray,
-    step: float,
+    vec_field: Callable[[np.ndarray], np.ndarray], x: np.ndarray
 ) -> np.ndarray:
     """4th-order central-difference Jacobian d_i X_j at x (rows i, cols j)."""
     dim = len(x)
     jac = np.zeros((dim, dim))
     for i in range(dim):
         e = np.zeros(dim)
-        e[i] = step
+        e[i] = _FD_STEP
         fp2 = np.asarray(vec_field(x + 2 * e), dtype=float)
         fp1 = np.asarray(vec_field(x + e), dtype=float)
         fm1 = np.asarray(vec_field(x - e), dtype=float)
         fm2 = np.asarray(vec_field(x - 2 * e), dtype=float)
-        jac[i, :] = (-fp2 + 8 * fp1 - 8 * fm1 + fm2) / (12 * step)
+        jac[i, :] = (-fp2 + 8 * fp1 - 8 * fm1 + fm2) / (12 * _FD_STEP)
     return jac
 
 
 def ahlfors_chart(
-    vec_field: Callable[[np.ndarray], np.ndarray],
-    x: np.ndarray,
-    step: float = 1e-5,
+    vec_field: Callable[[np.ndarray], np.ndarray], x: np.ndarray
 ) -> np.ndarray:
     """Conformal Killing operator S X = L_X g - (2/n)(div_g X) g in the chart.
 
@@ -732,7 +719,7 @@ def ahlfors_chart(
     dim = len(x)
     lam = chart_lambda(x)
     value = np.asarray(vec_field(x), dtype=float)
-    dmat = _field_jacobian(vec_field, x, step)
+    dmat = _field_jacobian(vec_field, x)
     lie = (
         -2.0 * lam**3 * float(x @ value) * np.eye(dim)
         + lam**2 * (dmat + dmat.T)
@@ -803,7 +790,6 @@ def check_ahlfors_covariance(
     vec_field: Callable[[np.ndarray], np.ndarray],
     phi: ChartMap,
     points: np.ndarray,
-    step: float = 1e-5,
 ) -> float:
     """Max residual of Omega^{-2} phi^*(S X) = S(phi^* X) over the points.
 
@@ -819,8 +805,8 @@ def check_ahlfors_covariance(
     for x in np.asarray(points, dtype=float):
         jac = phi.jacobian(x)
         omega = phi.conformal_factor_round(x)
-        lhs = jac.T @ ahlfors_chart(vec_field, phi.apply(x), step=step) @ jac
+        lhs = jac.T @ ahlfors_chart(vec_field, phi.apply(x)) @ jac
         lhs /= omega**2
-        rhs = ahlfors_chart(pulled_field, x, step=step)
+        rhs = ahlfors_chart(pulled_field, x)
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     return worst

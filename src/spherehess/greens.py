@@ -226,11 +226,16 @@ def tau_tail_exact(a: int, p: int) -> TauTailIntegral:
     )
 
 
-def tau_tail_quadrature(a: int, p: int, x: float, tol: float = 1e-12) -> float:
+_QUAD_TOL = 1e-12
+
+
+def tau_tail_quadrature(a: int, p: int, x: float) -> float:
     """Adaptive-quadrature twin of :func:`tau_tail_exact` at lower bound x.
 
     The tail beyond tau = max(x, 1) is integrated in the inverted variable
     u = 1/tau, so only finite intervals ever reach the quadrature routine.
+    Each piece is integrated to 1e-12 absolute and relative; the summed
+    error estimate must stay below 1e-10 times max(1, |value|).
     scipy is imported here, at the only call site, so that importing the
     package and every command that does not run this twin stay free of it.
     """
@@ -244,21 +249,17 @@ def tau_tail_quadrature(a: int, p: int, x: float, tol: float = 1e-12) -> float:
     def inverted(u: float) -> float:
         return u ** (a + 2 * p - 2) / (1.0 + u * u) ** p
 
-    pieces = []
+    def quad(f, lo: float, hi: float) -> tuple[float, float]:
+        return integrate.quad(f, lo, hi, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL,
+                              limit=200)
+
     if x >= 1.0:
-        pieces.append(
-            integrate.quad(inverted, 0.0, 1.0 / x, epsabs=tol, epsrel=tol, limit=200)
-        )
+        pieces = [quad(inverted, 0.0, 1.0 / x)]
     else:
-        pieces.append(
-            integrate.quad(direct, x, 1.0, epsabs=tol, epsrel=tol, limit=200)
-        )
-        pieces.append(
-            integrate.quad(inverted, 0.0, 1.0, epsabs=tol, epsrel=tol, limit=200)
-        )
+        pieces = [quad(direct, x, 1.0), quad(inverted, 0.0, 1.0)]
     val = sum(v for v, _ in pieces)
     err = sum(e for _, e in pieces)
-    if err > max(100 * tol, 1e-10) * max(1.0, abs(val)):
+    if err > 1e-10 * max(1.0, abs(val)):
         raise QuadratureFailure(f"estimated error {err:.3e} above tolerance")
     return val
 
@@ -557,27 +558,18 @@ def green_D2_closed3(r: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def radial_L_apply(n: int, f, r: float, h: float | None = None) -> float:
-    """Apply the radial conformal Laplacian to f at r.
+def radial_L_apply(n: int, f: RadialGreen, r: float) -> float:
+    """Apply the radial conformal Laplacian to the profile f at r.
 
-    Uses closed-form derivatives when f is a RadialGreen carrying them,
-    otherwise 4th-order 5-point central differences with step h
-    (default min(1e-3, r/4, (pi-r)/4)).
+    Uses the profile's closed-form derivatives ``d1`` and ``d2``, which the
+    L and L2 profiles carry.
     """
     if not 0.0 < r < math.pi:
         raise DomainError(f"r = {r} outside (0, pi)")
-    d1 = getattr(f, "d1", None)
-    d2 = getattr(f, "d2", None)
-    fun = f.evaluate if isinstance(f, RadialGreen) else f
-    if d1 is not None and d2 is not None:
-        f1, f2 = d1(r), d2(r)
-    else:
-        if h is None:
-            h = min(1e-3, r / 4, (math.pi - r) / 4)
-        fm2, fm1, fp1, fp2 = fun(r - 2 * h), fun(r - h), fun(r + h), fun(r + 2 * h)
-        f1 = (-fp2 + 8 * fp1 - 8 * fm1 + fm2) / (12 * h)
-        f2 = (-fp2 + 16 * fp1 - 30 * fun(r) + 16 * fm1 - fm2) / (12 * h * h)
-    f0 = fun(r)
+    if f.d1 is None or f.d2 is None:
+        raise DomainError(f"the {f.kind} profile has no closed-form derivatives")
+    f1, f2 = f.d1(r), f.d2(r)
+    f0 = f.evaluate(r)
     return -f2 - (n - 1) * (math.cos(r) / math.sin(r)) * f1 + n * (n - 2) / 4 * f0
 
 
@@ -608,7 +600,7 @@ def homogeneous_mode_residual(n: int, sigma: int, z: float) -> float:
 def _relative_residual(n: int, profile: RadialGreen, r: float, rhs: float) -> float:
     val = radial_L_apply(n, profile, r)
     f0 = profile.evaluate(r)
-    f2 = profile.d2(r) if profile.d2 is not None else 0.0
+    f2 = profile.d2(r)
     scale = abs(f2) + abs(n * (n - 2) / 4 * f0) + abs(rhs)
     return abs(val - rhs) / max(scale, 1e-300)
 
@@ -638,15 +630,20 @@ def ode_residual_L2(n: int, rs) -> float:
 # ---------------------------------------------------------------------------
 
 
+# The regular-part fit: geometric nodes over the window, polynomial degrees
+# besides the singular powers, Richardson levels, and the largest error
+# estimate accepted.
+_FIT_NODES = 24
+_FIT_POLY_DEGREE = 6
+_RICHARDSON_LEVELS = 2
+_MAX_FIT_ERROR = 1e-6
+
+
 @dataclass(frozen=True)
 class RegularPartConfig:
-    """Configuration of the regular-part extraction."""
+    """Fit window of the regular-part extraction."""
 
     window: tuple[float, float] = (1e-3, 1e-1)
-    num_nodes: int = 24
-    richardson_levels: int = 2
-    poly_degree: int = 6
-    max_error: float = 1e-6
 
 
 @dataclass(frozen=True)
@@ -665,20 +662,19 @@ def regular_part(
 ) -> RegularPartResult:
     """Extract the constant term of profile(r) = sum c_s r^s + c_0 + O(r).
 
-    Least-squares fit on a geometric grid over the window with basis
-    {r^s : s in singular_orders} plus polynomial degrees 0..poly_degree; the
-    fitted negative powers are subtracted and the remainder is Richardson
-    extrapolated (richardson_levels levels, eliminating r, r^2, ...) at the
-    smallest nodes.
+    Least-squares fit on 24 geometric nodes over the window with basis
+    {r^s : s in singular_orders} plus polynomial degrees 0..6; the fitted
+    negative powers are subtracted and the remainder is Richardson
+    extrapolated (two levels, eliminating r and r^2) at the smallest nodes.
 
     Args:
         profile: RadialGreen (singular orders taken from it) or a plain
             callable (then pass singular_orders explicitly; default none).
         singular_orders: override for the Laurent exponents.
-        config: RegularPartConfig; defaults as documented.
+        config: RegularPartConfig; the default window is [1e-3, 1e-1].
 
     Raises:
-        FitUnstable: if the combined error estimate exceeds config.max_error.
+        FitUnstable: if the combined error estimate exceeds 1e-6.
     """
     cfg = config or RegularPartConfig()
     if singular_orders is None:
@@ -688,10 +684,10 @@ def regular_part(
     lo, hi = cfg.window
     if not 0 < lo < hi:
         raise DomainError("window must satisfy 0 < lo < hi")
-    rs = np.geomspace(lo, hi, cfg.num_nodes)
+    rs = np.geomspace(lo, hi, _FIT_NODES)
     vals = np.array([fun(float(r)) for r in rs])
 
-    exponents = list(singular_orders) + list(range(cfg.poly_degree + 1))
+    exponents = list(singular_orders) + list(range(_FIT_POLY_DEGREE + 1))
     cols = [rs**e for e in exponents]
     design = np.stack(cols, axis=1)
     scales = np.max(np.abs(design), axis=0)
@@ -705,20 +701,17 @@ def regular_part(
     for e in singular_orders:
         remainder = remainder - by_exp[e] * rs**e
 
-    levels = cfg.richardson_levels
-    if len(rs) < levels + 2:
-        raise FitUnstable("not enough nodes for the Richardson tableau")
     rho = rs[1] / rs[0]
-    tableau = [list(remainder[: levels + 2])]
-    for k in range(1, levels + 1):
+    tableau = [list(remainder[: _RICHARDSON_LEVELS + 2])]
+    for k in range(1, _RICHARDSON_LEVELS + 1):
         prev = tableau[-1]
         fac = rho**k
         tableau.append([(fac * prev[i] - prev[i + 1]) / (fac - 1) for i in range(len(prev) - 1)])
     top = tableau[-1]
     value = top[0]
     err = abs(top[0] - top[1]) + abs(value - c0_fit)
-    if err > cfg.max_error:
-        raise FitUnstable(f"error estimate {err:.3e} exceeds {cfg.max_error:.3e}")
+    if err > _MAX_FIT_ERROR:
+        raise FitUnstable(f"error estimate {err:.3e} exceeds {_MAX_FIT_ERROR:.3e}")
     singular = {int(e): float(by_exp[e]) for e in singular_orders}
     return RegularPartResult(value=float(value), error_estimate=float(err), singular_coeffs=singular)
 
@@ -775,13 +768,11 @@ class PipelineTrace:
     error_estimate: float
 
 
-def trace_from_pipeline(
-    kind: TraceKind, k: int, config: RegularPartConfig | None = None
-) -> PipelineTrace:
+def trace_from_pipeline(kind: TraceKind, k: int) -> PipelineTrace:
     """Trace via the numerical pipeline: regular_part(profile) x vol(S^n)."""
     n = 2 * k + 1
     profile = green_L2_profile(n) if kind is TraceKind.L2 else green_D2_profile(n)
-    reg = regular_part(profile, config=config)
+    reg = regular_part(profile)
     vol = float(sphere_volume_exact(n))
     return PipelineTrace(
         kind=kind,

@@ -117,6 +117,15 @@ def branches(beta: DominantWeight, sigma: DominantWeight) -> bool:
     return True
 
 
+def q_range(n: int) -> tuple[int, ...]:
+    """The second weight entries q of the tensor modes (2+j, q) on S^n.
+
+    (0, 1, 2) for n >= 4; on the 3-sphere SO(4) has rank two and the mirror
+    values -2, -1 occur as well.  Tables list them in this ascending order.
+    """
+    return (-2, -1, 0, 1, 2) if n == 3 else (0, 1, 2)
+
+
 @dataclass(frozen=True)
 class KType:
     """A two-parameter tensor mode (2+j, q) of SO(n+1) acting on the n-sphere.
@@ -136,7 +145,7 @@ class KType:
             raise DomainError(f"dim_n must be >= 3, got {self.dim_n}")
         if self.j < 0:
             raise DomainError(f"j must be >= 0, got {self.j}")
-        valid_q = range(-2, 3) if self.dim_n == 3 else range(0, 3)
+        valid_q = q_range(self.dim_n)
         if self.q not in valid_q:
             raise DomainError(
                 f"q={self.q} invalid for dim_n={self.dim_n} "
@@ -170,7 +179,7 @@ def enumerate_bundle_ktypes(
         return [
             KType(dim_n=n, j=j, q=q)
             for j in range(j_max + 1)
-            for q in (0, 1, 2)
+            for q in q_range(n)
         ]
     raise UnsupportedSigma(
         f"sigma with leading entries {head} is not one of the supported "
@@ -214,7 +223,7 @@ def enumerate_bundle_ktypes3(j_max: int) -> list[KType]:
     return [
         KType(dim_n=3, j=j, q=q)
         for j in range(j_max + 1)
-        for q in (-2, -1, 0, 1, 2)
+        for q in q_range(3)
     ]
 
 

@@ -27,7 +27,7 @@ from .errors import (
     NotAdjacent,
 )
 from .exact import rising
-from .ktypes import KType
+from .ktypes import KType, q_range
 
 __all__ = [
     "StepDirection",
@@ -123,8 +123,6 @@ class SpectrumTable:
 
     dim_n: int
     entries: dict[KType, Fraction]
-    normalization_base: KType
-    free_scale_note: str
 
     def value(self, j: int, q: int) -> Fraction:
         key = KType(dim_n=self.dim_n, j=j, q=q)
@@ -133,13 +131,7 @@ class SpectrumTable:
         return self.entries[key]
 
 
-def _solve_lattice(
-    n: int,
-    j_max: int,
-    q_range: tuple[int, ...],
-    seeds: dict[int, Fraction],
-    free_scale_note: str,
-) -> SpectrumTable:
+def _solve_lattice(n: int, j_max: int, seeds: dict[int, Fraction]) -> SpectrumTable:
     """Solve mu_gamma (d - n) = mu_beta (d + n) on the lattice j <= j_max.
 
     Every edge joins ``beta`` to ``gamma`` one unit step up in j or q, with
@@ -155,7 +147,7 @@ def _solve_lattice(
     nodes = {
         (j, q): KType(dim_n=n, j=j, q=q)
         for j in range(j_max + 1)
-        for q in q_range
+        for q in q_range(n)
     }
     # (beta, gamma, lo, hi) with the relation mu_gamma * lo == mu_beta * hi.
     edges = []
@@ -197,10 +189,7 @@ def _solve_lattice(
                 f"and (j={gamma[0]}, q={gamma[1]})"
             )
     return SpectrumTable(
-        dim_n=n,
-        entries={t: values[key] for key, t in nodes.items()},
-        normalization_base=nodes[(0, 2)],
-        free_scale_note=free_scale_note,
+        dim_n=n, entries={t: values[key] for key, t in nodes.items()}
     )
 
 
@@ -213,13 +202,7 @@ def spectrum_generate(n: int, j_max: int, base_value: Fraction) -> SpectrumTable
     """
     if n < 4:
         raise DomainError("use spectrum_generate3 for the 3-sphere")
-    return _solve_lattice(
-        n,
-        j_max,
-        (0, 1, 2),
-        {2: base_value},
-        "one free overall scale, fixed by the value at (j=0, q=2)",
-    )
+    return _solve_lattice(n, j_max, {2: base_value})
 
 
 def spectrum_generate3(
@@ -233,14 +216,7 @@ def spectrum_generate3(
     and a forced-zero middle band q in {-1, 0, 1}, so two independent scales
     remain; they seed (0, 2) and (0, -2).
     """
-    return _solve_lattice(
-        3,
-        j_max,
-        (-2, -1, 0, 1, 2),
-        {2: base_value_plus, -2: base_value_minus},
-        "two free scales on the 3-sphere, fixed by the values at "
-        "(j=0, q=2) and (j=0, q=-2)",
-    )
+    return _solve_lattice(3, j_max, {2: base_value_plus, -2: base_value_minus})
 
 
 def t0_eigenvalue(t: KType) -> Fraction:
@@ -255,19 +231,13 @@ def t0_eigenvalue(t: KType) -> Fraction:
 
 def closed_form_table(n: int, j_max: int) -> SpectrumTable:
     """The closed-form eigenvalue table over the full mode lattice."""
-    q_range = (-2, -1, 0, 1, 2) if n == 3 else (0, 1, 2)
     entries = {
         t: t0_eigenvalue(t)
         for j in range(j_max + 1)
-        for q in q_range
+        for q in q_range(n)
         for t in (KType(dim_n=n, j=j, q=q),)
     }
-    return SpectrumTable(
-        dim_n=n,
-        entries=entries,
-        normalization_base=KType(dim_n=n, j=0, q=2),
-        free_scale_note="closed form; scale pinned by the rising factorials",
-    )
+    return SpectrumTable(dim_n=n, entries=entries)
 
 
 def recursion_matches_closed_form(n: int, j_max: int) -> bool:

@@ -67,17 +67,11 @@ class QuadFormCoeffs:
 
 @dataclass(frozen=True)
 class PointData:
-    """A pointwise sample (k, xi) for evaluating the symbol form.
-
-    ``trace_free`` / ``transverse`` are optional assertions, verified at
-    construction when set.
-    """
+    """A pointwise sample (k, xi) for evaluating the symbol form."""
 
     n: int
     k: np.ndarray
     xi: np.ndarray
-    trace_free: bool = False
-    transverse: bool = False
 
     def __post_init__(self) -> None:
         k = np.asarray(self.k, dtype=float)
@@ -91,14 +85,6 @@ class PointData:
         scale = max(float(np.max(np.abs(k))), 1.0)
         if float(np.max(np.abs(k - k.T))) > 1e-12 * scale:
             raise DomainError("k must be symmetric")
-        if self.trace_free and abs(float(np.trace(k))) > 1e-10 * scale:
-            raise DomainError("trace_free asserted but tr k != 0")
-        if self.transverse:
-            xnorm = float(np.linalg.norm(xi))
-            if xnorm == 0.0:
-                raise ZeroCovector("transverse asserted with xi = 0")
-            if float(np.max(np.abs(k @ xi))) > 1e-10 * scale * xnorm:
-                raise DomainError("transverse asserted but k xi != 0")
 
 
 def bracket_L(n: int, s: Fraction | int) -> QuadFormCoeffs:
@@ -191,10 +177,14 @@ def gamma_prefactor(n: int, mode: PrefactorMode) -> tuple[float, int]:
     return value, sign
 
 
-def gamma_prefactor_oracle(n: int, mode: PrefactorMode, dps: int = 50) -> float:
+# Working precision (decimal digits) of the mpmath oracles.
+_ORACLE_DPS = 50
+
+
+def gamma_prefactor_oracle(n: int, mode: PrefactorMode) -> float:
     """High-precision Gamma-function evaluation of the same limit."""
     _check_mode_parity(n, mode)
-    with mpmath.workdps(dps):
+    with mpmath.workdps(_ORACLE_DPS):
         four_pi = (4 * mpmath.pi) ** (-mpmath.mpf(n) / 2)
         gpos = mpmath.gamma(mpmath.mpf(n) / 2 + 1) ** 2
         gden = mpmath.gamma(n + 2)
@@ -207,12 +197,12 @@ def gamma_prefactor_oracle(n: int, mode: PrefactorMode, dps: int = 50) -> float:
         return float(four_pi * gneg * gpos / gden)
 
 
-def prefactor_raw(n: int, s: float, dps: int = 50) -> float:
+def prefactor_raw(n: int, s: float) -> float:
     """The full prefactor (4 pi)^{-n/2} Gamma(s-n/2) Gamma(-s+n/2+1)^2 /
     (Gamma(s) Gamma(-2s+n+2)) at real s, by high-precision evaluation."""
     if n < 3:
         raise DomainError(f"n must be >= 3, got {n}")
-    with mpmath.workdps(dps):
+    with mpmath.workdps(_ORACLE_DPS):
         ms = mpmath.mpf(s)
         val = (
             (4 * mpmath.pi) ** (-mpmath.mpf(n) / 2)
@@ -223,12 +213,12 @@ def prefactor_raw(n: int, s: float, dps: int = 50) -> float:
         return float(val)
 
 
-def zeta0_prefactor_richardson(
-    n: int, s1: float = 1e-6, s2: float = 1e-7
-) -> float:
-    """Two-point Richardson limit of the raw prefactor at s -> 0 (even n)."""
+def zeta0_prefactor_richardson(n: int) -> float:
+    """Two-point Richardson limit of the raw prefactor at s -> 0 (even n),
+    from s = 1e-6 and 1e-7."""
     if n % 2 == 1:
         raise ParityError("the raw prefactor has a zero at s=0 for odd n")
+    s1, s2 = 1e-6, 1e-7
     p1, p2 = prefactor_raw(n, s1), prefactor_raw(n, s2)
     return (s1 * p2 - s2 * p1) / (s1 - s2)
 

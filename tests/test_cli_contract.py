@@ -7,6 +7,7 @@ their check and still print valid JSON, and arithmetic failures must end in
 one stderr line, not a traceback.
 """
 
+import argparse
 import json
 import math
 import os
@@ -23,7 +24,9 @@ from spherehess.cli import (
     ResultTable,
     _r_grid,
     _worst,
+    build_parser,
     check_against,
+    console_main,
     render_report,
 )
 
@@ -129,3 +132,48 @@ class TestArithmeticFailures:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("spherehess: computation failed: OverflowError")
+
+
+class TestOptionSurface:
+    """Each subcommand takes only the options it reads.
+
+    greens also takes --tol-conf, which it validates but does not read:
+    its usage error there is part of the tested contract.
+    """
+
+    EXPECTED = {
+        "spectrum": {"--dim", "--jmax", "--format"},
+        "signs": {"--nmax", "--format"},
+        "traces": {"--kmax", "--format"},
+        "greens": {"--dim", "--profile", "--format",
+                   "--tol-ode", "--tol-quad", "--tol-conf"},
+        "qsymbol": {"--dim", "--format", "--seed"},
+        "verify": {"--suite", "--dim", "--format", "--seed",
+                   "--tol-ode", "--tol-quad", "--tol-conf"},
+    }
+
+    def test_each_subcommand_has_exactly_its_options(self):
+        [sub] = [a for a in build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+        got = {
+            name: {opt for action in p._actions for opt in action.option_strings}
+            - {"-h", "--help"}
+            for name, p in sub.choices.items()
+        }
+        assert got == self.EXPECTED
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--dim", "4", "--seed", "1"],
+        ["traces", "--tol-ode", "1e-20"],
+        ["signs", "--tol-conf", "1e-3"],
+        ["greens", "--seed", "1"],
+        ["qsymbol", "--dim", "6", "--tol-quad", "1e-3"],
+    ], ids=["spectrum-seed", "traces-tol-ode", "signs-tol-conf", "greens-seed",
+            "qsymbol-tol-quad"])
+    def test_option_the_command_does_not_read_is_two(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            console_main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {argv[-2]}" in captured.err
