@@ -394,12 +394,8 @@ def cmd_greens(n: int, profile: str, tol_ode: float, tol_quad: float) -> ReportE
     checks: list[CheckResult] = []
     rs = _r_grid()
     if profile in ("L", "L2"):
-        value_fn = greens.green_L if profile == "L" else greens.green_L2
-        res_fn = greens.ode_residual_L if profile == "L" else greens.ode_residual_L2
         residuals = []
-        for r in rs:
-            val = value_fn(n, r)
-            res = res_fn(n, [r])
+        for r, (val, res) in zip(rs, greens._ode_rows(n, profile, rs)):
             residuals.append(res)
             rows.append((f"{r:.2f}", repr(val), _fmt_res(res)))
         result = ResultTable(columns=("r", "value", "ode_residual"),
@@ -597,9 +593,8 @@ def _suite_confgroup(n: int, seed: int, tols: dict[str, float]) -> list[CheckRes
         h = cg.random_band_limited_field(rng, n)
         k = cg.random_band_limited_field(rng, n)
         a = cg.random_moebius(rng, n, 1.0)
-        base = cg.pairing(h, k, grid)
-        res = cg.check_pairing_invariance(h, k, a, grid)
-        pair_res.append(res / (1.0 + abs(base)))
+        base, moved = cg._pairing_terms(h, k, a, grid)
+        pair_res.append(abs(base - moved) / (1.0 + abs(base)))
     cov_res = []
     for _ in range(2):
         const = rng.normal(size=n)

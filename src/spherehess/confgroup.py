@@ -422,9 +422,24 @@ class RepWeight:
         return float(self.rho + self.nu - 2)
 
 
+# The stacked ``@`` and einsum work on C-contiguous (N, d, d) arrays, whose
+# per-node bits do not depend on N.  The elementwise work in between runs
+# node-last, on (d, d, N) arrays, where every entry is one contiguous vector.
+
+
+def _node_last(stack: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(stack.transpose(1, 2, 0))
+
+
+def _node_first(stack: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(stack.transpose(2, 0, 1))
+
+
 def _tangent_projectors(ys: np.ndarray) -> np.ndarray:
-    dim = ys.shape[1]
-    return np.eye(dim)[None, :, :] - ys[:, :, None] * ys[:, None, :]
+    """P = Id - y y^T at each node, as a C-contiguous (N, d, d) stack."""
+    yt = np.ascontiguousarray(ys.T)
+    dim = len(yt)
+    return _node_first(np.eye(dim)[:, :, None] - yt[:, None, :] * yt[None, :, :])
 
 
 @dataclass(frozen=True)
@@ -464,12 +479,13 @@ def polynomial_tensor_field(
         raise DomainError(f"matrices must be {dim} x {dim}")
 
     def raw(ys: np.ndarray) -> np.ndarray:
-        out = np.broadcast_to(constant, (len(ys), dim, dim)).copy()
+        yt = np.ascontiguousarray(ys.T)
+        out = np.repeat(constant[:, :, None], len(ys), axis=2)
         for a, mat in enumerate(linear):
-            out += ys[:, a, None, None] * mat[None, :, :]
+            out += yt[a] * mat[:, :, None]
         for a, b, mat in quadratic:
-            out += (ys[:, a] * ys[:, b])[:, None, None] * mat[None, :, :]
-        return out
+            out += (yt[a] * yt[b]) * mat[:, :, None]
+        return _node_first(out)
 
     return TensorField(n=n, raw=raw)
 
@@ -495,6 +511,22 @@ def random_band_limited_field(rng: np.random.Generator, n: int) -> TensorField:
     return polynomial_tensor_field(n, constant, linear, quadratic)
 
 
+def _pullback_matrices(jac: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """J^T V J at each node, equal bit for bit to
+    ``np.einsum("nji,njk,nkl->nil", jac, values, jac)``.
+
+    That einsum sums the terms (J_ji V_jk) J_kl from zero, j outer and k
+    inner; this kernel adds the same terms in the same order, node-last.
+    """
+    jt, vt = _node_last(jac), _node_last(values)
+    dim = len(jt)
+    out = np.zeros_like(jt)
+    for j in range(dim):
+        for k in range(dim):
+            out += (jt[j, :, None, :] * vt[j, k]) * jt[k, None, :, :]
+    return _node_first(out)
+
+
 def pullback_field(a: MoebiusElement, fld: TensorField) -> TensorField:
     """phi^* k with matrices J(y)^T k(phi y) J(y) (J the exact Jacobian)."""
     if a.n != fld.n:
@@ -504,7 +536,7 @@ def pullback_field(a: MoebiusElement, fld: TensorField) -> TensorField:
         phi = act_many(a, ys)
         jac = differential_many(a, ys)
         values = fld.evaluate(phi)
-        return np.einsum("nji,njk,nkl->nil", jac, values, jac)
+        return _pullback_matrices(jac, values)
 
     return TensorField(n=fld.n, raw=raw)
 
@@ -523,21 +555,44 @@ def u_action(w: RepWeight, a: MoebiusElement, fld: TensorField) -> TensorField:
     return TensorField(n=fld.n, raw=raw)
 
 
+# Most grid nodes per block in :func:`pairing`: a block's intermediates stay
+# in cache, and no (N, d, d) array of a whole grid is ever built.
+_BLOCK = 4096
+
+
 def pairing(h: TensorField, k: TensorField, grid: SphereGrid) -> float:
-    """Integral over S^n of the pointwise Frobenius pairing <h, k>."""
-    hs, ks = h.sample(grid), k.sample(grid)
-    return grid.integrate(np.einsum("nij,nij->n", hs, ks))
+    """Integral over S^n of the pointwise Frobenius pairing <h, k>.
+
+    Both fields are evaluated over near-equal blocks of at most ``_BLOCK``
+    nodes, and the pointwise density of all blocks is integrated once, so
+    the value is bit for bit that of one whole-grid evaluation.  No block
+    has a single node unless the grid does: numpy multiplies a single row
+    by the Lorentz matrix as a matrix-vector product, whose last bits differ
+    from those of the matrix product.
+    """
+    nodes = grid.nodes
+    blocks = np.array_split(nodes, -(-len(nodes) // _BLOCK))
+    return grid.integrate(np.concatenate([
+        np.einsum("nij,nij->n", h.evaluate(ys), k.evaluate(ys)) for ys in blocks
+    ]))
+
+
+def _pairing_terms(
+    h: TensorField, k: TensorField, a: MoebiusElement, grid: SphereGrid
+) -> tuple[float, float]:
+    """<h, k> and <u_{-n/2}(phi) h, u_{n/2}(phi) k> on the grid."""
+    n = grid.n
+    base = pairing(h, k, grid)
+    hw = u_action(RepWeight.of(n, Fraction(-n, 2)), a, h)
+    kw = u_action(RepWeight.of(n, Fraction(n, 2)), a, k)
+    return base, pairing(hw, kw, grid)
 
 
 def check_pairing_invariance(
     h: TensorField, k: TensorField, a: MoebiusElement, grid: SphereGrid
 ) -> float:
     """Residual of <h, k> = <u_{-n/2}(phi) h, u_{n/2}(phi) k>."""
-    n = grid.n
-    base = pairing(h, k, grid)
-    hw = u_action(RepWeight.of(n, Fraction(-n, 2)), a, h)
-    kw = u_action(RepWeight.of(n, Fraction(n, 2)), a, k)
-    moved = pairing(hw, kw, grid)
+    base, moved = _pairing_terms(h, k, a, grid)
     return abs(base - moved)
 
 

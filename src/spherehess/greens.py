@@ -564,12 +564,20 @@ def radial_L_apply(n: int, f: RadialGreen, r: float) -> float:
     Uses the profile's closed-form derivatives ``d1`` and ``d2``, which the
     L and L2 profiles carry.
     """
+    return _radial_L(n, r, *_radial_terms(f, r))
+
+
+def _radial_terms(f: RadialGreen, r: float) -> tuple[float, float, float]:
+    """The profile's value and first two derivatives at r, each evaluated once."""
     if not 0.0 < r < math.pi:
         raise DomainError(f"r = {r} outside (0, pi)")
     if f.d1 is None or f.d2 is None:
         raise DomainError(f"the {f.kind} profile has no closed-form derivatives")
     f1, f2 = f.d1(r), f.d2(r)
-    f0 = f.evaluate(r)
+    return f.evaluate(r), f1, f2
+
+
+def _radial_L(n: int, r: float, f0: float, f1: float, f2: float) -> float:
     return -f2 - (n - 1) * (math.cos(r) / math.sin(r)) * f1 + n * (n - 2) / 4 * f0
 
 
@@ -597,12 +605,22 @@ def homogeneous_mode_residual(n: int, sigma: int, z: float) -> float:
     return num / scale
 
 
-def _relative_residual(n: int, profile: RadialGreen, r: float, rhs: float) -> float:
-    val = radial_L_apply(n, profile, r)
-    f0 = profile.evaluate(r)
-    f2 = profile.d2(r)
-    scale = abs(f2) + abs(n * (n - 2) / 4 * f0) + abs(rhs)
-    return abs(val - rhs) / max(scale, 1e-300)
+def _ode_rows(n: int, kind: str, rs) -> list[tuple[float, float]]:
+    """(value, relative ODE residual) of the "L" or "L2" profile at each radius.
+
+    L (L-profile) = 0 and L (L2-profile) = L-profile.  Each profile is built
+    once, and its value and derivatives are evaluated once per radius.
+    """
+    prof = green_L_profile(n) if kind == "L" else green_L2_profile(n)
+    rhs_prof = green_L_profile(n) if kind == "L2" else None
+    rows = []
+    for r in rs:
+        rhs = 0.0 if rhs_prof is None else rhs_prof.evaluate(r)
+        f0, f1, f2 = _radial_terms(prof, r)
+        val = _radial_L(n, r, f0, f1, f2)
+        scale = abs(f2) + abs(n * (n - 2) / 4 * f0) + abs(rhs)
+        rows.append((f0, abs(val - rhs) / max(scale, 1e-300)))
+    return rows
 
 
 def ode_residual_L(n: int, rs) -> float:
@@ -611,8 +629,7 @@ def ode_residual_L(n: int, rs) -> float:
     NaN if any radius gives NaN (``np.max`` propagates it; ``max`` would
     drop it after the first element).
     """
-    prof = green_L_profile(n)
-    return float(np.max([_relative_residual(n, prof, r, 0.0) for r in rs]))
+    return float(np.max([res for _, res in _ode_rows(n, "L", rs)]))
 
 
 def ode_residual_L2(n: int, rs) -> float:
@@ -620,9 +637,7 @@ def ode_residual_L2(n: int, rs) -> float:
 
     NaN if any radius gives NaN, as in :func:`ode_residual_L`.
     """
-    prof = green_L2_profile(n)
-    gl = green_L_profile(n)
-    return float(np.max([_relative_residual(n, prof, r, gl.evaluate(r)) for r in rs]))
+    return float(np.max([res for _, res in _ode_rows(n, "L2", rs)]))
 
 
 # ---------------------------------------------------------------------------

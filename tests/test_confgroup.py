@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from spherehess import confgroup
 from spherehess.errors import Degenerate, DomainError
 from spherehess.confgroup import (
     ChartMap,
@@ -27,6 +28,7 @@ from spherehess.confgroup import (
     conformal_factor,
     conformality_residual,
     differential,
+    differential_many,
     frame_at,
     inverse,
     inverse_stereographic,
@@ -211,6 +213,96 @@ class TestTensorAction:
         with pytest.raises(DomainError):
             RepWeight(n=2, rho=Fraction(3, 2), nu=Fraction(0))
         assert RepWeight.of(3, Fraction(-3, 2)).pullback_exponent == -2.0
+
+
+def _whole_grid_pairing(h, k, g):
+    return g.integrate(np.einsum("nij,nij->n", h.sample(g), k.sample(g)))
+
+
+class TestSameBits:
+    """The blocked, node-last kernels against the formulas they replace.
+
+    Each comparison is bitwise and made in one process, so it holds on any
+    machine and BLAS, not only where the CLI goldens were recorded.
+    """
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_pullback_kernel_is_einsum(self, n, seed):
+        rng = np.random.default_rng(seed)
+        ys = rng.normal(size=(777, n + 1))
+        ys /= np.linalg.norm(ys, axis=1, keepdims=True)
+        fld = random_band_limited_field(rng, n)
+        elements = [
+            random_moebius(rng, n, 1.0),
+            moebius_boost(n, seed % (n + 1), 0.9),
+            compose(moebius_rotation(n, 0, n, 0.3), random_moebius(rng, n, 0.5)),
+        ]
+        for a in elements:
+            jac = differential_many(a, ys)
+            values = fld.evaluate(act_many(a, ys))
+            want = np.einsum("nji,njk,nkl->nil", jac, values, jac)
+            got = confgroup._pullback_matrices(jac, values)
+            assert got.flags.c_contiguous
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_projectors_are_the_broadcast_formula(self, n):
+        rng = np.random.default_rng(20 + n)
+        ys = rng.normal(size=(513, n + 1))
+        ys /= np.linalg.norm(ys, axis=1, keepdims=True)
+        want = np.eye(n + 1)[None, :, :] - ys[:, :, None] * ys[:, None, :]
+        got = confgroup._tangent_projectors(ys)
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_polynomial_raw_is_the_broadcast_formula(self, n):
+        rng = np.random.default_rng(30 + n)
+        dim = n + 1
+
+        def sym():
+            m = rng.normal(size=(dim, dim))
+            return m + m.T
+
+        constant = sym()
+        linear = [sym() for _ in range(dim)]
+        quadratic = [(0, 0, sym()), (0, n, sym()), (1, 2, sym())]
+        fld = polynomial_tensor_field(n, constant, linear, quadratic)
+        ys = rng.normal(size=(301, dim))
+        want = np.broadcast_to(constant, (len(ys), dim, dim)).copy()
+        for a, mat in enumerate(linear):
+            want += ys[:, a, None, None] * mat[None, :, :]
+        for a, b, mat in quadratic:
+            want += (ys[:, a] * ys[:, b])[:, None, None] * mat[None, :, :]
+        got = fld.raw(ys)
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_pairing_is_the_whole_grid_pairing(self, n):
+        # S^2: 3,240 nodes, one block; S^3: 129,600 nodes, not a multiple
+        # of the block size, so 32 blocks of 4,050.
+        rng = np.random.default_rng(40 + n)
+        g = sphere_grid(n, 40)
+        h = random_band_limited_field(rng, n)
+        k = random_band_limited_field(rng, n)
+        assert pairing(h, k, g) == _whole_grid_pairing(h, k, g)
+
+    def test_pulled_back_pairing_is_independent_of_the_block(self, monkeypatch):
+        n = 2
+        rng = np.random.default_rng(50)
+        g = sphere_grid(n, 60)  # 7,260 nodes: two blocks of 3,630
+        hw = u_action(RepWeight.of(n, Fraction(-n, 2)),
+                      random_moebius(rng, n, 1.0), random_band_limited_field(rng, n))
+        kw = u_action(RepWeight.of(n, Fraction(n, 2)),
+                      random_moebius(rng, n, 1.0), random_band_limited_field(rng, n))
+        want = _whole_grid_pairing(hw, kw, g)
+        assert pairing(hw, kw, g) == want
+        # Stepping by 7,259 would leave a one-node tail.
+        for block in (3, 1000, len(g.nodes) - 1):
+            monkeypatch.setattr(confgroup, "_BLOCK", block)
+            assert pairing(hw, kw, g) == want
 
 
 class TestChart:
