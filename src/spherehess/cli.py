@@ -629,6 +629,15 @@ _SUITES = {
     "confgroup": None,  # needs dim; dispatched in cmd_verify
 }
 
+# The tolerances each verify suite reads; passing another is a usage error.
+_SUITE_TOLERANCES = {
+    "spectrum": (),
+    "greens": ("tol_ode", "tol_quad"),
+    "symbols": (),
+    "qcurv": (),
+    "confgroup": ("tol_conf",),
+}
+
 
 def cmd_verify(suite: str, dim: int, seed: int, tols: dict[str, float]) -> ReportEnvelope:
     params = {"suite": suite, "seed": str(seed)}
@@ -648,6 +657,13 @@ def cmd_verify(suite: str, dim: int, seed: int, tols: dict[str, float]) -> Repor
 # ---------------------------------------------------------------------------
 
 
+_TOLERANCE_DEFAULTS = {"tol_ode": 1e-8, "tol_quad": 1e-10, "tol_conf": 1e-6}
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spherehess",
@@ -663,9 +679,10 @@ def build_parser() -> argparse.ArgumentParser:
         if seed:
             p.add_argument("--seed", type=int, default=0)
         if tolerances:
-            p.add_argument("--tol-ode", type=float, default=1e-8)
-            p.add_argument("--tol-quad", type=float, default=1e-10)
-            p.add_argument("--tol-conf", type=float, default=1e-6)
+            # No argparse default: _dispatch tells a given tolerance from
+            # an absent one and fills in _TOLERANCE_DEFAULTS.
+            for name in _TOLERANCE_DEFAULTS:
+                p.add_argument(_flag(name), type=float)
 
     p = sub.add_parser("spectrum", help="Hessian eigenvalue table")
     p.add_argument("--dim", type=int, required=True)
@@ -703,13 +720,18 @@ def build_parser() -> argparse.ArgumentParser:
 def _dispatch(args: argparse.Namespace, parser: argparse.ArgumentParser) -> ReportEnvelope:
     # --seed and the --tol-* options exist only on the subcommands that
     # take them.
-    tols = {name: getattr(args, name)
-            for name in ("tol_ode", "tol_quad", "tol_conf") if name in args}
+    given = {name: getattr(args, name) for name in _TOLERANCE_DEFAULTS
+             if getattr(args, name, None) is not None}
+    if args.command == "verify":
+        for name in given:
+            if name not in _SUITE_TOLERANCES[args.suite]:
+                parser.error(f"{_flag(name)} is not read by --suite {args.suite}")
     if "seed" in args and args.seed < 0:
         parser.error("--seed must be >= 0")
-    for name, tol in tols.items():
+    for name, tol in given.items():
         if not (math.isfinite(tol) and tol >= 0):
-            parser.error(f"--{name.replace('_', '-')} must be finite and >= 0")
+            parser.error(f"{_flag(name)} must be finite and >= 0")
+    tols = {**_TOLERANCE_DEFAULTS, **given}
     if args.command == "spectrum":
         if args.dim < 2:
             parser.error("--dim must be >= 2")
@@ -727,7 +749,7 @@ def _dispatch(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Repo
     if args.command == "greens":
         if args.dim < 3 or args.dim % 2 == 0:
             parser.error("--dim must be odd and >= 3")
-        return cmd_greens(args.dim, args.profile, args.tol_ode, args.tol_quad)
+        return cmd_greens(args.dim, args.profile, tols["tol_ode"], tols["tol_quad"])
     if args.command == "qsymbol":
         if args.dim < 4 or args.dim % 2 == 1:
             parser.error("--dim must be even and >= 4")

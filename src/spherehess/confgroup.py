@@ -235,10 +235,13 @@ def differential(a: MoebiusElement, y: np.ndarray) -> np.ndarray:
 
 def differential_many(a: MoebiusElement, ys: np.ndarray) -> np.ndarray:
     """d phi(y) = S / w_t - phi(y) (x) m_row / w_t for M = [[S, b], [m, d]]."""
+    w_s, w_t = _homogeneous(a, np.asarray(ys, dtype=float))
+    return _differential(a, w_s / w_t[:, None], w_t)
+
+
+def _differential(a: MoebiusElement, phi: np.ndarray, w_t: np.ndarray) -> np.ndarray:
+    """:func:`differential_many` from the action's phi = w_s / w_t and w_t."""
     n = a.n
-    ys = np.asarray(ys, dtype=float)
-    w_s, w_t = _homogeneous(a, ys)
-    phi = w_s / w_t[:, None]
     s_block = a.matrix[: n + 1, : n + 1]
     m_row = a.matrix[n + 1, : n + 1]
     return (
@@ -533,10 +536,11 @@ def pullback_field(a: MoebiusElement, fld: TensorField) -> TensorField:
         raise DomainError("dimension mismatch")
 
     def raw(ys: np.ndarray) -> np.ndarray:
-        phi = act_many(a, ys)
-        jac = differential_many(a, ys)
-        values = fld.evaluate(phi)
-        return _pullback_matrices(jac, values)
+        # One Lorentz product gives phi and the Jacobian, with the
+        # expressions of act_many and differential_many.
+        w_s, w_t = _homogeneous(a, ys)
+        phi = w_s / w_t[:, None]
+        return _pullback_matrices(_differential(a, phi, w_t), fld.evaluate(phi))
 
     return TensorField(n=fld.n, raw=raw)
 

@@ -15,10 +15,22 @@ trace-free transverse perturbation, which is the end-to-end identity this
 module exists to verify.  The conformal Killing (Ahlfors) operator's symbol
 and its adjoint identity are included since its range spans the gauge
 directions that the Hessian kills.
+
+The assembled chain (:func:`lin_scalar_symbol`, :func:`lin_schouten_symbol`,
+:func:`lin_obstruction_symbol`, :func:`q_hessian_symbol`) and
+:func:`project_tt` run on Python ints: each call validates its input, writes
+xi = x / d and k = K / e with integer x and K, does all matrix work on
+integers and makes one exact division per output entry.  The results are
+the same `Fraction`s that rational arithmetic gives.  The routes the chain
+is checked against (:func:`q_hessian_expected`,
+:func:`lin_obstruction_symbol_direct`, :func:`lin_ricci_symbol`,
+:func:`lin_schouten_from_ricci`) stay on `Fraction` arithmetic, so a check
+compares two different kinds of arithmetic.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -41,7 +53,6 @@ __all__ = [
     "outer",
     "mat_trace",
     "mat_apply",
-    "mat_mul",
     "frobenius",
     "xi_norm_sq",
     "laplacian_symbol",
@@ -105,17 +116,6 @@ def mat_apply(m: FracMat, v: FracVec) -> FracVec:
     return tuple(
         sum((m[i][j] * v[j] for j in range(len(v))), Fraction(0))
         for i in range(len(m))
-    )
-
-
-def mat_mul(a: FracMat, b: FracMat) -> FracMat:
-    size = len(a)
-    return tuple(
-        tuple(
-            sum((a[i][t] * b[t][j] for t in range(size)), Fraction(0))
-            for j in range(size)
-        )
-        for i in range(size)
     )
 
 
@@ -187,19 +187,106 @@ def _require_tt(xi: FracVec, k: FracMat) -> None:
         raise PreconditionViolation("k must be transverse (k xi = 0)")
 
 
+# ---------------------------------------------------------------------------
+# Integer core of the assembled chain.  Each linearized symbol is linear in k
+# and homogeneous in xi, so with xi = x / d and k = K / e it is an integer
+# numerator over a known denominator; a part is a (numerator, denominator)
+# pair, and the only division is `_fractions` at the end.
+# ---------------------------------------------------------------------------
+
+_IntMat = list[list[int]]
+
+
+def _over_common_denominator(rows: FracMat) -> tuple[_IntMat, int]:
+    """Integer rows and the lcm e of all denominators, with rows = ints / e."""
+    e = math.lcm(*(v.denominator for row in rows for v in row))
+    return [[v.numerator * (e // v.denominator) for v in row] for row in rows], e
+
+
+def _int_apply(m, v: list[int]) -> list[int]:
+    return [sum(a * b for a, b in zip(row, v)) for row in m]
+
+
+def _fractions(num: _IntMat, den: int) -> FracMat:
+    """One exact division per entry."""
+    return tuple(tuple(Fraction(v, den) for v in row) for row in num)
+
+
+@dataclass(frozen=True)
+class _Cleared:
+    """Validated (xi, k) with denominators cleared: xi = x / d, k = kk / e."""
+
+    n: int
+    xi: FracVec
+    x: list[int]
+    kk: _IntMat
+    d: int
+    e: int
+    nrm: int  # |x|^2 = d^2 |xi|^2
+
+
+def _cleared(n: int, xi, k, *, tt: bool) -> _Cleared:
+    """Validate as the Fraction routes do, then clear the denominators.
+
+    With ``tt`` the input must be trace free and transverse; both
+    conditions are scale free, so they are tested on the integers.
+    """
+    xi_v, k_m = _validated(n, xi, k)
+    [x], d = _over_common_denominator((xi_v,))
+    kk, e = _over_common_denominator(k_m)
+    if tt:
+        if sum(kk[i][i] for i in range(n)) != 0:
+            raise PreconditionViolation("k must be trace free")
+        if any(_int_apply(kk, x)):
+            raise PreconditionViolation("k must be transverse (k xi = 0)")
+    return _Cleared(n, xi_v, x, kk, d, e, sum(v * v for v in x))
+
+
+def _scalar(c: _Cleared) -> tuple[int, int]:
+    """sigma(lin Scal) = (-x^T kk x + |x|^2 tr kk) / (d^2 e)."""
+    div_div = -sum(a * b for a, b in zip(c.x, _int_apply(c.kk, c.x)))
+    trace = sum(c.kk[i][i] for i in range(c.n))
+    return div_div + c.nrm * trace, c.d**2 * c.e
+
+
+def _schouten(c: _Cleared) -> tuple[_IntMat, int]:
+    """sigma(lin Schouten) on TT input = |x|^2 kk / (2(n-2) d^2 e)."""
+    return ([[c.nrm * v for v in row] for row in c.kk],
+            2 * (c.n - 2) * c.d**2 * c.e)
+
+
+def _obstruction(c: _Cleared) -> tuple[_IntMat, int]:
+    """sigma(Lap)^{n/2-2} [sigma(Lap) Schouten - scal sigma(Hess) / (2(n-1))].
+
+    sigma(Lap) = -|x|^2 / d^2 and sigma(Hess) = -x x^T / d^2; the scalar
+    part is computed, not assumed to vanish on TT input.
+    """
+    lap, lap_den = -c.nrm, c.d**2
+    schouten, schouten_den = _schouten(c)
+    scal, scal_den = _scalar(c)
+    # Both terms over one denominator; sigma(Hess)'s minus sign turns the
+    # subtraction of the scalar term into an addition of scal x x^T.
+    first_den = lap_den * schouten_den
+    second_den = scal_den * lap_den * 2 * (c.n - 1)
+    den = math.lcm(first_den, second_den)
+    first = lap * (den // first_den)
+    second = scal * (den // second_den)
+    x = c.x
+    power = c.n // 2 - 2
+    scale = lap**power
+    value = [[scale * (first * schouten[i][j] + second * x[i] * x[j])
+              for j in range(c.n)] for i in range(c.n)]
+    return value, den * lap_den**power
+
+
 def lin_scalar_symbol(n: int, xi, k) -> SymbolValue:
     """Leading symbol of the linearized scalar curvature: div div k - Lap tr k.
 
     Equals -xi^T k xi + |xi|^2 tr k; vanishes identically on trace-free
     transverse perturbations.
     """
-    xi_v, k_m = _validated(n, xi, k)
-    div_div = -sum(
-        (xi_v[i] * k_m[i][j] * xi_v[j] for i in range(n) for j in range(n)),
-        Fraction(0),
-    )
-    lap_tr = laplacian_symbol(xi_v) * mat_trace(k_m)
-    return SymbolValue(n=n, xi=xi_v, value=div_div - lap_tr)
+    c = _cleared(n, xi, k, tt=False)
+    return SymbolValue(n=n, xi=c.xi, value=Fraction(*_scalar(c)))
 
 
 def lin_ricci_symbol(n: int, xi, k) -> SymbolValue:
@@ -227,10 +314,8 @@ def lin_schouten_symbol(n: int, xi, k) -> SymbolValue:
 
     -(1/(2(n-2))) sigma(Laplacian) k = +|xi|^2 k / (2(n-2)).
     """
-    xi_v, k_m = _validated(n, xi, k)
-    _require_tt(xi_v, k_m)
-    scale = -Fraction(1, 2 * (n - 2)) * laplacian_symbol(xi_v)
-    return SymbolValue(n=n, xi=xi_v, value=mat_scale(scale, k_m))
+    c = _cleared(n, xi, k, tt=True)
+    return SymbolValue(n=n, xi=c.xi, value=_fractions(*_schouten(c)))
 
 
 def lin_schouten_from_ricci(n: int, xi, k) -> SymbolValue:
@@ -269,17 +354,8 @@ def lin_obstruction_symbol(n: int, xi, k) -> SymbolValue:
     and the result is (-1)^{n/2+1} |xi|^n / (2(n-2)) times k.
     """
     _check_even(n)
-    xi_v, k_m = _validated(n, xi, k)
-    _require_tt(xi_v, k_m)
-    lap = laplacian_symbol(xi_v)
-    schouten = lin_schouten_symbol(n, xi_v, k_m).value
-    scal = lin_scalar_symbol(n, xi_v, k_m).value
-    inner = mat_add(
-        mat_scale(lap, schouten),  # type: ignore[arg-type]
-        mat_scale(-Fraction(1, 2 * (n - 1)) * scal, hessian_symbol(xi_v)),
-    )
-    value = mat_scale(lap ** (n // 2 - 2), inner)
-    return SymbolValue(n=n, xi=xi_v, value=value)
+    c = _cleared(n, xi, k, tt=True)
+    return SymbolValue(n=n, xi=c.xi, value=_fractions(*_obstruction(c)))
 
 
 def lin_obstruction_symbol_direct(n: int, xi, k) -> SymbolValue:
@@ -298,13 +374,11 @@ def q_hessian_symbol(n: int, xi, k) -> SymbolValue:
     transverse input this is exactly -|xi|^n / 4 times k.
     """
     _check_even(n)
-    obstruction = lin_obstruction_symbol(n, xi, k)
-    factor = Fraction((-1) ** (n // 2) * (n - 2), 2)
-    return SymbolValue(
-        n=n,
-        xi=obstruction.xi,
-        value=mat_scale(factor, obstruction.value),  # type: ignore[arg-type]
-    )
+    c = _cleared(n, xi, k, tt=True)
+    obstruction, den = _obstruction(c)
+    factor = (-1) ** (n // 2) * (n - 2)
+    value = [[factor * v for v in row] for row in obstruction]
+    return SymbolValue(n=n, xi=c.xi, value=_fractions(value, 2 * den))
 
 
 def q_hessian_expected(n: int, xi, k) -> SymbolValue:
@@ -347,9 +421,25 @@ def project_tt(xi, m) -> FracMat:
     m_m = as_matrix(m)
     _check_symmetric(m_m)
     n = len(xi_v)
-    nrm2 = xi_norm_sq(xi_v)
-    if nrm2 == 0:
+    [x], _ = _over_common_denominator((xi_v,))
+    mm, e = _over_common_denominator(m_m)
+    nrm = sum(v * v for v in x)
+    if nrm == 0:
         raise ZeroCovector("xi must be nonzero")
-    proj = mat_add(identity(n), mat_scale(-1 / nrm2, outer(xi_v, xi_v)))
-    pmp = mat_mul(proj, mat_mul(m_m, proj))
-    return mat_add(pmp, mat_scale(-mat_trace(pmp) / (n - 1), proj))
+    if len(mm) != n:
+        raise IndexError("xi and m must have the same size")
+    # P = Q / nrm with Q = nrm Id - x x^T, and m = mm / e.  For v = mm x and
+    # s = x^T v, Q mm Q = nrm^2 mm - nrm (x v^T + v x^T) + s x x^T and
+    # tr(Q mm Q) = nrm t with t = nrm tr(mm) - s, so the result is
+    # ((n-1) Q mm Q - t Q) / ((n-1) nrm^2 e).
+    v = _int_apply(mm, x)
+    s = sum(a * b for a, b in zip(x, v))
+    t = nrm * sum(mm[i][i] for i in range(n)) - s
+    coef_m, coef_xv, coef_xx = (n - 1) * nrm**2, (n - 1) * nrm, (n - 1) * s + t
+    num = [
+        [coef_m * mm[i][j] - coef_xv * (x[i] * v[j] + v[i] * x[j])
+         + coef_xx * x[i] * x[j] - (t * nrm if i == j else 0)
+         for j in range(n)]
+        for i in range(n)
+    ]
+    return _fractions(num, (n - 1) * nrm**2 * e)

@@ -177,3 +177,20 @@ class TestOptionSurface:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"unrecognized arguments: {argv[-2]}" in captured.err
+
+    @pytest.mark.parametrize("suite, flag", [
+        *[(suite, flag) for suite in ("spectrum", "symbols", "qcurv")
+          for flag in ("--tol-ode", "--tol-quad", "--tol-conf")],
+        ("greens", "--tol-conf"),
+        ("confgroup", "--tol-ode"),
+        ("confgroup", "--tol-quad"),
+    ])
+    def test_tolerance_the_suite_does_not_read_is_two(self, capsys, suite, flag):
+        with pytest.raises(SystemExit) as exc:
+            console_main(["verify", "--suite", suite, flag, "1e-3",
+                          "--seed", "1", "--format", "json"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            f"spherehess: error: {flag} is not read by --suite {suite}")

@@ -289,6 +289,25 @@ class TestSameBits:
         k = random_band_limited_field(rng, n)
         assert pairing(h, k, g) == _whole_grid_pairing(h, k, g)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_u_action_raw_is_the_three_call_formula(self, n):
+        # act_many, differential_many and conformal_factor_many each ran the
+        # Lorentz product; the pullback now runs it once for phi and J.
+        rng = np.random.default_rng(60 + n)
+        ys = rng.normal(size=(777, n + 1))
+        ys /= np.linalg.norm(ys, axis=1, keepdims=True)
+        fld = random_band_limited_field(rng, n)
+        for nu in (Fraction(-n, 2), Fraction(n, 2), Fraction(1, 3)):
+            w = RepWeight.of(n, nu)
+            a = random_moebius(rng, n, 1.0)
+            jac = differential_many(a, ys)
+            pulled = np.einsum("nji,njk,nkl->nil",
+                               jac, fld.evaluate(act_many(a, ys)), jac)
+            omega = confgroup.conformal_factor_many(a, ys)
+            want = omega[:, None, None] ** w.pullback_exponent * pulled
+            assert np.array_equal(pullback_field(a, fld).raw(ys), pulled)
+            assert np.array_equal(u_action(w, a, fld).raw(ys), want)
+
     def test_pulled_back_pairing_is_independent_of_the_block(self, monkeypatch):
         n = 2
         rng = np.random.default_rng(50)

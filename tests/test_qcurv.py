@@ -1,6 +1,7 @@
 """Exact rational symbol calculus for the linearized curvature operators."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,10 @@ from spherehess.errors import (
     ZeroCovector,
 )
 from spherehess.qcurv import (
+    _check_even,
+    _check_symmetric,
+    _require_tt,
+    _validated,
     ahlfors_symbol,
     as_matrix,
     as_vector,
@@ -26,9 +31,11 @@ from spherehess.qcurv import (
     lin_scalar_symbol,
     lin_schouten_from_ricci,
     lin_schouten_symbol,
+    mat_add,
     mat_apply,
     mat_scale,
     mat_trace,
+    outer,
     project_tt,
     q_hessian_expected,
     q_hessian_symbol,
@@ -192,3 +199,148 @@ class TestProjectTT:
     def test_zero_covector(self):
         with pytest.raises(ZeroCovector):
             project_tt(_vec((0, 0, 0)), identity(3))
+
+
+# ---------------------------------------------------------------------------
+# Rational references for the integer route: project_tt and the assembled
+# chain as they were computed on Fraction matrices, entry by entry.
+# ---------------------------------------------------------------------------
+
+
+def _ref_mat_mul(a, b):
+    size = len(a)
+    return tuple(
+        tuple(sum((a[i][t] * b[t][j] for t in range(size)), Fraction(0))
+              for j in range(size))
+        for i in range(size)
+    )
+
+
+def _ref_project_tt(xi, m):
+    xi_v = as_vector(xi)
+    m_m = as_matrix(m)
+    _check_symmetric(m_m)
+    n = len(xi_v)
+    nrm2 = xi_norm_sq(xi_v)
+    if nrm2 == 0:
+        raise ZeroCovector("xi must be nonzero")
+    proj = mat_add(identity(n), mat_scale(-1 / nrm2, outer(xi_v, xi_v)))
+    pmp = _ref_mat_mul(proj, _ref_mat_mul(m_m, proj))
+    return mat_add(pmp, mat_scale(-mat_trace(pmp) / (n - 1), proj))
+
+
+def _ref_scalar(n, xi, k):
+    xi_v, k_m = _validated(n, xi, k)
+    div_div = -sum(
+        (xi_v[i] * k_m[i][j] * xi_v[j] for i in range(n) for j in range(n)),
+        Fraction(0),
+    )
+    return div_div - laplacian_symbol(xi_v) * mat_trace(k_m)
+
+
+def _ref_schouten(n, xi, k):
+    xi_v, k_m = _validated(n, xi, k)
+    _require_tt(xi_v, k_m)
+    return mat_scale(-Fraction(1, 2 * (n - 2)) * laplacian_symbol(xi_v), k_m)
+
+
+def _ref_obstruction(n, xi, k):
+    _check_even(n)
+    xi_v, k_m = _validated(n, xi, k)
+    _require_tt(xi_v, k_m)
+    lap = laplacian_symbol(xi_v)
+    inner = mat_add(
+        mat_scale(lap, _ref_schouten(n, xi_v, k_m)),
+        mat_scale(-Fraction(1, 2 * (n - 1)) * _ref_scalar(n, xi_v, k_m),
+                  hessian_symbol(xi_v)),
+    )
+    return mat_scale(lap ** (n // 2 - 2), inner)
+
+
+def _ref_q_hessian(n, xi, k):
+    _check_even(n)
+    return mat_scale(Fraction((-1) ** (n // 2) * (n - 2), 2),
+                     _ref_obstruction(n, xi, k))
+
+
+_CHAIN = [
+    (lin_scalar_symbol, _ref_scalar),
+    (lin_schouten_symbol, _ref_schouten),
+    (lin_obstruction_symbol, _ref_obstruction),
+    (q_hessian_symbol, _ref_q_hessian),
+]
+
+# Rationals with mixed denominators, ints, and floats (dyadic, so exact).
+_entry = st.one_of(
+    st.builds(Fraction, st.integers(-36, 36), st.sampled_from([2, 3, 4, 5, 6, 12])),
+    st.integers(-6, 6),
+    st.integers(-48, 48).map(lambda v: v / 8),
+)
+
+
+@st.composite
+def _symbol_inputs(draw):
+    n = draw(st.sampled_from([4, 6, 8, 10, 12]))
+    xi = draw(st.lists(_entry, min_size=n, max_size=n).filter(any))
+    upper = iter(draw(st.lists(_entry, min_size=n * (n + 1) // 2,
+                               max_size=n * (n + 1) // 2)))
+    m = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = next(upper)
+    return n, xi, m
+
+
+def _all_fractions(value):
+    if isinstance(value, tuple):
+        return all(_all_fractions(v) for v in value)
+    return type(value) is Fraction
+
+
+class TestIntegerRoute:
+    @settings(max_examples=20, deadline=None)
+    @given(_symbol_inputs())
+    def test_equals_fraction_reference(self, data):
+        n, xi, m = data
+        k = project_tt(xi, m)
+        assert k == _ref_project_tt(xi, m)
+        assert _all_fractions(k)
+        got = lin_scalar_symbol(n, xi, m)
+        assert got.value == _ref_scalar(n, xi, m)
+        assert type(got.value) is Fraction
+        # The same TT direction as Fractions, as ints, and as floats.
+        scale = math.lcm(*(v.denominator for row in k for v in row))
+        k_int = [[int(v * scale) for v in row] for row in k]
+        variants = [k, k_int]
+        if all(abs(v) < 2**52 for row in k_int for v in row):
+            variants.append([[v / 2 for v in row] for row in k_int])
+        for kk in variants:
+            for fn, ref in _CHAIN:
+                got = fn(n, xi, kk)
+                assert got.value == ref(n, xi, kk)
+                assert got.xi == as_vector(xi)
+                assert _all_fractions(got.value)
+
+    @pytest.mark.parametrize("fn, args, error, message", [
+        (project_tt, ((1, 2, 0), ((1, 2, 0), (0, 1, 0), (0, 0, 1))),
+         DomainError, "matrix must be symmetric"),
+        *[(fn, (4, (1, 2, 0, 1), ((1, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
+                                   (0, 0, 0, 1))),
+           DomainError, "matrix must be symmetric") for fn, _ in _CHAIN],
+        *[(fn, (4, (1, 0, 0, 0), identity(4)),
+           PreconditionViolation, "k must be trace free") for fn, _ in _CHAIN[1:]],
+        *[(fn, (4, (1, 0, 0, 0), ((1, 0, 0, 0), (0, -1, 0, 0), (0, 0, 0, 0),
+                                   (0, 0, 0, 0))),
+           PreconditionViolation, "k must be transverse (k xi = 0)")
+          for fn, _ in _CHAIN[1:]],
+        (project_tt, ((0, Fraction(0), 0.0), identity(3)),
+         ZeroCovector, "xi must be nonzero"),
+        *[(fn, (5, (1, 0, 0, 0, 0), identity(5)), ParityError, "n must be even, got 5")
+          for fn, _ in _CHAIN[2:]],
+    ])
+    def test_errors_are_the_references(self, fn, args, error, message):
+        ref = dict(_CHAIN + [(project_tt, _ref_project_tt)])[fn]
+        for call in (fn, ref):
+            with pytest.raises(error) as exc:
+                call(*args)
+            assert str(exc.value) == message
