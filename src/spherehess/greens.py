@@ -29,9 +29,10 @@ This module builds three radial profiles:
 All tail integrals int_X^inf tau^{-a} (1+tau^2)^{-p} dtau with even a are
 evaluated exactly (partial fractions in tau^2 plus the arctangent reduction).
 Each value is computed by one route; the independent twins (adaptive
-quadrature of the tail, the least-squares fit of the homogeneous
-coefficient) are exported for the tests and the ``verify --suite greens``
-checks and are not run on the value path.
+quadrature of the tail by a pure-Python port of QUADPACK's qagse, the
+least-squares fit of the homogeneous coefficient) are exported for the
+tests and the ``verify --suite greens`` checks and are not run on the value
+path.
 
 The regularized operator traces are extracted as (regular part of the profile
 at r = 0) x vol(S^n).  Closed-form trace evaluators and an independent
@@ -226,22 +227,25 @@ def tau_tail_exact(a: int, p: int) -> TauTailIntegral:
     )
 
 
-_QUAD_TOL = 1e-12
-
-
 def tau_tail_quadrature(a: int, p: int, x: float) -> float:
     """Adaptive-quadrature twin of :func:`tau_tail_exact` at lower bound x.
 
     The tail beyond tau = max(x, 1) is integrated in the inverted variable
     u = 1/tau, so only finite intervals ever reach the quadrature routine.
-    Each piece is integrated to 1e-12 absolute and relative; the summed
-    error estimate must stay below 1e-10 times max(1, |value|).
-    scipy is imported here, at the only call site, so that importing the
-    package and every command that does not run this twin stay free of it.
+    Each piece runs QUADPACK's qagse (21-point Gauss–Kronrod with bisection
+    and epsilon extrapolation; Piessens et al., *QUADPACK*, Springer 1983)
+    to 1e-12 absolute and relative in at most 200 subintervals, through the
+    pure-Python port in ``spherehess._quadpack``, which returns the same
+    bits as ``scipy.integrate.quad``.  QuadratureFailure is raised when a
+    piece reports a nonzero QUADPACK flag or the summed error estimate
+    exceeds 1e-10 times max(1, |value|); its message names every piece's
+    interval, error estimate, flag and evaluation count.  The port is
+    imported here, at the only call site, so that importing the package
+    and every command that does not run this twin stay free of it.
     """
     if x <= 0:
         raise DomainError("tail integral needs x > 0")
-    from scipy import integrate
+    from . import _quadpack
 
     def direct(t: float) -> float:
         return t ** (-a) * (1.0 + t * t) ** (-p)
@@ -249,18 +253,22 @@ def tau_tail_quadrature(a: int, p: int, x: float) -> float:
     def inverted(u: float) -> float:
         return u ** (a + 2 * p - 2) / (1.0 + u * u) ** p
 
-    def quad(f, lo: float, hi: float) -> tuple[float, float]:
-        return integrate.quad(f, lo, hi, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL,
-                              limit=200)
-
     if x >= 1.0:
-        pieces = [quad(inverted, 0.0, 1.0 / x)]
+        spans = [(inverted, 0.0, 1.0 / x)]
     else:
-        pieces = [quad(direct, x, 1.0), quad(inverted, 0.0, 1.0)]
-    val = sum(v for v, _ in pieces)
-    err = sum(e for _, e in pieces)
-    if err > 1e-10 * max(1.0, abs(val)):
-        raise QuadratureFailure(f"estimated error {err:.3e} above tolerance")
+        spans = [(direct, x, 1.0), (inverted, 0.0, 1.0)]
+    pieces = [_quadpack.qagse(f, lo, hi) for f, lo, hi in spans]
+    val = sum(v for v, _, _, _ in pieces)
+    err = sum(e for _, e, _, _ in pieces)
+    bound = 1e-10 * max(1.0, abs(val))
+    if err > bound or any(ier for _, _, ier, _ in pieces):
+        detail = "; ".join(
+            f"{f.__name__} [{lo!r}, {hi!r}]: error {e:.3e}, ier {ier}, "
+            f"neval {neval}"
+            for (f, lo, hi), (_, e, ier, neval) in zip(spans, pieces))
+        raise QuadratureFailure(
+            f"tail of tau^-{a} (1+tau^2)^-{p} from x = {x!r}: estimated error "
+            f"{err:.3e} against bound {bound:.3e} ({detail})")
     return val
 
 

@@ -323,11 +323,13 @@ def lin_schouten_from_ricci(n: int, xi, k) -> SymbolValue:
 
     (1/(n-2)) [ sigma(lin Ricci) - (1/(2(n-1))) sigma(lin Scal) * delta ];
     must agree with :func:`lin_schouten_symbol` on trace-free transverse
-    input, where the extra terms cancel.
+    input, where the extra terms cancel.  The scalar part is the trace of
+    the Ricci symbol, |xi|^2 tr k - xi^T k xi, so this route shares no code
+    with the integer chain behind :func:`lin_schouten_symbol`.
     """
     xi_v, k_m = _validated(n, xi, k)
     ricci = lin_ricci_symbol(n, xi_v, k_m).value
-    scal = lin_scalar_symbol(n, xi_v, k_m).value
+    scal = mat_trace(ricci)  # type: ignore[arg-type]
     value = mat_scale(
         Fraction(1, n - 2),
         mat_add(

@@ -1,10 +1,11 @@
 """CLI contract for every input, and a cold start that does not load scipy.
 
-scipy serves only the adaptive-quadrature twin
-(``greens.tau_tail_quadrature``); the package and every command that does
-not run that twin must leave it unimported.  Non-finite residuals must fail
-their check and still print valid JSON, and arithmetic failures must end in
-one stderr line, not a traceback.
+scipy is no dependency of the package: the adaptive-quadrature twin
+(``greens.tau_tail_quadrature``) runs ``spherehess._quadpack``, a
+stdlib-only port of QUADPACK's qagse (Piessens et al., *QUADPACK*,
+Springer 1983), so no command, the twin's included, may import it.
+Non-finite residuals must fail their check and still print valid JSON, and
+arithmetic failures must end in one stderr line, not a traceback.
 """
 
 import argparse
@@ -59,31 +60,29 @@ class TestImportHygiene:
         ("-c", "import spherehess, spherehess.cli"),
         ("-m", "spherehess", "--version"),
         ("-m", "spherehess", "spectrum", "--dim", "4", "--jmax", "2"),
-    ], ids=["import", "version", "spectrum"])
+        ("-m", "spherehess", "greens", "--dim", "5", "--profile", "L2"),
+        ("-m", "spherehess", "greens", "--dim", "5", "--profile", "D2"),
+        ("-m", "spherehess", "verify", "--suite", "greens"),
+    ], ids=["import", "version", "spectrum", "greens-L2", "greens-D2",
+            "verify-greens"])
     def test_cold_start_leaves_scipy_unloaded(self, args):
         imported = _top_level_imports(*args)
         assert "spherehess" in imported
         assert "scipy" not in imported
 
-    def test_quadrature_twin_command_loads_scipy(self):
-        # The control for the test above: the same probe sees scipy where
-        # the twin runs.
-        imported = _top_level_imports("-m", "spherehess", "greens", "--dim",
-                                      "5", "--profile", "L2")
-        assert "scipy" in imported
-
-    def test_quadrature_twin_loads_scipy_and_matches_exact(self):
+    @pytest.mark.parametrize("a, p, x", [(4, 2, 0.6), (6, 1, 1.8)],
+                             ids=["two-pieces", "inverted-piece"])
+    def test_quadrature_twin_matches_exact_without_scipy(self, a, p, x):
         proc = _python("-c", (
             "import sys\n"
             "from spherehess.greens import tau_tail_exact, tau_tail_quadrature\n"
-            "before = 'scipy' in sys.modules\n"
-            "quad = tau_tail_quadrature(4, 2, 0.6)\n"
-            "exact = tau_tail_exact(4, 2).value(0.6)\n"
-            "print(before, 'scipy' in sys.modules, abs(quad - exact) / exact)"
+            f"quad = tau_tail_quadrature({a}, {p}, {x})\n"
+            f"exact = tau_tail_exact({a}, {p}).value({x})\n"
+            "print('scipy' in sys.modules, abs(quad - exact) / exact)"
         ))
         assert proc.returncode == 0, proc.stderr
-        before, after, rel = proc.stdout.split()
-        assert (before, after) == ("False", "True")
+        loaded, rel = proc.stdout.split()
+        assert loaded == "False"
         assert float(rel) <= 1e-10
 
 

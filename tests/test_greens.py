@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spherehess import _quadpack
 from spherehess.errors import DomainError, FitUnstable, ParityError, QuadratureFailure
 from spherehess.greens import (
     _fit_homogeneous_coefficient,
@@ -74,6 +75,46 @@ class TestTauTail:
     def test_domain(self):
         with pytest.raises(DomainError):
             tau_tail_quadrature(2, 1, 0.0)
+
+    @pytest.mark.parametrize("x, pieces", [
+        (0.6, ["direct [0.6, 1.0]", "inverted [0.0, 1.0]"]),
+        (1.8, ["inverted [0.0, 0.5555555555555556]"]),
+    ])
+    def test_nonzero_flag_raises_with_diagnostics(self, monkeypatch, x, pieces):
+        # A QUADPACK flag fails the twin even when the summed error estimate
+        # is within its bound: the value is not returned quietly.
+        real = _quadpack.qagse
+
+        def roundoff(f, lo, hi):
+            value, abserr, _, neval = real(f, lo, hi)
+            return value, abserr, 2, neval
+
+        monkeypatch.setattr(_quadpack, "qagse", roundoff)
+        with pytest.raises(QuadratureFailure) as exc:
+            tau_tail_quadrature(4, 2, x)
+        message = str(exc.value)
+        assert f"tau^-4 (1+tau^2)^-2 from x = {x!r}" in message
+        assert "against bound 1.000e-10" in message
+        for piece in pieces:
+            assert f"{piece}: error " in message
+        assert message.count("ier 2, neval ") == len(pieces)
+
+    def test_divergence_flag_raises_although_the_estimate_is_small(self):
+        # Near the pole the direct piece reports ier 5 (probably divergent)
+        # with a 6e-12 error estimate on a sum of -1.5708, while the tail is
+        # 1e200: the error bound alone lets that value through.
+        with pytest.raises(QuadratureFailure, match=r"ier 5, neval \d+"):
+            tau_tail_quadrature(2, 1, 1e-200)
+
+    def test_error_estimate_above_bound_raises_with_diagnostics(self, monkeypatch):
+        monkeypatch.setattr(_quadpack, "qagse",
+                            lambda f, lo, hi: (0.5, 1e-9, 0, 21))
+        with pytest.raises(QuadratureFailure) as exc:
+            tau_tail_quadrature(2, 1, 3.0)
+        assert str(exc.value) == (
+            "tail of tau^-2 (1+tau^2)^-1 from x = 3.0: estimated error "
+            "1.000e-09 against bound 1.000e-10 (inverted "
+            "[0.0, 0.3333333333333333]: error 1.000e-09, ier 0, neval 21)")
 
     @pytest.mark.xfail(strict=True, reason=(
         "known defect: value() subtracts F(X) from arctan_coeff * pi/2, "

@@ -113,6 +113,25 @@ class TestSchouten:
             b = lin_schouten_from_ricci(n, xi, k).value
             assert a == b
 
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([4, 6]), st.lists(st.integers(-4, 4), min_size=42,
+                                             max_size=42), st.integers(1, 4))
+    def test_ricci_route_scalar_part_on_non_tt_input(self, n, data, den):
+        # lin_schouten_from_ricci takes its scalar part from the trace of the
+        # Ricci symbol, not from the integer chain's lin_scalar_symbol; off
+        # TT input, where that part does not vanish, the two must agree.
+        xi = _vec(Fraction(v, den) for v in data[:n])
+        if not any(xi):
+            xi = _vec((1, *xi[1:]))
+        k = _sym([[Fraction(data[n + n * i + j], den + 1) for j in range(n)]
+                  for i in range(n)])
+        ricci = lin_ricci_symbol(n, xi, k).value
+        scal = lin_scalar_symbol(n, xi, k).value
+        assert mat_trace(ricci) == scal
+        want = mat_scale(Fraction(1, n - 2), mat_add(
+            ricci, mat_scale(-Fraction(1, 2 * (n - 1)) * scal, identity(n))))
+        assert lin_schouten_from_ricci(n, xi, k).value == want
+
     def test_tt_value(self):
         xi, k = _tt_sample([2, 0, -1, 1, 3, -2, 0, 1, 2, 4, -1, 0, 1, 2, 0,
                             3, 1, -1, 0, 2], 4)
