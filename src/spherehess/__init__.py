@@ -19,121 +19,82 @@ Subpackages by theme:
   invariant pairings on quadrature grids, and the chart-level conformal
   Killing operator with its covariance checks.
 * :mod:`spherehess.cli` — the ``spherehess`` command-line interface.
+
+The public names below are re-exported lazily (PEP 562): ``import
+spherehess`` imports no submodule, and the first read of a name imports the
+submodule that defines it.  So a program pays for numpy and mpmath only when
+it reads a name whose module or routine needs them.
 """
 
-from __future__ import annotations
+import importlib
 
 __version__ = "1.0.0"
 
-from .errors import (
-    Degenerate,
-    DomainError,
-    FitUnstable,
-    InconsistentSystem,
-    InvalidStep,
-    NotAdjacent,
-    ParityError,
-    PreconditionViolation,
-    QuadratureFailure,
-    RankMismatch,
-    SphereHessError,
-    UnsupportedSigma,
-    ZeroCovector,
-)
-from .exact import ExactConst, gamma_half_integer, rising, sphere_volume
-from .ktypes import (
-    DominantWeight,
-    KType,
-    branches,
-    bundle_ktypes_bruteforce,
-    bundle_weights,
-    enumerate_bundle_ktypes,
-    enumerate_bundle_ktypes3,
-    is_dominant,
-)
-from .spectrum import (
-    Classification,
-    HessianKind,
-    SpectrumTable,
-    StepDirection,
-    classify_hessian,
-    closed_form_table,
-    kappa,
-    kappa_inner_product,
-    kappa_step,
-    recursion_matches_closed_form,
-    spectrum_generate,
-    spectrum_generate3,
-    t0_eigenvalue,
-    transition_coeff,
-)
-from .greens import (
-    RadialGreen,
-    RegularPartConfig,
-    RegularPartResult,
-    TauTailIntegral,
-    TraceKind,
-    chart_radius,
-    green_D2,
-    green_L,
-    green_L2,
-    kv_trace_D2,
-    kv_trace_L2,
-    ode_residual_L,
-    ode_residual_L2,
-    regular_part,
-    spectral_convention_factor,
-    spectral_trace_reference,
-    tau_tail_exact,
-    tau_tail_quadrature,
-    trace_from_pipeline,
-    trace_sign_expected,
-)
-from .symbols import (
-    ExtremalStatement,
-    FormDefiniteness,
-    Functional,
-    PointData,
-    PrefactorMode,
-    QuadFormCoeffs,
-    bracket_D2,
-    bracket_L,
-    bracket_definiteness,
-    evaluate_form,
-    extremal_classification,
-    gamma_prefactor,
-    gamma_prefactor_exact,
-    zeta0_prefactor_richardson,
-)
-from .qcurv import (
-    SymbolValue,
-    ahlfors_symbol,
-    lin_obstruction_symbol,
-    lin_ricci_symbol,
-    lin_scalar_symbol,
-    lin_schouten_symbol,
-    project_tt,
-    q_hessian_expected,
-    q_hessian_symbol,
-)
-from .confgroup import (
-    ChartMap,
-    MoebiusElement,
-    RepWeight,
-    SphereGrid,
-    TensorField,
-    act,
-    ahlfors_chart,
-    check_ahlfors_covariance,
-    check_pairing_invariance,
-    compose,
-    conformal_factor,
-    moebius_boost,
-    moebius_rotation,
-    pairing,
-    sphere_conformal_fields,
-    sphere_grid,
-    u_action,
-)
+# The public names of each submodule, re-exported by the package.
+_EXPORTS = {
+    "errors": (
+        "Degenerate", "DomainError", "FitUnstable", "InconsistentSystem",
+        "InvalidStep", "NotAdjacent", "ParityError", "PreconditionViolation",
+        "QuadratureFailure", "RankMismatch", "SphereHessError",
+        "UnsupportedSigma", "ZeroCovector",
+    ),
+    "exact": ("ExactConst", "gamma_half_integer", "rising", "sphere_volume"),
+    "ktypes": (
+        "DominantWeight", "KType", "branches", "bundle_ktypes_bruteforce",
+        "bundle_weights", "enumerate_bundle_ktypes", "enumerate_bundle_ktypes3",
+        "is_dominant",
+    ),
+    "spectrum": (
+        "Classification", "HessianKind", "SpectrumTable", "StepDirection",
+        "classify_hessian", "closed_form_table", "kappa", "kappa_inner_product",
+        "kappa_step", "recursion_matches_closed_form", "spectrum_generate",
+        "spectrum_generate3", "t0_eigenvalue", "transition_coeff",
+    ),
+    "greens": (
+        "RadialGreen", "RegularPartConfig", "RegularPartResult",
+        "TauTailIntegral", "TraceKind", "chart_radius", "green_D2", "green_L",
+        "green_L2", "kv_trace_D2", "kv_trace_L2", "ode_residual_L",
+        "ode_residual_L2", "regular_part", "spectral_convention_factor",
+        "spectral_trace_reference", "tau_tail_exact", "tau_tail_quadrature",
+        "trace_from_pipeline", "trace_sign_expected",
+    ),
+    "symbols": (
+        "ExtremalStatement", "FormDefiniteness", "Functional", "PointData",
+        "PrefactorMode", "QuadFormCoeffs", "bracket_D2", "bracket_L",
+        "bracket_definiteness", "evaluate_form", "extremal_classification",
+        "gamma_prefactor", "gamma_prefactor_exact", "zeta0_prefactor_richardson",
+    ),
+    "qcurv": (
+        "SymbolValue", "ahlfors_symbol", "lin_obstruction_symbol",
+        "lin_ricci_symbol", "lin_scalar_symbol", "lin_schouten_symbol",
+        "project_tt", "q_hessian_expected", "q_hessian_symbol",
+    ),
+    "confgroup": (
+        "ChartMap", "MoebiusElement", "RepWeight", "SphereGrid", "TensorField",
+        "act", "ahlfors_chart", "check_ahlfors_covariance",
+        "check_pairing_invariance", "compose", "conformal_factor",
+        "moebius_boost", "moebius_rotation", "pairing",
+        "sphere_conformal_fields", "sphere_grid", "u_action",
+    ),
+}
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# Public name -> the submodule that defines it.
+_SUBMODULE_OF = {name: module for module, names in _EXPORTS.items()
+                 for name in names}
+
+__all__ = sorted([*_EXPORTS, *_SUBMODULE_OF])
+
+
+def __getattr__(name: str):
+    """Import the submodule ``name``, or the one that defines ``name``."""
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _SUBMODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_SUBMODULE_OF[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -16,6 +16,10 @@ trip.  Identical invocations produce byte-identical output; the randomized
 ``qsymbol`` and ``verify`` draw from an explicit ``--seed`` (default 0).
 Exit status: 0 when every check passes, 1 when any check fails, 2 on usage
 errors.
+
+Each command imports the layers it runs when it runs, and importing this
+module loads no layer and neither numpy nor mpmath: ``spectrum``, ``signs``
+and ``traces`` do exact ``Fraction`` work and start without either.
 """
 
 from __future__ import annotations
@@ -26,22 +30,14 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from . import __version__
+from ._nanmax import nan_max as _worst
 from .errors import ParityError, SphereHessError
-from . import confgroup as cg
-from . import greens
-from . import qcurv
-from . import symbols
-from .ktypes import KType, q_range
-from .spectrum import (
-    spectrum_generate,
-    spectrum_generate3,
-    t0_eigenvalue,
-)
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "CheckResult",
@@ -110,16 +106,6 @@ def frac_str(x: Fraction) -> str:
 
 def _fmt_res(x: float) -> str:
     return f"{x:.3e}"
-
-
-def _worst(residuals) -> float:
-    """Largest of the residuals, NaN if any is NaN.
-
-    The builtin ``max`` keeps its first argument when a comparison with NaN
-    is false, so a NaN after the first element would vanish and its check
-    would pass; ``np.max`` propagates it.
-    """
-    return float(np.max(list(residuals)))
 
 
 def _json_number(x: float) -> float | str:
@@ -225,6 +211,9 @@ def render_report(env: ReportEnvelope, fmt: str) -> str:
 
 
 def cmd_spectrum(n: int, j_max: int) -> ReportEnvelope:
+    from .ktypes import KType, q_range
+    from .spectrum import spectrum_generate, spectrum_generate3, t0_eigenvalue
+
     params = {"dim": str(n), "jmax": str(j_max)}
     if n == 2:
         notes = (
@@ -282,15 +271,19 @@ def cmd_spectrum(n: int, j_max: int) -> ReportEnvelope:
 # ---------------------------------------------------------------------------
 
 
+# Keyed by symbols.Functional name, so that importing the CLI imports no
+# layer.
 _EXPECTED_PATTERN = {
-    symbols.Functional.DET_L: "(-1)^(k+1) det L is a local maximum",
-    symbols.Functional.ZETA0_L: "(-1)^(k+1) zeta_L(0) is a local maximum",
-    symbols.Functional.DET_D2: "(-1)^(k) det D2 is a local maximum",
-    symbols.Functional.ZETA0_D2: "(-1)^(k) zeta_D2(0) is a local maximum",
+    "DET_L": "(-1)^(k+1) det L is a local maximum",
+    "ZETA0_L": "(-1)^(k+1) zeta_L(0) is a local maximum",
+    "DET_D2": "(-1)^(k) det D2 is a local maximum",
+    "ZETA0_D2": "(-1)^(k) zeta_D2(0) is a local maximum",
 }
 
 
 def cmd_signs(n_max: int) -> ReportEnvelope:
+    from . import symbols
+
     params = {"nmax": str(n_max)}
     rows: list[tuple[str, ...]] = []
     all_agree = True
@@ -304,7 +297,7 @@ def cmd_signs(n_max: int) -> ReportEnvelope:
                              "NOT-APPLICABLE"))
                 continue
             applicable += 1
-            agree = st.pattern == _EXPECTED_PATTERN[functional]
+            agree = st.pattern == _EXPECTED_PATTERN[functional.name]
             all_agree = all_agree and agree
             rows.append(
                 (str(n), functional.name, str(st.k),
@@ -329,33 +322,40 @@ def cmd_signs(n_max: int) -> ReportEnvelope:
 # ---------------------------------------------------------------------------
 
 
+# Keyed by greens.TraceKind name, so that importing the CLI imports no layer.
 _FROZEN_TRACES = {
-    (greens.TraceKind.L2, 1): Fraction(3, 128),
-    (greens.TraceKind.L2, 2): Fraction(-5, 2048),
-    (greens.TraceKind.D2, 1): Fraction(-1, 4),
-    (greens.TraceKind.D2, 2): Fraction(3, 16),
+    ("L2", 1): Fraction(3, 128),
+    ("L2", 2): Fraction(-5, 2048),
+    ("D2", 1): Fraction(-1, 4),
+    ("D2", 2): Fraction(3, 16),
 }
 
-_TRACE_EVALUATORS = {
-    greens.TraceKind.L2: greens.kv_trace_L2,
-    greens.TraceKind.D2: greens.kv_trace_D2,
-}
+
+def _trace_evaluators() -> dict:
+    """The closed-form trace evaluator of each greens.TraceKind name."""
+    from . import greens
+
+    return {"L2": greens.kv_trace_L2, "D2": greens.kv_trace_D2}
 
 
 def _frozen_traces_match(k_max: int) -> bool:
     """True when the closed-form evaluators reproduce every frozen trace
     coefficient with k <= k_max."""
-    return all(_TRACE_EVALUATORS[kind](k)[0] == value
+    evaluators = _trace_evaluators()
+    return all(evaluators[kind](k)[0] == value
                for (kind, k), value in _FROZEN_TRACES.items() if k <= k_max)
 
 
 def cmd_traces(k_max: int) -> ReportEnvelope:
+    from . import greens
+
     params = {"kmax": str(k_max)}
     rows: list[tuple[str, ...]] = []
     signs_ok = True
+    evaluators = _trace_evaluators()
     for kind, label in ((greens.TraceKind.L2, "L^2"), (greens.TraceKind.D2, "D^2")):
         for k in range(1, k_max + 1):
-            coeff, pi_exp = _TRACE_EVALUATORS[kind](k)
+            coeff, pi_exp = evaluators[kind.name](k)
             n = 2 * k + 1
             signs_ok = signs_ok and (
                 (1 if coeff > 0 else -1) == greens.trace_sign_expected(kind, k)
@@ -388,6 +388,8 @@ def _r_grid() -> list[float]:
 
 
 def cmd_greens(n: int, profile: str, tol_ode: float, tol_quad: float) -> ReportEnvelope:
+    from . import greens
+
     params = {"dim": str(n), "profile": profile,
               "tol_ode": repr(tol_ode), "tol_quad": repr(tol_quad)}
     rows: list[tuple[str, ...]] = []
@@ -405,10 +407,7 @@ def cmd_greens(n: int, profile: str, tol_ode: float, tol_quad: float) -> ReportE
             checks.append(_tau_check(n - 3, 2, tol_quad))
     elif profile == "D2":
         residuals = []
-        for r in rs:
-            x = greens.chart_radius(r)
-            val = greens.green_D2(n, x)
-            res = _d2_route_residual(n, x, val)
+        for r, (x, val, res) in zip(rs, _d2_rows(n, rs)):
             residuals.append(res)
             rows.append((f"{r:.2f}", repr(x), repr(val), _fmt_res(res)))
         result = ResultTable(columns=("r", "x", "value", "route_residual"),
@@ -420,12 +419,22 @@ def cmd_greens(n: int, profile: str, tol_ode: float, tol_quad: float) -> ReportE
     return ReportEnvelope("greens", params, result, tuple(checks))
 
 
-def _d2_route_residual(n: int, x: float, value: float) -> float:
-    """Relative gap between the D2 value and its quadrature twin at |x|."""
-    return abs(value - greens.green_D2_quadrature(n, x)) / abs(value)
+def _d2_rows(n: int, rs) -> list[tuple[float, float, float]]:
+    """(|x|, D2 value, relative gap to its quadrature twin) at each radius."""
+    from . import greens
+
+    rows = []
+    for r in rs:
+        x = greens.chart_radius(r)
+        value = greens.green_D2(n, x)
+        rows.append((x, value,
+                     abs(value - greens.green_D2_quadrature(n, x)) / abs(value)))
+    return rows
 
 
 def _tau_check(a: int, p: int, tol: float) -> CheckResult:
+    from . import greens
+
     exact = greens.tau_tail_exact(a, p)
     residuals = []
     for x in (0.25, 0.6, 1.0, 1.8, 3.0):
@@ -440,24 +449,31 @@ def _tau_check(a: int, p: int, tol: float) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def _random_rational_tt(rng: np.random.Generator, n: int):
-    """Rational covector and trace-free transverse symmetric matrix."""
-    while True:
-        xi = tuple(Fraction(int(v)) for v in rng.integers(-3, 4, size=n))
-        if any(xi):
-            break
-    raw = rng.integers(-4, 5, size=(n, n))
-    sym = [[Fraction(int(raw[i][j] + raw[j][i])) for j in range(n)]
-           for i in range(n)]
-    return xi, qcurv.project_tt(xi, tuple(tuple(row) for row in sym))
+def _random_rational_tts(rng: np.random.Generator, n: int, count: int):
+    """Yield count pairs of a rational covector and a trace-free transverse
+    symmetric matrix."""
+    from . import qcurv
+
+    for _ in range(count):
+        while True:
+            xi = tuple(Fraction(int(v)) for v in rng.integers(-3, 4, size=n))
+            if any(xi):
+                break
+        raw = rng.integers(-4, 5, size=(n, n))
+        sym = [[Fraction(int(raw[i][j] + raw[j][i])) for j in range(n)]
+               for i in range(n)]
+        yield xi, qcurv.project_tt(xi, tuple(tuple(row) for row in sym))
 
 
 def cmd_qsymbol(n: int, seed: int) -> ReportEnvelope:
+    import numpy as np
+
+    from . import qcurv
+
     params = {"dim": str(n), "seed": str(seed), "trials": "5"}
     rng = np.random.default_rng(seed)
     ok = True
-    for _ in range(5):
-        xi, k = _random_rational_tt(rng, n)
+    for xi, k in _random_rational_tts(rng, n, 5):
         got = qcurv.q_hessian_symbol(n, xi, k)
         want = qcurv.q_hessian_expected(n, xi, k)
         ok = ok and got == want
@@ -473,6 +489,9 @@ def cmd_qsymbol(n: int, seed: int) -> ReportEnvelope:
 
 
 def _suite_spectrum(seed: int, tols: dict[str, float]) -> list[CheckResult]:
+    from .ktypes import KType, q_range
+    from .spectrum import spectrum_generate, spectrum_generate3, t0_eigenvalue
+
     checks = []
     ok = True
     for n in range(4, 9):
@@ -494,6 +513,8 @@ def _suite_spectrum(seed: int, tols: dict[str, float]) -> list[CheckResult]:
 
 
 def _suite_greens(seed: int, tols: dict[str, float]) -> list[CheckResult]:
+    from . import greens
+
     checks = []
     rs = _r_grid()
     for n in (3, 5, 7):
@@ -507,10 +528,7 @@ def _suite_greens(seed: int, tols: dict[str, float]) -> list[CheckResult]:
         checks.append(check_against(
             f"homogeneous-coefficient-n{n}",
             abs(greens._fit_homogeneous_coefficient(n) / exact - 1.0), 1e-9))
-        worst = _worst(
-            _d2_route_residual(n, x, greens.green_D2(n, x))
-            for x in map(greens.chart_radius, rs)
-        )
+        worst = _worst(res for _, _, res in _d2_rows(n, rs))
         checks.append(check_against(f"dual-route-D2-n{n}", worst, 1e-9))
         tau = _tau_check(n - 3, 2, tols["tol_quad"])
         checks.append(CheckResult(f"tau-quad-L2-n{n}", tau.status,
@@ -522,6 +540,10 @@ def _suite_greens(seed: int, tols: dict[str, float]) -> list[CheckResult]:
 
 
 def _suite_symbols(seed: int, tols: dict[str, float]) -> list[CheckResult]:
+    import numpy as np
+
+    from . import symbols
+
     checks = []
     prefactor_res = []
     for n in range(3, 14):
@@ -563,11 +585,14 @@ def _suite_symbols(seed: int, tols: dict[str, float]) -> list[CheckResult]:
 
 
 def _suite_qcurv(seed: int, tols: dict[str, float]) -> list[CheckResult]:
+    import numpy as np
+
+    from . import qcurv
+
     rng = np.random.default_rng(seed)
     ok = True
     for n in (4, 6, 8):
-        for _ in range(25):
-            xi, k = _random_rational_tt(rng, n)
+        for xi, k in _random_rational_tts(rng, n, 25):
             ok = ok and (qcurv.q_hessian_symbol(n, xi, k)
                          == qcurv.q_hessian_expected(n, xi, k))
     return [CheckResult("q-symbol-identity-n468",
@@ -575,6 +600,10 @@ def _suite_qcurv(seed: int, tols: dict[str, float]) -> list[CheckResult]:
 
 
 def _suite_confgroup(n: int, seed: int, tols: dict[str, float]) -> list[CheckResult]:
+    import numpy as np
+
+    from . import confgroup as cg
+
     rng = np.random.default_rng(seed)
     tol_conf = tols["tol_conf"]
     elements = [cg.random_moebius(rng, n, 1.0) for _ in range(4)]

@@ -38,6 +38,10 @@ The regularized operator traces are extracted as (regular part of the profile
 at r = 0) x vol(S^n).  Closed-form trace evaluators and an independent
 spectral route (Hurwitz-zeta continuation of the eigenvalue sums) are both
 provided; see `spectral_trace_reference`.
+
+Importing the module loads neither numpy nor mpmath: the routines that need
+them (the least-squares fits and the mpmath spectral reference) import them
+when they run, so the exact tails and the profiles cost no float library.
 """
 
 from __future__ import annotations
@@ -50,9 +54,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
-import mpmath
-import numpy as np
-
+from ._nanmax import nan_max
 from .errors import (
     DomainError,
     FitUnstable,
@@ -358,6 +360,8 @@ def _fit_homogeneous_coefficient(n: int) -> float:
     D_n / (n-2), which :func:`green_L2_profile` uses; this numeric route is
     the independent check run by the tests and the greens verify suite.
     """
+    import numpy as np
+
     consts = sphere_constants(n)
     b = float(consts.d_n) / (n - 2)
     m = (n - 2) / 2.0
@@ -634,10 +638,10 @@ def _ode_rows(n: int, kind: str, rs) -> list[tuple[float, float]]:
 def ode_residual_L(n: int, rs) -> float:
     """Max relative residual of L (L-profile) = 0 over the sample radii.
 
-    NaN if any radius gives NaN (``np.max`` propagates it; ``max`` would
+    NaN if any radius gives NaN (``nan_max`` propagates it; ``max`` would
     drop it after the first element).
     """
-    return float(np.max([res for _, res in _ode_rows(n, "L", rs)]))
+    return nan_max(res for _, res in _ode_rows(n, "L", rs))
 
 
 def ode_residual_L2(n: int, rs) -> float:
@@ -645,7 +649,7 @@ def ode_residual_L2(n: int, rs) -> float:
 
     NaN if any radius gives NaN, as in :func:`ode_residual_L`.
     """
-    return float(np.max([res for _, res in _ode_rows(n, "L2", rs)]))
+    return nan_max(res for _, res in _ode_rows(n, "L2", rs))
 
 
 # ---------------------------------------------------------------------------
@@ -697,8 +701,14 @@ def regular_part(
         config: RegularPartConfig; the default window is [1e-3, 1e-1].
 
     Raises:
-        FitUnstable: if the combined error estimate exceeds 1e-6.
+        FitUnstable: if the combined error estimate exceeds 1e-6.  The
+            message names the window, the node count, both parts of the
+            estimate (the gap between the last two Richardson values and
+            the gap between the fit's constant and the extrapolated value)
+            and the condition number of the column-scaled design.
     """
+    import numpy as np
+
     cfg = config or RegularPartConfig()
     if singular_orders is None:
         singular_orders = getattr(profile, "singular_orders", ())
@@ -714,7 +724,8 @@ def regular_part(
     cols = [rs**e for e in exponents]
     design = np.stack(cols, axis=1)
     scales = np.max(np.abs(design), axis=0)
-    coeffs_scaled, *_ = np.linalg.lstsq(design / scales, vals, rcond=None)
+    coeffs_scaled, _, _, singular_values = np.linalg.lstsq(
+        design / scales, vals, rcond=None)
     coeffs = coeffs_scaled / scales
     by_exp = dict(zip(exponents, coeffs))
     c0_fit = by_exp[0]
@@ -732,9 +743,17 @@ def regular_part(
         tableau.append([(fac * prev[i] - prev[i + 1]) / (fac - 1) for i in range(len(prev) - 1)])
     top = tableau[-1]
     value = top[0]
-    err = abs(top[0] - top[1]) + abs(value - c0_fit)
+    richardson_gap = abs(top[0] - top[1])
+    fit_gap = abs(value - c0_fit)
+    err = richardson_gap + fit_gap
     if err > _MAX_FIT_ERROR:
-        raise FitUnstable(f"error estimate {err:.3e} exceeds {_MAX_FIT_ERROR:.3e}")
+        smallest = singular_values[-1]
+        cond = singular_values[0] / smallest if smallest > 0 else math.inf
+        raise FitUnstable(
+            f"regular part on window [{lo!r}, {hi!r}] with {_FIT_NODES} nodes: "
+            f"error estimate {err:.3e} exceeds {_MAX_FIT_ERROR:.3e} (Richardson "
+            f"gap {richardson_gap:.3e}, fit-vs-Richardson gap {fit_gap:.3e}); "
+            f"condition number of the scaled design {cond:.3e}")
     singular = {int(e): float(by_exp[e]) for e in singular_orders}
     return RegularPartResult(value=float(value), error_estimate=float(err), singular_coeffs=singular)
 
@@ -826,6 +845,8 @@ def spectral_trace_reference(kind: TraceKind, k: int) -> float:
     2^{floor(n/2)} C(a+n-1, a) per sign of the Dirac eigenvalue.
     Divergent power sums are continued with the Hurwitz zeta function.
     """
+    import mpmath
+
     if k == 1 and kind is TraceKind.L2:
         # sum_{b>=1} b^2 (b^2-1/4)^{-2}
         #   = sum 1/(b^2-1/4) + (1/4) sum (b^2-1/4)^{-2}; the first telescopes

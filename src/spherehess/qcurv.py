@@ -429,7 +429,7 @@ def project_tt(xi, m) -> FracMat:
     if nrm == 0:
         raise ZeroCovector("xi must be nonzero")
     if len(mm) != n:
-        raise IndexError("xi and m must have the same size")
+        raise DomainError("xi and m must have the same size")
     # P = Q / nrm with Q = nrm Id - x x^T, and m = mm / e.  For v = mm x and
     # s = x^T v, Q mm Q = nrm^2 mm - nrm (x v^T + v x^T) + s x x^T and
     # tr(Q mm Q) = nrm t with t = nrm tr(mm) - s, so the result is

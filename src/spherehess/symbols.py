@@ -11,6 +11,11 @@ supplies the exact bracket coefficients (a, b), the Gamma-function prefactor
 with its exact sign, the Cauchy-Schwarz classification of the bracket on the
 cone (tr K)^2 <= (n-1) tr(K^2), and the resulting local-extremum statements
 for the four functionals det L, zeta_L(0), det D2, zeta_D2(0).
+
+The brackets, prefactors and classification are exact and need only the
+standard library; numpy is imported by the float point evaluation
+(``PointData``, ``point_projector``, ``evaluate_form``) and mpmath by the
+high-precision oracles, each when it runs.
 """
 
 from __future__ import annotations
@@ -19,12 +24,13 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import mpmath
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DomainError, ParityError, ZeroCovector
 from .exact import ExactConst, gamma_half_integer
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "QuadFormCoeffs",
@@ -74,6 +80,8 @@ class PointData:
     xi: np.ndarray
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         k = np.asarray(self.k, dtype=float)
         xi = np.asarray(self.xi, dtype=float)
         if k.shape != (self.n, self.n):
@@ -183,6 +191,8 @@ _ORACLE_DPS = 50
 
 def gamma_prefactor_oracle(n: int, mode: PrefactorMode) -> float:
     """High-precision Gamma-function evaluation of the same limit."""
+    import mpmath
+
     _check_mode_parity(n, mode)
     with mpmath.workdps(_ORACLE_DPS):
         four_pi = (4 * mpmath.pi) ** (-mpmath.mpf(n) / 2)
@@ -200,6 +210,8 @@ def gamma_prefactor_oracle(n: int, mode: PrefactorMode) -> float:
 def prefactor_raw(n: int, s: float) -> float:
     """The full prefactor (4 pi)^{-n/2} Gamma(s-n/2) Gamma(-s+n/2+1)^2 /
     (Gamma(s) Gamma(-2s+n+2)) at real s, by high-precision evaluation."""
+    import mpmath
+
     if n < 3:
         raise DomainError(f"n must be >= 3, got {n}")
     with mpmath.workdps(_ORACLE_DPS):
@@ -225,6 +237,8 @@ def zeta0_prefactor_richardson(n: int) -> float:
 
 def point_projector(xi: np.ndarray) -> np.ndarray:
     """Orthogonal projector onto the hyperplane normal to xi."""
+    import numpy as np
+
     xi = np.asarray(xi, dtype=float)
     nrm2 = float(xi @ xi)
     if nrm2 == 0.0:
@@ -243,6 +257,8 @@ def evaluate_form(
     t = tr(k Pi) and u = tr((k Pi)^2) with Pi the projector normal to xi;
     u equals the squared Frobenius norm of the compression Pi k Pi.
     """
+    import numpy as np
+
     proj = point_projector(p.xi)
     kp = p.k @ proj
     t = float(np.trace(kp))

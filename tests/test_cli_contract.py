@@ -1,25 +1,33 @@
-"""CLI contract for every input, and a cold start that does not load scipy.
+"""CLI contract for every input, and a cold start that loads only what runs.
 
 scipy is no dependency of the package: the adaptive-quadrature twin
 (``greens.tau_tail_quadrature``) runs ``spherehess._quadpack``, a
 stdlib-only port of QUADPACK's qagse (Piessens et al., *QUADPACK*,
 Springer 1983), so no command, the twin's included, may import it.
+The package re-exports its names lazily and each command imports the layers
+it runs, so the exact commands and the Green profiles load neither numpy nor
+mpmath, and only the symbols suite's oracles load mpmath.
 Non-finite residuals must fail their check and still print valid JSON, and
 arithmetic failures must end in one stderr line, not a traceback.
 """
 
 import argparse
+import importlib
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import spherehess
 from spherehess import greens
+from spherehess._nanmax import nan_max
 from spherehess.cli import (
     ReportEnvelope,
     ResultTable,
@@ -85,11 +93,139 @@ class TestImportHygiene:
         assert loaded == "False"
         assert float(rel) <= 1e-10
 
+    @pytest.mark.parametrize("args", [
+        ("-c", "import spherehess, spherehess.cli"),
+        ("-m", "spherehess", "--version"),
+        ("-m", "spherehess", "spectrum", "--dim", "4", "--jmax", "2"),
+        ("-m", "spherehess", "signs", "--nmax", "9"),
+        ("-m", "spherehess", "traces", "--kmax", "2"),
+        ("-m", "spherehess", "greens", "--dim", "5", "--profile", "L"),
+        ("-m", "spherehess", "greens", "--dim", "5", "--profile", "L2"),
+        ("-m", "spherehess", "greens", "--dim", "5", "--profile", "D2"),
+        ("-m", "spherehess", "verify", "--suite", "spectrum"),
+    ], ids=["import", "version", "spectrum", "signs", "traces", "greens-L",
+            "greens-L2", "greens-D2", "verify-spectrum"])
+    def test_cold_start_leaves_numpy_and_mpmath_unloaded(self, args):
+        imported = _top_level_imports(*args)
+        assert "spherehess" in imported
+        assert "numpy" not in imported
+        assert "mpmath" not in imported
+
+    @pytest.mark.parametrize("args", [
+        ("qsymbol", "--dim", "6"),
+        ("verify", "--suite", "greens"),
+        ("verify", "--suite", "qcurv"),
+        ("verify", "--suite", "confgroup"),
+    ], ids=["qsymbol", "verify-greens", "verify-qcurv", "verify-confgroup"])
+    def test_float_commands_leave_mpmath_unloaded(self, args):
+        imported = _top_level_imports("-m", "spherehess", *args)
+        assert "numpy" in imported
+        assert "mpmath" not in imported
+
+    def test_symbols_suite_loads_numpy_and_mpmath(self):
+        imported = _top_level_imports("-m", "spherehess", "verify", "--suite",
+                                      "symbols")
+        assert {"numpy", "mpmath"} <= imported
+
+    def test_reading_a_name_imports_only_its_submodule(self):
+        proc = _python("-c", (
+            "import sys, spherehess\n"
+            "def loaded():\n"
+            "    return sorted(m for m in sys.modules if m.startswith('spherehess'))\n"
+            "print(loaded())\n"
+            "spherehess.kv_trace_L2(1)\n"
+            "print(loaded(), 'numpy' in sys.modules)"
+        ))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "['spherehess']",
+            "['spherehess', 'spherehess._nanmax', 'spherehess.errors', "
+            "'spherehess.exact', 'spherehess.greens'] False",
+        ]
+
+
+# The package's public names by the submodule that defines them.
+_PUBLIC = {
+    "errors": """Degenerate DomainError FitUnstable InconsistentSystem
+        InvalidStep NotAdjacent ParityError PreconditionViolation
+        QuadratureFailure RankMismatch SphereHessError UnsupportedSigma
+        ZeroCovector""",
+    "exact": "ExactConst gamma_half_integer rising sphere_volume",
+    "ktypes": """DominantWeight KType branches bundle_ktypes_bruteforce
+        bundle_weights enumerate_bundle_ktypes enumerate_bundle_ktypes3
+        is_dominant""",
+    "spectrum": """Classification HessianKind SpectrumTable StepDirection
+        classify_hessian closed_form_table kappa kappa_inner_product kappa_step
+        recursion_matches_closed_form spectrum_generate spectrum_generate3
+        t0_eigenvalue transition_coeff""",
+    "greens": """RadialGreen RegularPartConfig RegularPartResult TauTailIntegral
+        TraceKind chart_radius green_D2 green_L green_L2 kv_trace_D2
+        kv_trace_L2 ode_residual_L ode_residual_L2 regular_part
+        spectral_convention_factor spectral_trace_reference tau_tail_exact
+        tau_tail_quadrature trace_from_pipeline trace_sign_expected""",
+    "symbols": """ExtremalStatement FormDefiniteness Functional PointData
+        PrefactorMode QuadFormCoeffs bracket_D2 bracket_L bracket_definiteness
+        evaluate_form extremal_classification gamma_prefactor
+        gamma_prefactor_exact zeta0_prefactor_richardson""",
+    "qcurv": """SymbolValue ahlfors_symbol lin_obstruction_symbol
+        lin_ricci_symbol lin_scalar_symbol lin_schouten_symbol project_tt
+        q_hessian_expected q_hessian_symbol""",
+    "confgroup": """ChartMap MoebiusElement RepWeight SphereGrid TensorField act
+        ahlfors_chart check_ahlfors_covariance check_pairing_invariance compose
+        conformal_factor moebius_boost moebius_rotation pairing
+        sphere_conformal_fields sphere_grid u_action""",
+}
+_PUBLIC_NAMES = {name for names in _PUBLIC.values() for name in names.split()}
+
+
+class TestLazyExports:
+    def test_star_import_gives_the_public_names(self):
+        namespace: dict = {}
+        exec("from spherehess import *", namespace)
+        del namespace["__builtins__"]
+        assert set(namespace) == _PUBLIC_NAMES | set(_PUBLIC)
+        assert sorted(spherehess.__all__) == sorted(namespace)
+
+    @pytest.mark.parametrize("module", sorted(_PUBLIC))
+    def test_each_name_is_its_submodule_object(self, module):
+        sub = importlib.import_module(f"spherehess.{module}")
+        assert getattr(spherehess, module) is sub
+        for name in _PUBLIC[module].split():
+            assert getattr(spherehess, name) is getattr(sub, name), name
+
+    def test_dir_lists_the_public_names(self):
+        listed = set(dir(spherehess))
+        assert _PUBLIC_NAMES | set(_PUBLIC) <= listed
+        assert "__version__" in listed
+
+    @pytest.mark.parametrize("name", ["annotations", "cg", "no_such_name"])
+    def test_unknown_name_raises_attribute_error(self, name):
+        with pytest.raises(AttributeError, match=f"has no attribute {name!r}"):
+            getattr(spherehess, name)
+
 
 class TestNonFiniteResiduals:
     def test_worst_keeps_a_late_nan(self):
         assert math.isnan(_worst([0.0, 1e-16, math.nan, 2e-16]))
         assert _worst([0.0, 3e-16, 1e-16]) == 3e-16
+
+    # Lists of floats with NaN, +-inf and subnormals.  -0.0 is left out:
+    # where both signed zeros tie for the maximum, numpy's choice between
+    # them follows its vector lanes (the documented exception).
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.one_of(
+        st.floats(allow_nan=False).filter(
+            lambda x: x != 0 or math.copysign(1.0, x) > 0),
+        st.sampled_from([math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+                         1e-310, -2.2250738585072e-308])),
+        min_size=1, max_size=80))
+    def test_nan_max_is_numpy_max_bit_for_bit(self, xs):
+        assert (struct.pack("<d", nan_max(xs))
+                == struct.pack("<d", float(np.max(xs))))
+
+    def test_nan_max_of_nothing_raises(self):
+        with pytest.raises(ValueError):
+            nan_max([])
 
     def test_library_residual_keeps_a_late_nan(self):
         # At n = 301 the L2 residual is NaN at r = 0.3, 2.8 and 3.0; from

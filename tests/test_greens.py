@@ -243,6 +243,15 @@ class TestRegularPart:
         with pytest.raises(FitUnstable):
             regular_part(noisy, singular_orders=(-1,))
 
+    def test_unstable_fit_message_names_its_diagnostics(self):
+        # A 1/r^3 pole the basis does not hold: the fit cannot absorb it.
+        with pytest.raises(FitUnstable, match=(
+                r"^regular part on window \[0\.001, 0\.1\] with 24 nodes: "
+                r"error estimate \S+ exceeds 1\.000e-06 \(Richardson gap \S+, "
+                r"fit-vs-Richardson gap \S+\); condition number of the scaled "
+                r"design \d\.\d{3}e\+\d\d$")):
+            regular_part(lambda r: r**-3)
+
     def test_window_validation(self):
         with pytest.raises(DomainError):
             regular_part(lambda r: r, config=RegularPartConfig(window=(0.1, 0.01)))

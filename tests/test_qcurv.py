@@ -219,6 +219,12 @@ class TestProjectTT:
         with pytest.raises(ZeroCovector):
             project_tt(_vec((0, 0, 0)), identity(3))
 
+    @pytest.mark.parametrize("xi_len, m_len", [(3, 2), (2, 3)])
+    def test_size_mismatch_is_a_domain_error(self, xi_len, m_len):
+        xi = _vec((1, 2, 0)[:xi_len])
+        with pytest.raises(DomainError, match="^xi and m must have the same size$"):
+            project_tt(xi, identity(m_len))
+
 
 # ---------------------------------------------------------------------------
 # Rational references for the integer route: project_tt and the assembled
