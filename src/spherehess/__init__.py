@@ -22,8 +22,8 @@ Subpackages by theme:
 
 The public names below are re-exported lazily (PEP 562): ``import
 spherehess`` imports no submodule, and the first read of a name imports the
-submodule that defines it.  So a program pays for numpy and mpmath only when
-it reads a name whose module or routine needs them.
+submodule that defines it.  So a program pays for numpy, the one runtime
+dependency, only when it reads a name whose module or routine needs it.
 """
 
 import importlib

@@ -18,8 +18,8 @@ Exit status: 0 when every check passes, 1 when any check fails, 2 on usage
 errors.
 
 Each command imports the layers it runs when it runs, and importing this
-module loads no layer and neither numpy nor mpmath: ``spectrum``, ``signs``
-and ``traces`` do exact ``Fraction`` work and start without either.
+module loads no layer and not numpy: ``spectrum``, ``signs`` and ``traces``
+do exact ``Fraction`` work and start without it.
 """
 
 from __future__ import annotations

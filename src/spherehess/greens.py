@@ -36,12 +36,12 @@ path.
 
 The regularized operator traces are extracted as (regular part of the profile
 at r = 0) x vol(S^n).  Closed-form trace evaluators and an independent
-spectral route (Hurwitz-zeta continuation of the eigenvalue sums) are both
-provided; see `spectral_trace_reference`.
+spectral route (zeta continuation of the eigenvalue sums, exact in
+Q + Q pi^2 for every k) are both provided; see `spectral_trace_reference`.
 
-Importing the module loads neither numpy nor mpmath: the routines that need
-them (the least-squares fits and the mpmath spectral reference) import them
-when they run, so the exact tails and the profiles cost no float library.
+Importing the module does not load numpy: the least-squares fits import it
+when they run, so the exact tails, the profiles and the spectral reference
+cost no float library.
 """
 
 from __future__ import annotations
@@ -81,7 +81,6 @@ __all__ = [
     "green_D2_quadrature",
     "green_D2_closed3",
     "chart_radius",
-    "radial_L_apply",
     "zform_operator",
     "homogeneous_mode_residual",
     "ode_residual_L",
@@ -184,9 +183,9 @@ class TauTailIntegral:
         return out
 
     def value(self, x: float) -> float:
-        """The tail integral from x to infinity (x > 0)."""
-        if x <= 0:
-            raise DomainError("tail integral needs x > 0 (integrand pole at 0)")
+        """The tail integral from x to infinity (finite x > 0)."""
+        if not 0 < x < math.inf:
+            raise DomainError(f"tail integral needs finite x > 0, got x = {x!r}")
         return float(self.arctan_coeff) * (math.pi / 2) - self.antiderivative_at(x)
 
 
@@ -245,8 +244,8 @@ def tau_tail_quadrature(a: int, p: int, x: float) -> float:
     imported here, at the only call site, so that importing the package
     and every command that does not run this twin stay free of it.
     """
-    if x <= 0:
-        raise DomainError("tail integral needs x > 0")
+    if not 0 < x < math.inf:
+        raise DomainError(f"tail integral needs finite x > 0, got x = {x!r}")
     from . import _quadpack
 
     def direct(t: float) -> float:
@@ -295,6 +294,7 @@ class RadialGreen:
 
     Profiles are defined on (0, pi); the pure-power "L" profile extends to
     r = pi, where the others are limits of an indeterminate product.
+    Calling the profile raises DomainError on a non-finite value.
     """
 
     dim_n: int
@@ -309,7 +309,10 @@ class RadialGreen:
         hi_ok = r <= math.pi if self.kind == "L" else r < math.pi
         if not (0.0 < r and hi_ok):
             raise DomainError(f"r = {r} outside the domain of the {self.kind} profile")
-        return self.evaluate(r)
+        value = self.evaluate(r)
+        if not math.isfinite(value):
+            raise DomainError(f"{self.kind} profile at n = {self.dim_n}, r = {r!r} is {value!r}")
+        return value
 
 
 def chart_radius(r: float) -> float:
@@ -347,10 +350,6 @@ def green_L(n: int, r: float) -> float:
     return green_L_profile(n)(r)
 
 
-def _xtan(r: float) -> float:
-    return math.tan(r / 2)
-
-
 def _fit_homogeneous_coefficient(n: int) -> float:
     """Numeric extraction of the (1-z)^{-m} coefficient that cancels the
     strongest singular mode of the variation-of-parameters solution.
@@ -369,7 +368,7 @@ def _fit_homogeneous_coefficient(n: int) -> float:
 
     def particular_times_mode(r: float) -> float:
         z = math.cos(r)
-        x = _xtan(r)
+        x = math.tan(r / 2)
         i_val = 4.0 * i_int.value(x)
         # No cancellation: multiply through by the mode before combining.
         return b * ((1 + z) ** (-m) * (1 - z) ** m * i_val - z)
@@ -470,7 +469,7 @@ def green_D2_profile(n: int) -> RadialGreen:
     j_int = tau_tail_exact(n - 1, 1)
 
     def ev(r: float) -> float:
-        x = _xtan(r)
+        x = math.tan(r / 2)
         return _d2_prefactor(n, x) * 2.0 * j_int.value(x)
 
     orders = tuple(range(2 - n, 0, 2))
@@ -498,8 +497,8 @@ def green_D2_printed_bracket(n: int, x_norm: float) -> float:
     just below X = 1.5.
     """
     _require_odd(n)
-    if x_norm <= 0:
-        raise DomainError(f"x_norm = {x_norm} must be positive")
+    if not 0 < x_norm < math.inf:
+        raise DomainError(f"x_norm = {x_norm} must be positive and finite")
     k = (n - 1) // 2
     if x_norm >= 1.5:
         # pi/2 - arctan X = arctan(1/X) and the subtracted sum is the first
@@ -543,8 +542,8 @@ def _arctan_series_remainder(t: float, k: int) -> float:
 def green_D2_quadrature(n: int, x_norm: float) -> float:
     """Squared-Dirac Green value with the tail integral done by quadrature."""
     _require_odd(n)
-    if x_norm <= 0:
-        raise DomainError(f"x_norm = {x_norm} must be positive")
+    if not 0 < x_norm < math.inf:
+        raise DomainError(f"x_norm = {x_norm} must be positive and finite")
     tail = tau_tail_quadrature(n - 1, 1, x_norm)
     return _d2_prefactor(n, x_norm) * 2.0 * tail
 
@@ -553,11 +552,15 @@ def green_D2(n: int, x_norm: float) -> float:
     """Squared-Dirac Green value as a function of the chart radius |x|.
 
     Returns the arctangent-bracket closed form, which raises
-    QuadratureFailure where its rounding estimate exceeds 1e-9 relative.
-    The quadrature twin :func:`green_D2_quadrature` is compared with it in
-    the tests and in ``verify --suite greens``, not on every call.
+    QuadratureFailure where its rounding estimate exceeds 1e-9 relative,
+    and DomainError on a non-finite value.  The quadrature twin
+    :func:`green_D2_quadrature` is compared with it in the tests and in
+    ``verify --suite greens``, not on every call.
     """
-    return green_D2_printed_bracket(n, x_norm)
+    value = green_D2_printed_bracket(n, x_norm)
+    if not math.isfinite(value):
+        raise DomainError(f"D2 value at n = {n}, x_norm = {x_norm!r} is {value!r}")
+    return value
 
 
 def green_D2_closed3(r: float) -> float:
@@ -568,15 +571,6 @@ def green_D2_closed3(r: float) -> float:
 # ---------------------------------------------------------------------------
 # Radial operator application and residuals.
 # ---------------------------------------------------------------------------
-
-
-def radial_L_apply(n: int, f: RadialGreen, r: float) -> float:
-    """Apply the radial conformal Laplacian to the profile f at r.
-
-    Uses the profile's closed-form derivatives ``d1`` and ``d2``, which the
-    L and L2 profiles carry.
-    """
-    return _radial_L(n, r, *_radial_terms(f, r))
 
 
 def _radial_terms(f: RadialGreen, r: float) -> tuple[float, float, float]:
@@ -835,44 +829,66 @@ def spectral_convention_factor(kind: TraceKind, k: int) -> int:
     return 2 if kind is TraceKind.L2 else 2**k
 
 
+def _zeta2_half_rational(m: int) -> Fraction:
+    """Rational part of zeta(2, m + 1/2) = pi^2/2 - 4 sum_{i<m} (2i+1)^{-2}."""
+    return -4 * sum(Fraction(1, (2 * i + 1) ** 2) for i in range(m))
+
+
+def _spectral_trace_exact(kind: TraceKind, k: int) -> tuple[Fraction, Fraction]:
+    """The regularized spectral sum on S^{2k+1} as (pi^2 coefficient, rational part).
+
+    The multiplicity is a polynomial in u = b^2: for L^2, b^2 prod_{0<j<k}
+    (b^2 - j^2) / (k (2k-1)!) over integers b >= k, against lam^{-2} with
+    lam = b^2 - 1/4; for D^2 (both signs), 2^{k+1} prod_{j=1..k}
+    (b^2 - (j-1/2)^2) / (2k)! over b in k + 1/2 + N, against b^{-2}.
+    Division leaves a polynomial in b^2, whose sums regularize by zeta(-2i)
+    = 0, zeta(0) = -1/2 and zeta(s, 1/2) = (2^s - 1) zeta(s) to minus the
+    lattice points below the start, and a remainder summed in closed form:
+    sum_{b>=k} 1/lam = 2/(2k-1) and 1/lam^2 = (b-1/2)^-2 + (b+1/2)^-2 - 2/lam.
+    """
+    if k < 1:
+        raise DomainError(f"spectral reference needs k >= 1, got k = {k}")
+    half = Fraction(1, 2)
+    if kind is TraceKind.L2:
+        poly = [Fraction(1, k * math.factorial(2 * k - 1))]
+        roots = [Fraction(j * j) for j in range(k)]
+        pole, order, below, zeta0 = Fraction(1, 4), 2, range(1, k), -half
+    else:
+        poly = [Fraction(2 ** (k + 1), math.factorial(2 * k))]
+        roots = [(j - half) ** 2 for j in range(1, k + 1)]
+        pole, order, below, zeta0 = Fraction(0), 1, [b + half for b in range(k)], 0
+    # The multiplicity in u, lowest degree first: multiply in each (u - root).
+    for root in roots:
+        poly = [lo - root * hi for lo, hi in zip([0, *poly], [*poly, 0])]
+    # Synthetic division by (u - pole), order times: rems[i] is the
+    # coefficient of (u - pole)^(i - order).
+    rems = []
+    for _ in range(order):
+        acc, quotient = Fraction(0), []
+        for c in reversed(poly):
+            acc = acc * pole + c
+            quotient.append(acc)
+        rems.append(quotient.pop())
+        poly = quotient[::-1]
+    rational = sum(c * ((zeta0 if i == 0 else 0) - sum(b ** (2 * i) for b in below))
+                   for i, c in enumerate(poly))
+    if kind is TraceKind.L2:
+        inv2, inv1 = rems
+        tele = Fraction(2, 2 * k - 1)
+        zetas = _zeta2_half_rational(k - 1) + _zeta2_half_rational(k)
+        return inv2, rational + inv1 * tele + inv2 * (zetas - 2 * tele)
+    return rems[0] / 2, rational + rems[0] * _zeta2_half_rational(k)
+
+
 def spectral_trace_reference(kind: TraceKind, k: int) -> float:
-    """Independent trace values by Hurwitz-zeta continuation of the
-    multiplicity-weighted eigenvalue sums (k in {1, 2}).
+    """Independent trace value by zeta continuation of the
+    multiplicity-weighted eigenvalue sum; every k >= 1, DomainError below.
 
     Conformal Laplacian on S^{2k+1}: eigenvalues b^2 - 1/4 on the shifted
     grid b = l + (n-1)/2 + 1/2 with polynomial multiplicities; squared Dirac
     operator: eigenvalues b^2, b = a + n/2, multiplicity
-    2^{floor(n/2)} C(a+n-1, a) per sign of the Dirac eigenvalue.
-    Divergent power sums are continued with the Hurwitz zeta function.
+    2^{floor(n/2)} C(a+n-1, a) per sign of the Dirac eigenvalue.  The sum
+    is exact in Q + Q pi^2 (:func:`_spectral_trace_exact`) until the return.
     """
-    import mpmath
-
-    if k == 1 and kind is TraceKind.L2:
-        # sum_{b>=1} b^2 (b^2-1/4)^{-2}
-        #   = sum 1/(b^2-1/4) + (1/4) sum (b^2-1/4)^{-2}; the first telescopes
-        #   to 2 and the second is zeta_H(2,1/2) + zeta_H(2,3/2) - 4.
-        w2 = mpmath.zeta(2, mpmath.mpf(1) / 2) + mpmath.zeta(2, mpmath.mpf(3) / 2) - 4
-        return float(2 + w2 / 4)
-    if k == 2 and kind is TraceKind.L2:
-        # multiplicity b^2(b^2-1)/12 = [lam^2 - lam/2 - 3/16]/12, lam = b^2-1/4,
-        # summed over b >= 2; continue w(0) = zeta(0) - 1 and evaluate
-        # w(1) = 2/3 (telescoping), w(2) = zeta_H(2,3/2)+zeta_H(2,5/2)-2 w(1)-...
-        w0 = mpmath.zeta(0) - 1
-        w1 = mpmath.mpf(2) / 3
-        w2 = (
-            mpmath.zeta(2, mpmath.mpf(3) / 2)
-            + mpmath.zeta(2, mpmath.mpf(5) / 2)
-            - 2 * w1
-        )
-        return float((w0 - w1 / 2 - 3 * w2 / 16) / 12)
-    if k == 1 and kind is TraceKind.D2:
-        # 2 sum_{a>=0} (a+1)(a+2) (a+3/2)^{-2}, (a+1)(a+2) = b^2 - 1/4.
-        return float(2 * (mpmath.zeta(0, mpmath.mpf(3) / 2) - mpmath.zeta(2, mpmath.mpf(3) / 2) / 4))
-    if k == 2 and kind is TraceKind.D2:
-        # (1/3) sum_{b>=5/2} (b^2-9/4)(b^2-1/4) b^{-2} with b = a + 5/2.
-        a = mpmath.mpf(5) / 2
-        return float(
-            (mpmath.zeta(-2, a) - mpmath.mpf(5) / 2 * mpmath.zeta(0, a) + mpmath.mpf(9) / 16 * mpmath.zeta(2, a))
-            / 3
-        )
-    raise DomainError("spectral reference implemented for k in {1, 2}")
+    pi2, rational = _spectral_trace_exact(kind, k)
+    return float(pi2) * math.pi**2 + float(rational)

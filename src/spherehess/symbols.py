@@ -14,8 +14,9 @@ for the four functionals det L, zeta_L(0), det D2, zeta_D2(0).
 
 The brackets, prefactors and classification are exact and need only the
 standard library; numpy is imported by the float point evaluation
-(``PointData``, ``point_projector``, ``evaluate_form``) and mpmath by the
-high-precision oracles, each when it runs.
+(``PointData``, ``point_projector``, ``evaluate_form``) when it runs.  The
+Gamma oracles (``gamma_prefactor_oracle``, ``prefactor_raw``) multiply
+``math.gamma`` values and cover n <= 169.
 """
 
 from __future__ import annotations
@@ -185,52 +186,51 @@ def gamma_prefactor(n: int, mode: PrefactorMode) -> tuple[float, int]:
     return value, sign
 
 
-# Working precision (decimal digits) of the mpmath oracles.
-_ORACLE_DPS = 50
+def _check_oracle_range(n: int) -> None:
+    # math.gamma(n + 2) overflows from n = 170.
+    if not 3 <= n <= 169:
+        raise DomainError(f"the Gamma oracles need 3 <= n <= 169, got n = {n}")
 
 
 def gamma_prefactor_oracle(n: int, mode: PrefactorMode) -> float:
-    """High-precision Gamma-function evaluation of the same limit."""
-    import mpmath
-
+    """Float Gamma-function evaluation of the same limit, for n <= 169,
+    independent of the exact half-integer reduction."""
     _check_mode_parity(n, mode)
-    with mpmath.workdps(_ORACLE_DPS):
-        four_pi = (4 * mpmath.pi) ** (-mpmath.mpf(n) / 2)
-        gpos = mpmath.gamma(mpmath.mpf(n) / 2 + 1) ** 2
-        gden = mpmath.gamma(n + 2)
-        if mode is PrefactorMode.DET_DERIVATIVE_AT_ZERO:
-            gneg = mpmath.gamma(-mpmath.mpf(n) / 2)
-        else:
-            # Finite limit of Gamma(s - n/2)/Gamma(s) = 1/prod_{i=1..n/2}(-i).
-            h = n // 2
-            gneg = 1 / mpmath.mpf((-1) ** h * math.factorial(h))
-        return float(four_pi * gneg * gpos / gden)
+    _check_oracle_range(n)
+    four_pi = (4 * math.pi) ** (-n / 2)
+    gpos = math.gamma(n / 2 + 1) ** 2
+    gden = math.gamma(n + 2)
+    if mode is PrefactorMode.DET_DERIVATIVE_AT_ZERO:
+        gneg = math.gamma(-n / 2)
+    else:
+        # Finite limit of Gamma(s - n/2)/Gamma(s) = 1/prod_{i=1..n/2}(-i).
+        h = n // 2
+        gneg = 1 / ((-1) ** h * math.factorial(h))
+    return four_pi * gneg * gpos / gden
 
 
 def prefactor_raw(n: int, s: float) -> float:
     """The full prefactor (4 pi)^{-n/2} Gamma(s-n/2) Gamma(-s+n/2+1)^2 /
-    (Gamma(s) Gamma(-2s+n+2)) at real s, by high-precision evaluation."""
-    import mpmath
-
-    if n < 3:
-        raise DomainError(f"n must be >= 3, got {n}")
-    with mpmath.workdps(_ORACLE_DPS):
-        ms = mpmath.mpf(s)
-        val = (
-            (4 * mpmath.pi) ** (-mpmath.mpf(n) / 2)
-            * mpmath.gamma(ms - mpmath.mpf(n) / 2)
-            * mpmath.gamma(-ms + mpmath.mpf(n) / 2 + 1) ** 2
-            / (mpmath.gamma(ms) * mpmath.gamma(-2 * ms + n + 2))
+    (Gamma(s) Gamma(-2s+n+2)) at real s and n <= 169, by float Gamma values;
+    DomainError where one overflows."""
+    _check_oracle_range(n)
+    try:
+        return (
+            (4 * math.pi) ** (-n / 2)
+            * math.gamma(s - n / 2)
+            * math.gamma(-s + n / 2 + 1) ** 2
+            / (math.gamma(s) * math.gamma(-2 * s + n + 2))
         )
-        return float(val)
+    except OverflowError as exc:
+        raise DomainError(f"prefactor at n = {n}, s = {s!r} overflows a float Gamma") from exc
 
 
 def zeta0_prefactor_richardson(n: int) -> float:
     """Two-point Richardson limit of the raw prefactor at s -> 0 (even n),
-    from s = 1e-6 and 1e-7."""
+    from the dyadic s = 2^-20 and 2^-23, so that s - n/2 is exact in binary."""
     if n % 2 == 1:
         raise ParityError("the raw prefactor has a zero at s=0 for odd n")
-    s1, s2 = 1e-6, 1e-7
+    s1, s2 = 2.0**-20, 2.0**-23
     p1, p2 = prefactor_raw(n, s1), prefactor_raw(n, s2)
     return (s1 * p2 - s2 * p1) / (s1 - s2)
 

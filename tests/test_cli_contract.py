@@ -5,8 +5,10 @@ scipy is no dependency of the package: the adaptive-quadrature twin
 stdlib-only port of QUADPACK's qagse (Piessens et al., *QUADPACK*,
 Springer 1983), so no command, the twin's included, may import it.
 The package re-exports its names lazily and each command imports the layers
-it runs, so the exact commands and the Green profiles load neither numpy nor
-mpmath, and only the symbols suite's oracles load mpmath.
+it runs, so the exact commands and the Green profiles load no numpy.  mpmath
+is no dependency either: the spectral trace reference is exact and the
+Gamma oracles use ``math.gamma``, so no command imports it, and the symbols
+suite runs where it cannot be imported.
 Non-finite residuals must fail their check and still print valid JSON, and
 arithmetic failures must end in one stderr line, not a traceback.
 """
@@ -122,10 +124,29 @@ class TestImportHygiene:
         assert "numpy" in imported
         assert "mpmath" not in imported
 
-    def test_symbols_suite_loads_numpy_and_mpmath(self):
+    def test_symbols_suite_loads_numpy_not_mpmath(self):
         imported = _top_level_imports("-m", "spherehess", "verify", "--suite",
                                       "symbols")
-        assert {"numpy", "mpmath"} <= imported
+        assert "numpy" in imported
+        assert "mpmath" not in imported
+
+    def test_oracles_run_where_mpmath_cannot_be_imported(self):
+        proc = _python("-c", (
+            "import sys\n"
+            "sys.modules['mpmath'] = None\n"
+            "from spherehess import greens, symbols\n"
+            "from spherehess.cli import console_main\n"
+            "for kind in greens.TraceKind:\n"
+            "    for k in range(1, 5):\n"
+            "        greens.spectral_trace_reference(kind, k)\n"
+            "for n in range(3, 14):\n"
+            "    mode = (symbols.PrefactorMode.DET_DERIVATIVE_AT_ZERO if n % 2\n"
+            "            else symbols.PrefactorMode.ZETA0_LIMIT_AT_ZERO)\n"
+            "    symbols.gamma_prefactor_oracle(n, mode)\n"
+            "sys.exit(console_main(['verify', '--suite', 'symbols']))"
+        ))
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "prefactor-vs-oracle" in proc.stdout
 
     def test_reading_a_name_imports_only_its_submodule(self):
         proc = _python("-c", (

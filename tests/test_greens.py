@@ -13,6 +13,7 @@ from spherehess import _quadpack
 from spherehess.errors import DomainError, FitUnstable, ParityError, QuadratureFailure
 from spherehess.greens import (
     _fit_homogeneous_coefficient,
+    _spectral_trace_exact,
     RegularPartConfig,
     TraceKind,
     chart_radius,
@@ -75,6 +76,14 @@ class TestTauTail:
     def test_domain(self):
         with pytest.raises(DomainError):
             tau_tail_quadrature(2, 1, 0.0)
+
+    @pytest.mark.parametrize("tail", [tau_tail_exact(2, 1).value,
+                                      lambda x: tau_tail_quadrature(2, 1, x)],
+                             ids=["closed-form", "quadrature"])
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_non_finite_x_raises(self, tail, x):
+        with pytest.raises(DomainError, match="finite x > 0"):
+            tail(x)
 
     @pytest.mark.parametrize("x, pieces", [
         (0.6, ["direct [0.6, 1.0]", "inverted [0.0, 1.0]"]),
@@ -214,11 +223,35 @@ class TestGreenD2:
                 green_D2_closed3(r), rel=1e-12
             )
 
+    @pytest.mark.parametrize("route", [green_D2, green_D2_quadrature])
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_non_finite_radius_raises(self, route, x):
+        # green_D2(3, nan) and green_D2(3, inf) used to return nan.
+        with pytest.raises(DomainError, match="positive and finite"):
+            route(3, x)
+
     def test_printed_example_x_equals_one(self):
         # at x = 1 (r = pi/2) the n = 3 bracket contributes 2 (1 - pi/4)
         # and the chart prefactor is ((1 + x^2)/4) / vol(S^2) = 1/(8 pi)
         expected = (1 / (8 * math.pi)) * 2 * (1 - math.pi / 4)
         assert green_D2_printed_bracket(3, 1.0) == pytest.approx(expected, rel=1e-14)
+
+
+class TestOverflowingValues:
+    # Each value leaves the float range at n = 301 and used to come back as
+    # inf or -inf.
+    @pytest.mark.parametrize("green, r, value", [
+        (green_L, 0.3, "inf"),
+        (green_L2, 2.8, "inf"),
+        (green_L2, 3.0, "-inf"),
+    ])
+    def test_profile_value_raises(self, green, r, value):
+        with pytest.raises(DomainError, match=f"n = 301, r = {r} is {value}$"):
+            green(301, r)
+
+    def test_d2_value_raises(self):
+        with pytest.raises(DomainError, match="n = 301, x_norm = 5.0 is inf$"):
+            green_D2(301, 5.0)
 
 
 class TestRegularPart:
@@ -286,6 +319,44 @@ class TestTraces:
         assert spectral_trace_reference(TraceKind.D2, 2) == pytest.approx(
             3 * math.pi**2 / 32, rel=1e-10
         )
+
+    def test_spectral_reference_keeps_its_floats(self):
+        # The values of the Hurwitz-zeta branches this exact route replaced.
+        assert [spectral_trace_reference(kind, k).hex()
+                for kind in TraceKind for k in (1, 2)] == [
+            "0x1.3bd3cc9be45dep+1", "-0x1.3bd3cc9be45dep-3",
+            "-0x1.3bd3cc9be45dep+1", "0x1.d9bdb2e9d68cdp-1"]
+
+    @pytest.mark.parametrize("kind", list(TraceKind))
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_spectral_reference_needs_k_at_least_one(self, kind, k):
+        with pytest.raises(DomainError, match="k >= 1"):
+            spectral_trace_reference(kind, k)
+
+    def test_spectral_reference_values_in_q_pi2(self):
+        expected = {
+            TraceKind.L2: [Fraction(1, 4), Fraction(-1, 64), Fraction(1, 512),
+                           Fraction(-5, 16384)],
+            TraceKind.D2: [Fraction(-1, 4), Fraction(3, 32), Fraction(-5, 128),
+                           Fraction(35, 2048)],
+        }
+        for kind, values in expected.items():
+            assert [_spectral_trace_exact(kind, k) for k in range(1, 5)] == [
+                (v, 0) for v in values]
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_criterion_08d_ratio_law_in_q(self, k):
+        # Criterion 08d stays red because spectral/printed is not constant
+        # in k: it is 32/(2k+1) for L^2 and 2^(1-k) for D^2, exactly.
+        for kind, printed, law in (
+            (TraceKind.L2, kv_trace_L2, Fraction(32, 2 * k + 1)),
+            (TraceKind.D2, kv_trace_D2, Fraction(2) ** (1 - k)),
+        ):
+            pi2, rational = _spectral_trace_exact(kind, k)
+            coeff, pi_exp = printed(k)
+            assert rational == 0 and pi_exp == 2
+            assert pi2 / coeff == law
+            assert spectral_trace_reference(kind, k) == float(pi2) * math.pi**2
 
     def test_pipeline_matches_spectral_reference(self):
         # regular part x volume, times the exact convention factor, equals

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spherehess.errors import ParityError, ZeroCovector
+from spherehess.errors import DomainError, ParityError, ZeroCovector
 from spherehess.symbols import (
     Functional,
     FormDefiniteness,
@@ -72,7 +72,7 @@ class TestGammaPrefactor:
         assert value == pytest.approx(1 / (960 * math.pi**2), rel=1e-14)
         assert sign == 1
 
-    @pytest.mark.parametrize("n", range(3, 14))
+    @pytest.mark.parametrize("n", [*range(3, 14), 51, 100, 169])
     def test_oracle_agreement(self, n):
         for mode in PrefactorMode:
             try:
@@ -92,6 +92,21 @@ class TestGammaPrefactor:
         exact, _ = gamma_prefactor(4, PrefactorMode.ZETA0_LIMIT_AT_ZERO)
         rich = zeta0_prefactor_richardson(4)
         assert abs(rich - exact) <= 1e-6 * abs(exact)
+
+    @pytest.mark.parametrize("oracle", [
+        lambda: gamma_prefactor_oracle(171, PrefactorMode.DET_DERIVATIVE_AT_ZERO),
+        lambda: gamma_prefactor_oracle(170, PrefactorMode.ZETA0_LIMIT_AT_ZERO),
+        lambda: prefactor_raw(170, 0.5),
+    ], ids=["oracle-171", "oracle-170", "raw-170"])
+    def test_oracles_refuse_n_above_169(self, oracle):
+        # math.gamma(n + 2) overflows from n = 170: a DomainError, never a
+        # bare OverflowError.
+        with pytest.raises(DomainError, match="n <= 169"):
+            oracle()
+
+    def test_raw_prefactor_overflow_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="overflows"):
+            prefactor_raw(5, -90.25)
 
     def test_raw_prefactor_near_zero(self):
         # the raw expression at small s approaches the ZETA0 limit
