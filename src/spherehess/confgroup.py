@@ -234,19 +234,27 @@ def differential(a: MoebiusElement, y: np.ndarray) -> np.ndarray:
 
 
 def differential_many(a: MoebiusElement, ys: np.ndarray) -> np.ndarray:
-    """d phi(y) = S / w_t - phi(y) (x) m_row / w_t for M = [[S, b], [m, d]]."""
-    w_s, w_t = _homogeneous(a, np.asarray(ys, dtype=float))
-    return _differential(a, w_s / w_t[:, None], w_t)
+    """The Jacobians of :func:`differential` at many nodes."""
+    return _moebius_frame(a, np.asarray(ys, dtype=float))[1]
 
 
-def _differential(a: MoebiusElement, phi: np.ndarray, w_t: np.ndarray) -> np.ndarray:
-    """:func:`differential_many` from the action's phi = w_s / w_t and w_t."""
+def _moebius_frame(
+    a: MoebiusElement, ys: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """phi(y) = w_s / w_t, the Jacobian d phi(y) and w_t from one Lorentz
+    product, with the expressions of :func:`act_many`.
+
+    d phi = S / w_t - phi (x) m_row / w_t for M = [[S, b], [m, d]].
+    """
     n = a.n
     s_block = a.matrix[: n + 1, : n + 1]
     m_row = a.matrix[n + 1, : n + 1]
-    return (
-        s_block[None, :, :] - phi[:, :, None] * m_row[None, None, :]
-    ) / w_t[:, None, None]
+    w_s, w_t = _homogeneous(a, ys)
+    phi = w_s / w_t[:, None]
+    jac = phi[:, :, None] * m_row[None, None, :]
+    np.subtract(s_block[None, :, :], jac, out=jac)
+    jac /= w_t[:, None, None]
+    return phi, jac, w_t
 
 
 def frame_at(y: np.ndarray) -> np.ndarray:
@@ -278,7 +286,11 @@ def conformal_factor(a: MoebiusElement, y: np.ndarray) -> float:
 
 
 def conformal_factor_many(a: MoebiusElement, ys: np.ndarray) -> np.ndarray:
-    _, w_t = _homogeneous(a, np.asarray(ys, dtype=float))
+    return _omega(_homogeneous(a, np.asarray(ys, dtype=float))[1])
+
+
+def _omega(w_t: np.ndarray) -> np.ndarray:
+    """Omega = 1 / w_t, for elements of the identity component only."""
     if np.min(w_t) <= 0:
         raise Degenerate(
             "nonpositive normalizing coordinate: element outside the "
@@ -427,7 +439,8 @@ class RepWeight:
 
 # The stacked ``@`` and einsum work on C-contiguous (N, d, d) arrays, whose
 # per-node bits do not depend on N.  The elementwise work in between runs
-# node-last, on (d, d, N) arrays, where every entry is one contiguous vector.
+# node-last, on (d, d, N) arrays, where every entry is one contiguous vector;
+# its loops write each term into one buffer reused across the loop.
 
 
 def _node_last(stack: np.ndarray) -> np.ndarray:
@@ -443,6 +456,11 @@ def _tangent_projectors(ys: np.ndarray) -> np.ndarray:
     yt = np.ascontiguousarray(ys.T)
     dim = len(yt)
     return _node_first(np.eye(dim)[:, :, None] - yt[:, None, :] * yt[None, :, :])
+
+
+def _compress(proj: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """P M P at each node: ambient matrices compressed to the tangent space."""
+    return proj @ mats @ proj
 
 
 @dataclass(frozen=True)
@@ -461,8 +479,7 @@ class TensorField:
 
     def evaluate(self, ys: np.ndarray) -> np.ndarray:
         ys = np.asarray(ys, dtype=float)
-        proj = _tangent_projectors(ys)
-        return proj @ self.raw(ys) @ proj
+        return _compress(_tangent_projectors(ys), self.raw(ys))
 
     def sample(self, grid: SphereGrid) -> np.ndarray:
         return self.evaluate(grid.nodes)
@@ -484,10 +501,13 @@ def polynomial_tensor_field(
     def raw(ys: np.ndarray) -> np.ndarray:
         yt = np.ascontiguousarray(ys.T)
         out = np.repeat(constant[:, :, None], len(ys), axis=2)
+        term = np.empty_like(out)
         for a, mat in enumerate(linear):
-            out += yt[a] * mat[:, :, None]
+            out += np.multiply(yt[a], mat[:, :, None], out=term)
+        monomial = np.empty(len(ys))
         for a, b, mat in quadratic:
-            out += (yt[a] * yt[b]) * mat[:, :, None]
+            np.multiply(yt[a], yt[b], out=monomial)
+            out += np.multiply(monomial, mat[:, :, None], out=term)
         return _node_first(out)
 
     return TensorField(n=n, raw=raw)
@@ -524,10 +544,20 @@ def _pullback_matrices(jac: np.ndarray, values: np.ndarray) -> np.ndarray:
     jt, vt = _node_last(jac), _node_last(values)
     dim = len(jt)
     out = np.zeros_like(jt)
+    row = np.empty_like(jt[0, :, None, :])
+    term = np.empty_like(jt)
     for j in range(dim):
         for k in range(dim):
-            out += (jt[j, :, None, :] * vt[j, k]) * jt[k, None, :, :]
+            np.multiply(jt[j, :, None, :], vt[j, k], out=row)
+            out += np.multiply(row, jt[k, None, :, :], out=term)
     return _node_first(out)
+
+
+def _weighted_pullback(
+    jac: np.ndarray, omega: np.ndarray, expo: float, values: np.ndarray
+) -> np.ndarray:
+    """Omega^expo J^T V J at each node: u_nu's matrices from phi's frame."""
+    return omega[:, None, None] ** expo * _pullback_matrices(jac, values)
 
 
 def pullback_field(a: MoebiusElement, fld: TensorField) -> TensorField:
@@ -536,11 +566,8 @@ def pullback_field(a: MoebiusElement, fld: TensorField) -> TensorField:
         raise DomainError("dimension mismatch")
 
     def raw(ys: np.ndarray) -> np.ndarray:
-        # One Lorentz product gives phi and the Jacobian, with the
-        # expressions of act_many and differential_many.
-        w_s, w_t = _homogeneous(a, ys)
-        phi = w_s / w_t[:, None]
-        return _pullback_matrices(_differential(a, phi, w_t), fld.evaluate(phi))
+        phi, jac, _ = _moebius_frame(a, ys)
+        return _pullback_matrices(jac, fld.evaluate(phi))
 
     return TensorField(n=fld.n, raw=raw)
 
@@ -549,47 +576,85 @@ def u_action(w: RepWeight, a: MoebiusElement, fld: TensorField) -> TensorField:
     """u_nu(phi) k = Omega^{rho + nu - 2} phi^* k (a right action)."""
     if w.n != fld.n or a.n != fld.n:
         raise DomainError("dimension mismatch")
-    pulled = pullback_field(a, fld)
     expo = w.pullback_exponent
 
     def raw(ys: np.ndarray) -> np.ndarray:
-        omega = conformal_factor_many(a, ys)
-        return omega[:, None, None] ** expo * pulled.raw(ys)
+        phi, jac, w_t = _moebius_frame(a, ys)
+        return _weighted_pullback(jac, _omega(w_t), expo, fld.evaluate(phi))
 
     return TensorField(n=fld.n, raw=raw)
 
 
-# Most grid nodes per block in :func:`pairing`: a block's intermediates stay
-# in cache, and no (N, d, d) array of a whole grid is ever built.
-_BLOCK = 4096
+# Most grid nodes per block in :func:`pairing` and :func:`_pairing_terms`.
+# A block's (N, d, d) intermediates stay in cache, and no such array of a
+# whole grid is ever built.  The per-node bits do not depend on the block
+# size, so it is set by measurement: of 512, 1,024, 2,048 and 4,096 nodes,
+# 1,024 ran ``verify --suite confgroup --dim 3`` fastest on a 2-vCPU host,
+# and 4,096 raised its peak memory by about 3 MB.
+_BLOCK = 1024
+
+
+def _blocks(nodes: np.ndarray) -> list[np.ndarray]:
+    """Near-equal blocks of at most ``_BLOCK`` nodes.
+
+    No block has a single node unless the grid does: numpy multiplies a
+    single row by the Lorentz matrix as a matrix-vector product, whose last
+    bits differ from those of the matrix product.
+    """
+    return np.array_split(nodes, -(-len(nodes) // _BLOCK))
+
+
+def _density(proj: np.ndarray, h_raw: np.ndarray, k_raw: np.ndarray) -> np.ndarray:
+    """The pointwise Frobenius pairing of two compressed fields."""
+    return np.einsum("nij,nij->n", _compress(proj, h_raw), _compress(proj, k_raw))
 
 
 def pairing(h: TensorField, k: TensorField, grid: SphereGrid) -> float:
     """Integral over S^n of the pointwise Frobenius pairing <h, k>.
 
-    Both fields are evaluated over near-equal blocks of at most ``_BLOCK``
-    nodes, and the pointwise density of all blocks is integrated once, so
-    the value is bit for bit that of one whole-grid evaluation.  No block
-    has a single node unless the grid does: numpy multiplies a single row
-    by the Lorentz matrix as a matrix-vector product, whose last bits differ
-    from those of the matrix product.
+    Both fields are evaluated over the same blocks, compressed with the
+    block's one set of tangent projectors, and the pointwise density of all
+    blocks is integrated once, so the value is bit for bit that of one
+    whole-grid evaluation.
     """
-    nodes = grid.nodes
-    blocks = np.array_split(nodes, -(-len(nodes) // _BLOCK))
     return grid.integrate(np.concatenate([
-        np.einsum("nij,nij->n", h.evaluate(ys), k.evaluate(ys)) for ys in blocks
+        _density(_tangent_projectors(ys), h.raw(ys), k.raw(ys))
+        for ys in _blocks(grid.nodes)
     ]))
 
 
 def _pairing_terms(
     h: TensorField, k: TensorField, a: MoebiusElement, grid: SphereGrid
 ) -> tuple[float, float]:
-    """<h, k> and <u_{-n/2}(phi) h, u_{n/2}(phi) k> on the grid."""
+    """<h, k> and <u_{-n/2}(phi) h, u_{n/2}(phi) k> on the grid, in one pass.
+
+    Each block builds once the tangent projectors P(y), the Moebius frame
+    (one Lorentz product giving phi, its Jacobian J and Omega = 1 / w_t,
+    with the Degenerate checks of :func:`u_action` in its order) and
+    P(phi), and feeds them to both fields and both densities.  The kernels
+    are those of :func:`pairing` and :func:`u_action`, applied to the same
+    operands in the same order, so the two values are bit for bit
+    ``pairing(h, k, grid)`` and ``pairing(u_action(-n/2) h, u_action(n/2) k,
+    grid)``.
+    """
     n = grid.n
-    base = pairing(h, k, grid)
-    hw = u_action(RepWeight.of(n, Fraction(-n, 2)), a, h)
-    kw = u_action(RepWeight.of(n, Fraction(n, 2)), a, k)
-    return base, pairing(hw, kw, grid)
+    if a.n != h.n or a.n != k.n:
+        raise DomainError("dimension mismatch")
+    expo_h = RepWeight.of(n, Fraction(-n, 2)).pullback_exponent
+    expo_k = RepWeight.of(n, Fraction(n, 2)).pullback_exponent
+    base, moved = [], []
+    for ys in _blocks(grid.nodes):
+        proj = _tangent_projectors(ys)
+        base.append(_density(proj, h.raw(ys), k.raw(ys)))
+        phi, jac, w_t = _moebius_frame(a, ys)
+        omega = _omega(w_t)
+        proj_phi = _tangent_projectors(phi)
+        moved.append(_density(
+            proj,
+            _weighted_pullback(jac, omega, expo_h, _compress(proj_phi, h.raw(phi))),
+            _weighted_pullback(jac, omega, expo_k, _compress(proj_phi, k.raw(phi))),
+        ))
+    return grid.integrate(np.concatenate(base)), grid.integrate(np.concatenate(moved))
 
 
 def check_pairing_invariance(

@@ -490,23 +490,18 @@ def green_D2_printed_bracket(n: int, x_norm: float) -> float:
         J(X) = 2 (-1)^k [ pi/2 - arctan X - sum_{j<k} (-1)^j X^{-2j-1}/(2j+1) ],
 
     multiplied by the chart prefactor ((1+X^2)/4)^{(n-1)/2} / vol(S^{n-1}).
-    For X >= 1.5 the bracket is summed as the arctangent series remainder.
-    Below, the literal form raises QuadratureFailure when its rounding
-    estimate eps (pi/2 + arctan X + sum |terms|) exceeds 1e-9 |bracket|.
-    The estimate stays below 3e-12 for n <= 13 and first trips at n = 27,
-    just below X = 1.5.
+    Below X = 1.5 the literal form is used while its rounding estimate
+    eps (pi/2 + arctan X + sum |terms|) stays within 1e-9 |bracket|; that
+    holds for every X at n <= 13 and first fails at n = 27, just below
+    X = 1.5.  Elsewhere with X > 1 the bracket is summed as the arctangent
+    series remainder; at X <= 1, where that series does not converge, the
+    literal form raises QuadratureFailure instead.
     """
     _require_odd(n)
     if not 0 < x_norm < math.inf:
         raise DomainError(f"x_norm = {x_norm} must be positive and finite")
     k = (n - 1) // 2
-    if x_norm >= 1.5:
-        # pi/2 - arctan X = arctan(1/X) and the subtracted sum is the first
-        # k terms of its Maclaurin series, so the bracket equals the series
-        # remainder; summing it directly avoids the catastrophic
-        # cancellation the literal form suffers for large X.
-        bracket = _arctan_series_remainder(1.0 / x_norm, k)
-    else:
+    if x_norm < 1.5:
         atan = math.atan(x_norm)
         bracket = math.pi / 2 - atan
         magnitude = math.pi / 2 + atan
@@ -514,15 +509,21 @@ def green_D2_printed_bracket(n: int, x_norm: float) -> float:
             term = x_norm ** (-2 * j - 1) / (2 * j + 1)
             bracket -= (-1) ** j * term
             magnitude += term
-        # For large k the literal form cancels just below the series switch;
-        # refuse rather than return a bad number.
         rounding = sys.float_info.epsilon * magnitude
-        if rounding > 1e-9 * abs(bracket):
+        if rounding <= 1e-9 * abs(bracket):
+            return _d2_prefactor(n, x_norm) * 2.0 * (-1) ** k * bracket
+        if x_norm <= 1.0:
             raise QuadratureFailure(
                 f"arctangent bracket loses precision at x_norm = {x_norm} "
-                f"(n = {n}): rounding estimate {rounding:.3e} against "
+                f"(n = {n}, k = {k} subtracted terms): rounding estimate "
+                f"{rounding:.3e} exceeds the bound 1e-9 |bracket|, with "
                 f"|bracket| = {abs(bracket):.3e}"
             )
+    # pi/2 - arctan X = arctan(1/X) and the subtracted sum is the first k
+    # terms of its Maclaurin series, so the bracket equals the series
+    # remainder; summing it directly avoids the catastrophic cancellation
+    # of the literal form for large X or large k.
+    bracket = _arctan_series_remainder(1.0 / x_norm, k)
     return _d2_prefactor(n, x_norm) * 2.0 * (-1) ** k * bracket
 
 
@@ -536,7 +537,10 @@ def _arctan_series_remainder(t: float, k: int) -> float:
         power *= t * t
         if power < 1e-18 * (abs(total) + 1e-300) * (2 * j + 3):
             return total
-    raise QuadratureFailure("arctangent remainder series did not converge")
+    raise QuadratureFailure(
+        f"arctangent remainder series at t = {t} did not converge in 600 "
+        f"terms after the first k = {k}"
+    )
 
 
 def green_D2_quadrature(n: int, x_norm: float) -> float:

@@ -172,18 +172,21 @@ def gamma_prefactor(n: int, mode: PrefactorMode) -> tuple[float, int]:
     The sign comes from exact pole-counting of the negative-half-integer
     Gamma factor: sign Gamma(-n/2) = (-1)^{(n+1)/2} for odd n, and
     (-1)^{n/2} from the finite even-n limit; every other factor is positive.
+    It is checked against the sign of the exact rational coefficient, not
+    of the float, which underflows to -0.0 from n = 198.
     """
     _check_mode_parity(n, mode)
     if mode is PrefactorMode.DET_DERIVATIVE_AT_ZERO:
         sign = (-1) ** ((n + 1) // 2)
     else:
         sign = (-1) ** (n // 2)
-    value = float(gamma_prefactor_exact(n, mode))
-    if sign * value <= 0:
+    exact = gamma_prefactor_exact(n, mode)
+    if sign * exact.coeff <= 0:
         raise DomainError(
-            f"pole-counting sign {sign} disagrees with value {value}"
+            f"pole-counting sign {sign} disagrees with the exact prefactor "
+            f"at n = {n}"
         )
-    return value, sign
+    return float(exact), sign
 
 
 def _check_oracle_range(n: int) -> None:
@@ -212,7 +215,7 @@ def gamma_prefactor_oracle(n: int, mode: PrefactorMode) -> float:
 def prefactor_raw(n: int, s: float) -> float:
     """The full prefactor (4 pi)^{-n/2} Gamma(s-n/2) Gamma(-s+n/2+1)^2 /
     (Gamma(s) Gamma(-2s+n+2)) at real s and n <= 169, by float Gamma values;
-    DomainError where one overflows."""
+    DomainError where one overflows or sits at a pole."""
     _check_oracle_range(n)
     try:
         return (
@@ -223,6 +226,10 @@ def prefactor_raw(n: int, s: float) -> float:
         )
     except OverflowError as exc:
         raise DomainError(f"prefactor at n = {n}, s = {s!r} overflows a float Gamma") from exc
+    except ValueError as exc:
+        raise DomainError(
+            f"prefactor at n = {n}, s = {s!r} hits a pole of a Gamma factor"
+        ) from exc
 
 
 def zeta0_prefactor_richardson(n: int) -> float:

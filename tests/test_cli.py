@@ -146,6 +146,19 @@ class TestExitCodes:
         assert code == 0
         assert "status: PASS" in out
 
+    @pytest.mark.parametrize("nmax", ["198", "260"])
+    def test_signs_past_the_float_underflow(self, capsys, nmax):
+        code, out, _ = _run(capsys, "signs", "--nmax", nmax, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["status"] == "PASS"
+
+    @pytest.mark.parametrize("dim", ["27", "41", "101"])
+    def test_green_d2_where_the_literal_bracket_cancels(self, capsys, dim):
+        code, out, _ = _run(capsys, "greens", "--dim", dim, "--profile", "D2",
+                            "--format", "json")
+        assert code == 0
+        assert json.loads(out)["status"] == "PASS"
+
     def test_negative_seed_is_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             console_main(["verify", "--suite", "qcurv", "--seed", "-1"])

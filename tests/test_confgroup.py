@@ -281,8 +281,8 @@ class TestSameBits:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_pairing_is_the_whole_grid_pairing(self, n):
-        # S^2: 3,240 nodes, one block; S^3: 129,600 nodes, not a multiple
-        # of the block size, so 32 blocks of 4,050.
+        # S^2: 3,240 nodes, 4 blocks of 810; S^3: 129,600 nodes, not a
+        # multiple of the block size, so 127 blocks of 1,020 or 1,021.
         rng = np.random.default_rng(40 + n)
         g = sphere_grid(n, 40)
         h = random_band_limited_field(rng, n)
@@ -311,7 +311,7 @@ class TestSameBits:
     def test_pulled_back_pairing_is_independent_of_the_block(self, monkeypatch):
         n = 2
         rng = np.random.default_rng(50)
-        g = sphere_grid(n, 60)  # 7,260 nodes: two blocks of 3,630
+        g = sphere_grid(n, 60)  # 7,260 nodes: 8 blocks of 907 or 908
         hw = u_action(RepWeight.of(n, Fraction(-n, 2)),
                       random_moebius(rng, n, 1.0), random_band_limited_field(rng, n))
         kw = u_action(RepWeight.of(n, Fraction(n, 2)),
@@ -322,6 +322,58 @@ class TestSameBits:
         for block in (3, 1000, len(g.nodes) - 1):
             monkeypatch.setattr(confgroup, "_BLOCK", block)
             assert pairing(hw, kw, g) == want
+
+
+    @pytest.mark.parametrize("n,order", [(2, 40), (3, 12)])
+    def test_fused_terms_are_the_two_pairings(self, n, order):
+        # S^2: 3,240 nodes in 4 blocks; S^3: 3,600 nodes in 4 blocks.
+        rng = np.random.default_rng(70 + n)
+        g = sphere_grid(n, order)
+        h = random_band_limited_field(rng, n)
+        k = random_band_limited_field(rng, n)
+        elements = [
+            random_moebius(rng, n, 1.0),
+            moebius_boost(n, n, 0.9),
+            compose(moebius_rotation(n, 0, n, 0.3), moebius_boost(n, 1, 0.7)),
+        ]
+        base = pairing(h, k, g)
+        assert base == _whole_grid_pairing(h, k, g)
+        for a in elements:
+            hw = u_action(RepWeight.of(n, Fraction(-n, 2)), a, h)
+            kw = u_action(RepWeight.of(n, Fraction(n, 2)), a, k)
+            moved = pairing(hw, kw, g)
+            assert moved == _whole_grid_pairing(hw, kw, g)
+            assert confgroup._pairing_terms(h, k, a, g) == (base, moved)
+
+    def test_fused_terms_are_independent_of_the_block(self, monkeypatch):
+        n = 2
+        rng = np.random.default_rng(80)
+        g = sphere_grid(n, 24)  # 1,176 nodes: 2 blocks
+        h = random_band_limited_field(rng, n)
+        k = random_band_limited_field(rng, n)
+        a = random_moebius(rng, n, 1.0)
+        want = confgroup._pairing_terms(h, k, a, g)
+        for block in (3, 1000, len(g.nodes) - 1):
+            monkeypatch.setattr(confgroup, "_BLOCK", block)
+            assert confgroup._pairing_terms(h, k, a, g) == want
+
+    def test_fused_terms_refuse_a_time_reversal_as_u_action_does(self):
+        n = 2
+        mat = np.eye(n + 2)
+        mat[n + 1, n + 1] = -1.0
+        flip = confgroup.MoebiusElement(n=n, matrix=mat)
+        rng = np.random.default_rng(90)
+        g = sphere_grid(n, 10)
+        h = random_band_limited_field(rng, n)
+        k = random_band_limited_field(rng, n)
+        message = (r"^nonpositive normalizing coordinate: element outside "
+                   r"the identity component$")
+        with pytest.raises(Degenerate, match=message):
+            confgroup._pairing_terms(h, k, flip, g)
+        with pytest.raises(Degenerate, match=message):
+            u_action(RepWeight.of(n, Fraction(-n, 2)), flip, h).raw(g.nodes)
+        # The plain pullback needs no conformal factor and still accepts it.
+        assert np.all(np.isfinite(pullback_field(flip, h).raw(g.nodes)))
 
 
 class TestChart:

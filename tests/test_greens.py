@@ -202,11 +202,19 @@ class TestGreenD2:
             assert green_D2(n, x) == green_D2_printed_bracket(n, x)
 
     @pytest.mark.parametrize("n,x", [(35, 1.45), (41, 1.45), (51, 1.3), (51, 1.49)])
-    def test_cancelling_bracket_raises(self, n, x):
-        # the literal bracket loses more than 1e-9 here; the quadrature twin
-        # disagrees with it by 2e-9 to 4e-6
-        with pytest.raises(QuadratureFailure):
-            green_D2(n, x)
+    def test_cancelling_bracket_is_summed_as_the_series(self, n, x):
+        # the literal bracket loses more than 1e-9 here (the quadrature twin
+        # disagrees with it by 2e-9 to 4e-6), so the arctangent series
+        # remainder is summed instead
+        a = green_D2(n, x)
+        b = green_D2_quadrature(n, x)
+        assert abs(a - b) <= 1e-12 * abs(b)
+
+    def test_remaining_refusal_names_bound_and_terms(self):
+        # at x = 1 the bracket is about 1/(4k) against a rounding estimate
+        # of about 4 eps, and the series does not converge there
+        with pytest.raises(QuadratureFailure, match=r"k = 300000 .* 1e-9"):
+            green_D2(600001, 1.0)
 
     def test_large_radius_stability(self):
         # the bracket is evaluated through the arctangent remainder series

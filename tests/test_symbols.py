@@ -108,6 +108,23 @@ class TestGammaPrefactor:
         with pytest.raises(DomainError, match="overflows"):
             prefactor_raw(5, -90.25)
 
+    @pytest.mark.parametrize("n,s", [(6, 0.0), (169, 0.5)])
+    def test_raw_prefactor_at_a_pole_is_a_domain_error(self, n, s):
+        # Gamma(s) at s = 0, and Gamma(s - n/2) at s - n/2 = -84
+        with pytest.raises(DomainError, match=rf"n = {n}, s = {s!r} hits a pole"):
+            prefactor_raw(n, s)
+
+    @pytest.mark.parametrize("n", [198, 199, 260, 261])
+    def test_sign_where_the_float_underflows(self, n):
+        # The float prefactor is -0.0 or 0.0 here; the sign check reads the
+        # exact coefficient.
+        mode = (PrefactorMode.ZETA0_LIMIT_AT_ZERO if n % 2 == 0
+                else PrefactorMode.DET_DERIVATIVE_AT_ZERO)
+        value, sign = gamma_prefactor(n, mode)
+        exact = gamma_prefactor_exact(n, mode)
+        assert value == float(exact) == 0.0
+        assert sign == (1 if exact.coeff > 0 else -1)
+
     def test_raw_prefactor_near_zero(self):
         # the raw expression at small s approaches the ZETA0 limit
         exact, _ = gamma_prefactor(6, PrefactorMode.ZETA0_LIMIT_AT_ZERO)
