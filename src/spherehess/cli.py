@@ -17,9 +17,15 @@ trip.  Identical invocations produce byte-identical output; the randomized
 Exit status: 0 when every check passes, 1 when any check fails, 2 on usage
 errors.
 
+The CLI is the package's only front end; ``verify --suite greens`` also
+checks the float trace pipeline against the exact spectral references.
 Each command imports the layers it runs when it runs, and importing this
-module loads no layer and not numpy: ``spectrum``, ``signs`` and ``traces``
-do exact ``Fraction`` work and start without it.
+module loads no layer and not numpy.  ``spectrum``, ``signs``, ``traces``,
+``greens``, ``qsymbol`` and the spectrum, symbols and qcurv suites never
+load numpy: the exact checks run in ``Fraction`` arithmetic, and
+``qsymbol`` and the qcurv suite draw from ``random.Random(seed)``.  Only the
+greens suite (its least-squares fits) and the confgroup suite (its Möbius
+grids and ``default_rng(seed)`` draws) load it.
 """
 
 from __future__ import annotations
@@ -27,17 +33,15 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from . import __version__
 from ._nanmax import nan_max as _worst
 from .errors import ParityError, SphereHessError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "CheckResult",
@@ -212,7 +216,7 @@ def render_report(env: ReportEnvelope, fmt: str) -> str:
 
 def cmd_spectrum(n: int, j_max: int) -> ReportEnvelope:
     from .ktypes import KType, q_range
-    from .spectrum import spectrum_generate, spectrum_generate3, t0_eigenvalue
+    from .spectrum import _recursion_table, t0_eigenvalue
 
     params = {"dim": str(n), "jmax": str(j_max)}
     if n == 2:
@@ -223,13 +227,7 @@ def cmd_spectrum(n: int, j_max: int) -> ReportEnvelope:
         checks = (CheckResult("universally-zero-hessian", "PASS", 0.0, 0.0),)
         return ReportEnvelope("spectrum", params, notes, checks)
 
-    if n == 3:
-        base_plus = t0_eigenvalue(KType(3, 0, 2))
-        base_minus = t0_eigenvalue(KType(3, 0, -2))
-        table = spectrum_generate3(j_max, base_plus, base_minus)
-    else:
-        table = spectrum_generate(n, j_max, t0_eigenvalue(KType(n, 0, 2)))
-
+    table = _recursion_table(n, j_max)
     rows: list[tuple[str, ...]] = []
     all_equal = True
     signs_ok = True
@@ -449,35 +447,31 @@ def _tau_check(a: int, p: int, tol: float) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def _random_rational_tts(rng: np.random.Generator, n: int, count: int):
-    """Yield count pairs of a rational covector and a trace-free transverse
-    symmetric matrix."""
+def _q_symbol_identity_holds(seed: int, dims: Sequence[int], trials: int) -> bool:
+    """True when sigma_n(H) = -|xi|^n/4 * k, exactly, on ``trials`` seeded
+    draws in each dimension: a nonzero integer covector xi with entries in
+    [-3, 3] and k the trace-free transverse part of a symmetric integer
+    matrix."""
     from . import qcurv
 
-    for _ in range(count):
-        while True:
-            xi = tuple(Fraction(int(v)) for v in rng.integers(-3, 4, size=n))
-            if any(xi):
-                break
-        raw = rng.integers(-4, 5, size=(n, n))
-        sym = [[Fraction(int(raw[i][j] + raw[j][i])) for j in range(n)]
-               for i in range(n)]
-        yield xi, qcurv.project_tt(xi, tuple(tuple(row) for row in sym))
+    rng = random.Random(seed)
+    for n in dims:
+        for _ in range(trials):
+            xi = (0,) * n
+            while not any(xi):
+                xi = tuple(Fraction(rng.randint(-3, 3)) for _ in range(n))
+            raw = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+            k = qcurv.project_tt(xi, tuple(
+                tuple(Fraction(raw[i][j] + raw[j][i]) for j in range(n))
+                for i in range(n)))
+            if qcurv.q_hessian_symbol(n, xi, k) != qcurv.q_hessian_expected(n, xi, k):
+                return False
+    return True
 
 
 def cmd_qsymbol(n: int, seed: int) -> ReportEnvelope:
-    import numpy as np
-
-    from . import qcurv
-
     params = {"dim": str(n), "seed": str(seed), "trials": "5"}
-    rng = np.random.default_rng(seed)
-    ok = True
-    for xi, k in _random_rational_tts(rng, n, 5):
-        got = qcurv.q_hessian_symbol(n, xi, k)
-        want = qcurv.q_hessian_expected(n, xi, k)
-        ok = ok and got == want
-    status = "PASS" if ok else "FAIL"
+    status = "PASS" if _q_symbol_identity_holds(seed, (n,), 5) else "FAIL"
     notes = (f"sigma_{n}(H) = -|xi|^{n}/4 * Id : {status} (exact)",)
     checks = (CheckResult("q-symbol-identity", status, 0.0, 0.0),)
     return ReportEnvelope("qsymbol", params, notes, checks)
@@ -489,27 +483,22 @@ def cmd_qsymbol(n: int, seed: int) -> ReportEnvelope:
 
 
 def _suite_spectrum(seed: int, tols: dict[str, float]) -> list[CheckResult]:
-    from .ktypes import KType, q_range
-    from .spectrum import spectrum_generate, spectrum_generate3, t0_eigenvalue
+    from .spectrum import (
+        _recursion_table,
+        closed_form_table,
+        recursion_matches_closed_form,
+    )
 
-    checks = []
-    ok = True
-    for n in range(4, 9):
-        table = spectrum_generate(n, 40, t0_eigenvalue(KType(n, 0, 2)))
-        ok = ok and all(table.value(j, q) == t0_eigenvalue(KType(n, j, q))
-                        for j in range(41) for q in q_range(n))
-    checks.append(CheckResult("recursion-equals-closed-form-n4-8",
-                              "PASS" if ok else "FAIL", 0.0, 0.0))
-    t3 = spectrum_generate3(40, t0_eigenvalue(KType(3, 0, 2)),
-                            t0_eigenvalue(KType(3, 0, -2)))
-    ok3 = all(t3.value(j, q) == t0_eigenvalue(KType(3, j, q))
-              for j in range(41) for q in q_range(3))
+    ok = all(recursion_matches_closed_form(n, 40) for n in range(4, 9))
+    t3 = _recursion_table(3, 40)
+    ok3 = t3.entries == closed_form_table(3, 40).entries
     sign3 = all(t3.value(j, 2) * t3.value(j, -2) < 0 for j in range(41))
-    checks.append(CheckResult("five-branch-recursion-n3",
-                              "PASS" if ok3 else "FAIL", 0.0, 0.0))
-    checks.append(CheckResult("opposite-signs-n3",
-                              "PASS" if sign3 else "FAIL", 0.0, 0.0))
-    return checks
+    return [
+        CheckResult("recursion-equals-closed-form-n4-8",
+                    "PASS" if ok else "FAIL", 0.0, 0.0),
+        CheckResult("five-branch-recursion-n3", "PASS" if ok3 else "FAIL", 0.0, 0.0),
+        CheckResult("opposite-signs-n3", "PASS" if sign3 else "FAIL", 0.0, 0.0),
+    ]
 
 
 def _suite_greens(seed: int, tols: dict[str, float]) -> list[CheckResult]:
@@ -536,12 +525,18 @@ def _suite_greens(seed: int, tols: dict[str, float]) -> list[CheckResult]:
     checks.append(CheckResult("frozen-trace-values",
                               "PASS" if _frozen_traces_match(2) else "FAIL",
                               0.0, 0.0))
+    for kind in (greens.TraceKind.L2, greens.TraceKind.D2):
+        for k in (1, 2):
+            pipe = greens.trace_from_pipeline(kind, k).value
+            ref = greens.spectral_trace_reference(kind, k)
+            factor = greens.spectral_convention_factor(kind, k)
+            checks.append(check_against(
+                f"pipeline-vs-spectral-{kind.value}-k{k}",
+                abs(factor * pipe - ref) / abs(ref), 1e-5))
     return checks
 
 
 def _suite_symbols(seed: int, tols: dict[str, float]) -> list[CheckResult]:
-    import numpy as np
-
     from . import symbols
 
     checks = []
@@ -573,11 +568,8 @@ def _suite_symbols(seed: int, tols: dict[str, float]) -> list[CheckResult]:
                 symbols.bracket_definiteness(dcof, n - 1)
                 is symbols.FormDefiniteness.NEG_SEMIDEF
             )
-        xi = np.zeros(n)
-        xi[0] = 1.0
-        proj = symbols.point_projector(xi)
-        p = symbols.PointData(n=n, k=proj, xi=xi)
-        null_res.append(abs(symbols.evaluate_form(lcof, 1.0, p, 0.0)))
+        # The form at K = P, the projector normal to xi: t = u = n - 1.
+        null_res.append(abs((n - 1) * (lcof.a * (n - 1) + lcof.b)))
     checks.append(CheckResult("semidefinite-at-s0",
                               "PASS" if semi_ok else "FAIL", 0.0, 0.0))
     checks.append(check_against("null-ray-value", _worst(null_res), 1e-12))
@@ -585,16 +577,7 @@ def _suite_symbols(seed: int, tols: dict[str, float]) -> list[CheckResult]:
 
 
 def _suite_qcurv(seed: int, tols: dict[str, float]) -> list[CheckResult]:
-    import numpy as np
-
-    from . import qcurv
-
-    rng = np.random.default_rng(seed)
-    ok = True
-    for n in (4, 6, 8):
-        for xi, k in _random_rational_tts(rng, n, 25):
-            ok = ok and (qcurv.q_hessian_symbol(n, xi, k)
-                         == qcurv.q_hessian_expected(n, xi, k))
+    ok = _q_symbol_identity_holds(seed, (4, 6, 8), 25)
     return [CheckResult("q-symbol-identity-n468",
                         "PASS" if ok else "FAIL", 0.0, 0.0)]
 

@@ -10,8 +10,11 @@ instead of float comparisons.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+
+_MIN_NORMAL = sys.float_info.min
 
 
 def rising(x: int | Fraction, length: int) -> Fraction:
@@ -112,11 +115,19 @@ class ExactConst:
         return ExactConst(-self.coeff, self.pi_exp, self.two_exp)
 
     def __float__(self) -> float:
-        return (
-            float(self.coeff)
-            * 2.0 ** float(self.two_exp)
-            * math.pi ** self.pi_exp
-        )
+        try:
+            coeff = float(self.coeff)
+        except OverflowError:
+            coeff = None
+        if coeff is not None and (abs(coeff) >= _MIN_NORMAL or not self.coeff):
+            return coeff * 2.0 ** float(self.two_exp) * math.pi ** self.pi_exp
+        # The coefficient alone leaves the normal float range (vol(S^m) has a
+        # subnormal one beside a large power of pi from m = 343 on): carry its
+        # power of two apart, so that only the value can under- or overflow.
+        shift = self.coeff.numerator.bit_length() - self.coeff.denominator.bit_length()
+        scaled = float(self.coeff / Fraction(2) ** shift)
+        return math.ldexp(scaled * 2.0 ** float(self.two_exp) * math.pi ** self.pi_exp,
+                          shift)
 
     def __repr__(self) -> str:
         parts = [str(self.coeff)]

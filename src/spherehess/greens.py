@@ -378,10 +378,8 @@ def _fit_homogeneous_coefficient(n: int) -> float:
     # constant by least squares against degrees 0..6 on a small window.
     rs = np.geomspace(1e-3, 2e-2, 16)
     vals = np.array([particular_times_mode(float(r)) for r in rs])
-    design = np.stack([rs**d for d in range(7)], axis=1)
-    scales = np.max(np.abs(design), axis=0)
-    coeffs, *_ = np.linalg.lstsq(design / scales, vals, rcond=None)
-    return -float(coeffs[0] / scales[0])
+    coeffs, _ = _scaled_lstsq(rs, vals, range(7))
+    return -float(coeffs[0])
 
 
 def green_L2_profile(n: int) -> RadialGreen:
@@ -495,12 +493,29 @@ def green_D2_printed_bracket(n: int, x_norm: float) -> float:
     holds for every X at n <= 13 and first fails at n = 27, just below
     X = 1.5.  Elsewhere with X > 1 the bracket is summed as the arctangent
     series remainder; at X <= 1, where that series does not converge, the
-    literal form raises QuadratureFailure instead.
+    literal form raises QuadratureFailure instead.  Where a power of X, the
+    prefactor or 1/vol(S^{n-1}) leaves the float range (vol(S^{n-1}) rounds
+    to 0 from n = 457 on) it raises DomainError.
     """
     _require_odd(n)
     if not 0 < x_norm < math.inf:
         raise DomainError(f"x_norm = {x_norm} must be positive and finite")
     k = (n - 1) // 2
+    try:
+        bracket = _arctan_bracket(n, x_norm, k)
+        return _d2_prefactor(n, x_norm) * 2.0 * (-1) ** k * bracket
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise _d2_range_error(n, x_norm) from exc
+
+
+def _d2_range_error(n: int, x_norm: float) -> DomainError:
+    return DomainError(f"D2 value at n = {n}, x_norm = {x_norm!r} leaves the "
+                       f"float range")
+
+
+def _arctan_bracket(n: int, x_norm: float, k: int) -> float:
+    """pi/2 - arctan X - sum_{j<k} (-1)^j X^{-2j-1}/(2j+1), summed as
+    :func:`green_D2_printed_bracket` describes."""
     if x_norm < 1.5:
         atan = math.atan(x_norm)
         bracket = math.pi / 2 - atan
@@ -511,7 +526,7 @@ def green_D2_printed_bracket(n: int, x_norm: float) -> float:
             magnitude += term
         rounding = sys.float_info.epsilon * magnitude
         if rounding <= 1e-9 * abs(bracket):
-            return _d2_prefactor(n, x_norm) * 2.0 * (-1) ** k * bracket
+            return bracket
         if x_norm <= 1.0:
             raise QuadratureFailure(
                 f"arctangent bracket loses precision at x_norm = {x_norm} "
@@ -523,33 +538,58 @@ def green_D2_printed_bracket(n: int, x_norm: float) -> float:
     # terms of its Maclaurin series, so the bracket equals the series
     # remainder; summing it directly avoids the catastrophic cancellation
     # of the literal form for large X or large k.
-    bracket = _arctan_series_remainder(1.0 / x_norm, k)
-    return _d2_prefactor(n, x_norm) * 2.0 * (-1) ** k * bracket
+    return _arctan_series_remainder(1.0 / x_norm, k)
+
+
+# The most terms _arctan_series_remainder will sum.
+_SERIES_MAX_TERMS = 10**6
 
 
 def _arctan_series_remainder(t: float, k: int) -> float:
-    """sum_{j >= k} (-1)^j t^{2j+1} / (2j+1), convergent for |t| < 1."""
+    """sum_{j >= k} (-1)^j t^{2j+1} / (2j+1), convergent for 0 < t < 1.
+
+    The sum stops at the first term below 1e-18 times the partial sum.  The
+    terms fall by at least t^2 per step, and every partial sum of two or more terms is
+    at least a_k - a_{k+1}, a_j = t^{2j+1}/(2j+1), so the stop comes within
+    floor(ln(1e-18 c) / ln(t^2)) + 2 terms, c = (2k+3)/(2k+1) - t^2.  The
+    budget allows two terms more and raises QuadratureFailure beyond them;
+    a budget above 10^6 terms (x within 2.6e-5 of 1, n above about 6e4) is
+    refused before any term is summed.
+    """
+    c = (2 * k + 3) / (2 * k + 1) - t * t
+    budget = int(math.log(1e-18 * c) / (2 * math.log(t))) + 4
+    if budget > _SERIES_MAX_TERMS:
+        raise QuadratureFailure(
+            f"arctangent remainder series at t = {t} needs up to {budget} "
+            f"terms after the first k = {k}, more than {_SERIES_MAX_TERMS}")
     total = 0.0
     power = t ** (2 * k + 1)
-    for j in range(k, k + 600):
+    for j in range(k, k + budget):
         term = power / (2 * j + 1)
         total += term if j % 2 == 0 else -term
         power *= t * t
         if power < 1e-18 * (abs(total) + 1e-300) * (2 * j + 3):
             return total
     raise QuadratureFailure(
-        f"arctangent remainder series at t = {t} did not converge in 600 "
+        f"arctangent remainder series at t = {t} did not converge in {budget} "
         f"terms after the first k = {k}"
     )
 
 
 def green_D2_quadrature(n: int, x_norm: float) -> float:
-    """Squared-Dirac Green value with the tail integral done by quadrature."""
+    """Squared-Dirac Green value with the tail integral done by quadrature.
+
+    Raises DomainError where the integrand, the prefactor or
+    1/vol(S^{n-1}) leaves the float range, as the closed form does.
+    """
     _require_odd(n)
     if not 0 < x_norm < math.inf:
         raise DomainError(f"x_norm = {x_norm} must be positive and finite")
-    tail = tau_tail_quadrature(n - 1, 1, x_norm)
-    return _d2_prefactor(n, x_norm) * 2.0 * tail
+    try:
+        tail = tau_tail_quadrature(n - 1, 1, x_norm)
+        return _d2_prefactor(n, x_norm) * 2.0 * tail
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise _d2_range_error(n, x_norm) from exc
 
 
 def green_D2(n: int, x_norm: float) -> float:
@@ -680,6 +720,21 @@ class RegularPartResult:
     singular_coeffs: dict[int, float] = field(default_factory=dict)
 
 
+def _scaled_lstsq(rs, vals, exponents):
+    """Least-squares coefficients of vals in the columns rs**e, e in exponents.
+
+    Each column is scaled to a largest magnitude of 1 before the solve, and
+    the coefficients are scaled back.  Returns them with the singular values
+    of the scaled design.
+    """
+    import numpy as np
+
+    design = np.stack([rs**e for e in exponents], axis=1)
+    scales = np.max(np.abs(design), axis=0)
+    coeffs, _, _, singular_values = np.linalg.lstsq(design / scales, vals, rcond=None)
+    return coeffs / scales, singular_values
+
+
 def regular_part(
     profile,
     singular_orders: tuple[int, ...] | None = None,
@@ -719,12 +774,7 @@ def regular_part(
     vals = np.array([fun(float(r)) for r in rs])
 
     exponents = list(singular_orders) + list(range(_FIT_POLY_DEGREE + 1))
-    cols = [rs**e for e in exponents]
-    design = np.stack(cols, axis=1)
-    scales = np.max(np.abs(design), axis=0)
-    coeffs_scaled, _, _, singular_values = np.linalg.lstsq(
-        design / scales, vals, rcond=None)
-    coeffs = coeffs_scaled / scales
+    coeffs, singular_values = _scaled_lstsq(rs, vals, exponents)
     by_exp = dict(zip(exponents, coeffs))
     c0_fit = by_exp[0]
 

@@ -240,18 +240,18 @@ def closed_form_table(n: int, j_max: int) -> SpectrumTable:
     return SpectrumTable(dim_n=n, entries=entries)
 
 
+def _recursion_table(n: int, j_max: int) -> SpectrumTable:
+    """The recursion table seeded with the closed form at (0, 2), and on the
+    3-sphere also at (0, -2)."""
+    if n == 3:
+        return spectrum_generate3(j_max, t0_eigenvalue(KType(dim_n=3, j=0, q=2)),
+                                  t0_eigenvalue(KType(dim_n=3, j=0, q=-2)))
+    return spectrum_generate(n, j_max, t0_eigenvalue(KType(dim_n=n, j=0, q=2)))
+
+
 def recursion_matches_closed_form(n: int, j_max: int) -> bool:
     """Exact pointwise equality of the recursion table with the closed form."""
-    closed = closed_form_table(n, j_max)
-    if n == 3:
-        plus = t0_eigenvalue(KType(dim_n=3, j=0, q=2))
-        minus = t0_eigenvalue(KType(dim_n=3, j=0, q=-2))
-        generated = spectrum_generate3(j_max, plus, minus)
-    else:
-        generated = spectrum_generate(
-            n, j_max, t0_eigenvalue(KType(dim_n=n, j=0, q=2))
-        )
-    return generated.entries == closed.entries
+    return _recursion_table(n, j_max).entries == closed_form_table(n, j_max).entries
 
 
 class HessianKind(enum.Enum):

@@ -1,6 +1,8 @@
 """Command-line interface: golden outputs, exit codes, determinism."""
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +33,16 @@ D^2,2,5,3/16,2,1.8505508252042546
 # check,frozen-values-k-le-2,PASS,0.000e+00
 # report,traces,version,1.0.0
 """
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_commands() -> list[list[str]]:
+    """The argument lists of the README's "Command line" example block."""
+    block = README.read_text().split("## Command line", 1)[1].split("```", 2)[1]
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines()
+            if line.startswith("spherehess ")]
 
 
 def _run(capsys, *argv):
@@ -175,3 +187,47 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"{flag} must be finite and >= 0" in captured.err
+
+
+class TestReadmeCommands:
+    """The CLI is the only front end, so its documented examples must run."""
+
+    def test_block_is_found(self):
+        assert _readme_commands()
+
+    @pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+    def test_command_exits_zero(self, capsys, argv):
+        code, out, err = _run(capsys, *argv)
+        assert code == 0, err
+        assert "Traceback" not in out + err
+
+
+class TestGreensSuite:
+    CHECKS = [
+        name
+        for n in (3, 5, 7)
+        for name in (f"ode-residual-L-n{n}", f"ode-residual-L2-n{n}",
+                     f"homogeneous-coefficient-n{n}", f"dual-route-D2-n{n}",
+                     f"tau-quad-L2-n{n}")
+    ] + ["frozen-trace-values"]
+    PIPELINE = ["pipeline-vs-spectral-L2-k1", "pipeline-vs-spectral-L2-k2",
+                "pipeline-vs-spectral-D2-k1", "pipeline-vs-spectral-D2-k2"]
+
+    def test_pipeline_checks_follow_the_others(self, capsys):
+        code, out, _ = _run(capsys, "verify", "--suite", "greens", "--format", "json")
+        assert code == 0
+        checks = json.loads(out)["checks"]
+        assert [c["name"] for c in checks] == self.CHECKS + self.PIPELINE
+        for check in checks[len(self.CHECKS):]:
+            assert check["status"] == "PASS"
+            assert check["tolerance"] == 1e-5
+            assert check["residual"] <= 1e-5
+
+    def test_d2_outside_the_float_range_is_one_line(self, capsys):
+        code, out, err = _run(capsys, "greens", "--dim", "401", "--profile", "D2")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("spherehess: computation failed: D2 value at "
+                              "n = 401, x_norm = 0.151")
+        assert err.endswith(" leaves the float range\n")
+        assert err.count("\n") == 1

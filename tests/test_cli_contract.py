@@ -5,7 +5,8 @@ scipy is no dependency of the package: the adaptive-quadrature twin
 stdlib-only port of QUADPACK's qagse (Piessens et al., *QUADPACK*,
 Springer 1983), so no command, the twin's included, may import it.
 The package re-exports its names lazily and each command imports the layers
-it runs, so the exact commands and the Green profiles load no numpy.  mpmath
+it runs, so the exact commands (``qsymbol`` and the symbols and qcurv
+suites among them) and the Green profiles load no numpy.  mpmath
 is no dependency either: the spectral trace reference is exact and the
 Gamma oracles use ``math.gamma``, so no command imports it, and the symbols
 suite runs where it cannot be imported.
@@ -105,8 +106,12 @@ class TestImportHygiene:
         ("-m", "spherehess", "greens", "--dim", "5", "--profile", "L2"),
         ("-m", "spherehess", "greens", "--dim", "5", "--profile", "D2"),
         ("-m", "spherehess", "verify", "--suite", "spectrum"),
+        ("-m", "spherehess", "qsymbol", "--dim", "6"),
+        ("-m", "spherehess", "verify", "--suite", "symbols"),
+        ("-m", "spherehess", "verify", "--suite", "qcurv"),
     ], ids=["import", "version", "spectrum", "signs", "traces", "greens-L",
-            "greens-L2", "greens-D2", "verify-spectrum"])
+            "greens-L2", "greens-D2", "verify-spectrum", "qsymbol",
+            "verify-symbols", "verify-qcurv"])
     def test_cold_start_leaves_numpy_and_mpmath_unloaded(self, args):
         imported = _top_level_imports(*args)
         assert "spherehess" in imported
@@ -114,19 +119,11 @@ class TestImportHygiene:
         assert "mpmath" not in imported
 
     @pytest.mark.parametrize("args", [
-        ("qsymbol", "--dim", "6"),
         ("verify", "--suite", "greens"),
-        ("verify", "--suite", "qcurv"),
         ("verify", "--suite", "confgroup"),
-    ], ids=["qsymbol", "verify-greens", "verify-qcurv", "verify-confgroup"])
+    ], ids=["verify-greens", "verify-confgroup"])
     def test_float_commands_leave_mpmath_unloaded(self, args):
         imported = _top_level_imports("-m", "spherehess", *args)
-        assert "numpy" in imported
-        assert "mpmath" not in imported
-
-    def test_symbols_suite_loads_numpy_not_mpmath(self):
-        imported = _top_level_imports("-m", "spherehess", "verify", "--suite",
-                                      "symbols")
         assert "numpy" in imported
         assert "mpmath" not in imported
 

@@ -84,3 +84,18 @@ class TestSphereVolume:
             2 * mpmath.pi ** ((m + 1) / 2) / mpmath.gamma((m + 1) / 2)
         )
         assert float(sphere_volume_exact(m)) == pytest.approx(oracle, rel=1e-14)
+
+    @pytest.mark.parametrize("m", [342, 343, 350, 357, 420])
+    def test_large_spheres_keep_their_precision(self, m):
+        # From m = 343 on the rational coefficient alone is below the
+        # normal float range, beside a large power of pi; it used to round
+        # to a subnormal (4.4e-8 off at m = 350) or to 0 (from m = 357).
+        with mpmath.workdps(40):
+            oracle = float(2 * mpmath.pi ** (mpmath.mpf(m + 1) / 2)
+                           / mpmath.gamma(mpmath.mpf(m + 1) / 2))
+        assert sphere_volume(m) == pytest.approx(oracle, rel=2e-14)
+
+    def test_values_outside_the_float_range(self):
+        assert sphere_volume(1000) == 0.0
+        with pytest.raises(OverflowError):
+            float(ExactConst(Fraction(2) ** 1100))

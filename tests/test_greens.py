@@ -2,6 +2,7 @@
 regular parts, and regularized traces."""
 
 import math
+import re
 from fractions import Fraction
 
 import mpmath
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spherehess import _quadpack
+from spherehess import _quadpack, greens
 from spherehess.errors import DomainError, FitUnstable, ParityError, QuadratureFailure
 from spherehess.greens import (
     _fit_homogeneous_coefficient,
@@ -260,6 +261,92 @@ class TestOverflowingValues:
     def test_d2_value_raises(self):
         with pytest.raises(DomainError, match="n = 301, x_norm = 5.0 is inf$"):
             green_D2(301, 5.0)
+
+    # A power of x_norm overflows at (401, 0.15) and vol(S^{n-1}) underflows
+    # to 0 at n = 501 and 1001.  Each used to escape as a bare OverflowError
+    # or ZeroDivisionError.
+    @pytest.mark.parametrize("route", [green_D2, green_D2_printed_bracket,
+                                       green_D2_quadrature])
+    @pytest.mark.parametrize("n, x", [(401, 0.15), (501, 2.0), (1001, 1.001)])
+    def test_d2_outside_the_float_range_raises(self, route, n, x):
+        with pytest.raises(DomainError, match=(
+                rf"^D2 value at n = {n}, x_norm = {re.escape(repr(x))} "
+                r"leaves the float range$")):
+            route(n, x)
+
+
+class TestD2AtLargeN:
+    # At the first three points the literal bracket cancels, and the series
+    # needs 620-925 terms, past the fixed cap of 600 it once had.  At
+    # n = 351 and 361 the float of vol(S^{n-1}) was 4.4e-8 off and 0.
+    @pytest.mark.parametrize("n, x", [(241, 1.033), (301, 1.03), (351, 1.022),
+                                      (361, 1.2)])
+    def test_value_matches_the_oracle(self, n, x):
+        k = (n - 1) // 2
+        with mpmath.workdps(50):
+            big_x = mpmath.mpf(x)
+            bracket = mpmath.pi / 2 - mpmath.atan(big_x) - mpmath.fsum(
+                (-1) ** j * big_x ** (-2 * j - 1) / (2 * j + 1) for j in range(k))
+            vol = 2 * mpmath.pi ** mpmath.mpf(n / 2) / mpmath.gamma(mpmath.mpf(n / 2))
+            oracle = float(((1 + big_x**2) / 4) ** ((n - 1) // 2) / vol
+                           * 2 * (-1) ** k * bracket)
+        assert abs(green_D2(n, x) - oracle) <= 1e-12 * abs(oracle)
+
+    def test_series_budget_above_a_million_terms_is_refused(self):
+        with pytest.raises(QuadratureFailure, match=(
+                r"needs up to \d+ terms after the first k = 300000, more "
+                r"than 1000000$")):
+            green_D2(600001, 1.00001)
+
+
+class TestSharedScaledFit:
+    """Both fits run ``_scaled_lstsq``; each gives the bits of its own fit,
+    written out inline here as the reference."""
+
+    @staticmethod
+    def _regular_part_fit(rs, vals, exponents):
+        # regular_part's own fit
+        cols = [rs**e for e in exponents]
+        design = np.stack(cols, axis=1)
+        scales = np.max(np.abs(design), axis=0)
+        coeffs_scaled, _, _, singular_values = np.linalg.lstsq(
+            design / scales, vals, rcond=None)
+        return coeffs_scaled / scales, singular_values
+
+    @pytest.mark.parametrize("n", range(3, 12, 2))
+    def test_homogeneous_coefficient(self, n, monkeypatch):
+        calls = []
+        shared = greens._scaled_lstsq
+
+        def spy(rs, vals, exponents):
+            calls.append((rs, vals, list(exponents)))
+            return shared(rs, vals, exponents)
+
+        monkeypatch.setattr(greens, "_scaled_lstsq", spy)
+        got = _fit_homogeneous_coefficient(n)
+        [(rs, vals, exponents)] = calls
+        assert exponents == list(range(7))
+        # _fit_homogeneous_coefficient's own fit
+        design = np.stack([rs**d for d in range(7)], axis=1)
+        scales = np.max(np.abs(design), axis=0)
+        coeffs, *_ = np.linalg.lstsq(design / scales, vals, rcond=None)
+        assert got == -float(coeffs[0] / scales[0])
+
+    @pytest.mark.parametrize("kind", list(TraceKind))
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_pipeline_trace(self, kind, k, monkeypatch):
+        shared = trace_from_pipeline(kind, k)
+        monkeypatch.setattr(greens, "_scaled_lstsq", self._regular_part_fit)
+        assert shared == trace_from_pipeline(kind, k)
+
+    def test_synthetic_regular_part(self, monkeypatch):
+        def f(r):
+            return 3.7 * r**-3 - 1.2 * r**-1 + 0.625 + 0.4 * r**2
+
+        cfg = RegularPartConfig(window=(3e-2, 0.5))
+        shared = regular_part(f, singular_orders=(-3, -1), config=cfg)
+        monkeypatch.setattr(greens, "_scaled_lstsq", self._regular_part_fit)
+        assert shared == regular_part(f, singular_orders=(-3, -1), config=cfg)
 
 
 class TestRegularPart:

@@ -92,7 +92,7 @@ class TestRecursion:
         table = closed_form_table(n, j + 1)
         assert table.value(j + 1, 2) * (j + 2) == table.value(j, 2) * (n + j + 2)
 
-    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 12])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 12])
     def test_recursion_matches_closed_form(self, n):
         assert recursion_matches_closed_form(n, 25)
 
