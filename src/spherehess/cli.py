@@ -569,7 +569,8 @@ def _suite_symbols(seed: int, tols: dict[str, float]) -> list[CheckResult]:
                 is symbols.FormDefiniteness.NEG_SEMIDEF
             )
         # The form at K = P, the projector normal to xi: t = u = n - 1.
-        null_res.append(abs((n - 1) * (lcof.a * (n - 1) + lcof.b)))
+        for cof in (lcof, dcof):
+            null_res.append(abs((n - 1) * (cof.a * (n - 1) + cof.b)))
     checks.append(CheckResult("semidefinite-at-s0",
                               "PASS" if semi_ok else "FAIL", 0.0, 0.0))
     checks.append(check_against("null-ray-value", _worst(null_res), 1e-12))

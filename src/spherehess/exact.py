@@ -20,6 +20,10 @@ _MIN_NORMAL = sys.float_info.min
 def rising(x: int | Fraction, length: int) -> Fraction:
     """Rising factorial x (x+1) ... (x+length-1) as an exact Fraction.
 
+    With x = p/q in lowest terms the product is prod(p + i q) / q**length:
+    one integer product and one normalisation, the same path for int and
+    Fraction starts.
+
     Args:
         x: start value (may be negative or rational).
         length: number of factors, >= 0.
@@ -29,10 +33,8 @@ def rising(x: int | Fraction, length: int) -> Fraction:
     """
     if length < 0:
         raise ValueError("rising factorial needs length >= 0")
-    out = Fraction(1)
-    for i in range(length):
-        out *= Fraction(x) + i
-    return out
+    p, q = x.numerator, x.denominator
+    return Fraction(math.prod(range(p, p + length * q, q)), q**length)
 
 
 def gamma_half_integer(twice: int) -> tuple[Fraction, bool]:

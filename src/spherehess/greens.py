@@ -502,8 +502,9 @@ def green_D2_printed_bracket(n: int, x_norm: float) -> float:
         raise DomainError(f"x_norm = {x_norm} must be positive and finite")
     k = (n - 1) // 2
     try:
-        bracket = _arctan_bracket(n, x_norm, k)
-        return _d2_prefactor(n, x_norm) * 2.0 * (-1) ** k * bracket
+        bracket, shift = _arctan_bracket(n, x_norm, k)
+        return math.ldexp(_d2_prefactor(n, x_norm) * 2.0 * (-1) ** k * bracket,
+                          -shift)
     except (OverflowError, ZeroDivisionError) as exc:
         raise _d2_range_error(n, x_norm) from exc
 
@@ -513,9 +514,10 @@ def _d2_range_error(n: int, x_norm: float) -> DomainError:
                        f"float range")
 
 
-def _arctan_bracket(n: int, x_norm: float, k: int) -> float:
-    """pi/2 - arctan X - sum_{j<k} (-1)^j X^{-2j-1}/(2j+1), summed as
-    :func:`green_D2_printed_bracket` describes."""
+def _arctan_bracket(n: int, x_norm: float, k: int) -> tuple[float, int]:
+    """(b, s) with b 2^-s = pi/2 - arctan X - sum_{j<k} (-1)^j X^{-2j-1}/(2j+1),
+    summed as :func:`green_D2_printed_bracket` describes; s = 0 unless the
+    series' first term is below the normal float range."""
     if x_norm < 1.5:
         atan = math.atan(x_norm)
         bracket = math.pi / 2 - atan
@@ -526,7 +528,7 @@ def _arctan_bracket(n: int, x_norm: float, k: int) -> float:
             magnitude += term
         rounding = sys.float_info.epsilon * magnitude
         if rounding <= 1e-9 * abs(bracket):
-            return bracket
+            return bracket, 0
         if x_norm <= 1.0:
             raise QuadratureFailure(
                 f"arctangent bracket loses precision at x_norm = {x_norm} "
@@ -545,8 +547,14 @@ def _arctan_bracket(n: int, x_norm: float, k: int) -> float:
 _SERIES_MAX_TERMS = 10**6
 
 
-def _arctan_series_remainder(t: float, k: int) -> float:
-    """sum_{j >= k} (-1)^j t^{2j+1} / (2j+1), convergent for 0 < t < 1.
+def _arctan_series_remainder(t: float, k: int) -> tuple[float, int]:
+    """(S, s) with S 2^-s = sum_{j >= k} (-1)^j t^{2j+1} / (2j+1), 0 < t < 1.
+
+    s = 0 unless t^{2k+1} is below the normal float range (t = 1e-150 at
+    k = 1 gives 1e-450, which rounds to 0).  There t = m 2^e is split with
+    0.5 <= m < 1, the sum starts from m^{2k+1} and s = -e (2k+1): every
+    term is scaled by the same power of two, and the caller applies 2^-s
+    once, to the finished value.
 
     The sum stops at the first term below 1e-18 times the partial sum.  The
     terms fall by at least t^2 per step, and every partial sum of two or more terms is
@@ -563,13 +571,16 @@ def _arctan_series_remainder(t: float, k: int) -> float:
             f"arctangent remainder series at t = {t} needs up to {budget} "
             f"terms after the first k = {k}, more than {_SERIES_MAX_TERMS}")
     total = 0.0
-    power = t ** (2 * k + 1)
+    power, shift = t ** (2 * k + 1), 0
+    if power < sys.float_info.min:
+        m, e = math.frexp(t)
+        power, shift = m ** (2 * k + 1), -e * (2 * k + 1)
     for j in range(k, k + budget):
         term = power / (2 * j + 1)
         total += term if j % 2 == 0 else -term
         power *= t * t
         if power < 1e-18 * (abs(total) + 1e-300) * (2 * j + 3):
-            return total
+            return total, shift
     raise QuadratureFailure(
         f"arctangent remainder series at t = {t} did not converge in {budget} "
         f"terms after the first k = {k}"
@@ -660,24 +671,36 @@ def _ode_rows(n: int, kind: str, rs) -> list[tuple[float, float]]:
 
     L (L-profile) = 0 and L (L2-profile) = L-profile.  Each profile is built
     once, and its value and derivatives are evaluated once per radius.
+    Raises DomainError naming the kind, n and r where a value, a derivative
+    or the residual overflows or is not finite, as the profile's own call
+    does.
     """
     prof = green_L_profile(n) if kind == "L" else green_L2_profile(n)
     rhs_prof = green_L_profile(n) if kind == "L2" else None
     rows = []
     for r in rs:
-        rhs = 0.0 if rhs_prof is None else rhs_prof.evaluate(r)
-        f0, f1, f2 = _radial_terms(prof, r)
-        val = _radial_L(n, r, f0, f1, f2)
-        scale = abs(f2) + abs(n * (n - 2) / 4 * f0) + abs(rhs)
-        rows.append((f0, abs(val - rhs) / max(scale, 1e-300)))
+        try:
+            rhs = 0.0 if rhs_prof is None else rhs_prof.evaluate(r)
+            f0, f1, f2 = _radial_terms(prof, r)
+            val = _radial_L(n, r, f0, f1, f2)
+            scale = abs(f2) + abs(n * (n - 2) / 4 * f0) + abs(rhs)
+            res = abs(val - rhs) / max(scale, 1e-300)
+        except OverflowError as exc:
+            raise DomainError(f"{kind} profile at n = {n}, r = {r!r} leaves the "
+                              f"float range") from exc
+        if not all(map(math.isfinite, (f0, f1, f2, rhs, res))):
+            raise DomainError(f"{kind} profile at n = {n}, r = {r!r} leaves the "
+                              f"float range: value {f0!r}, derivatives {f1!r}, "
+                              f"{f2!r}, ODE residual {res!r}")
+        rows.append((f0, res))
     return rows
 
 
 def ode_residual_L(n: int, rs) -> float:
     """Max relative residual of L (L-profile) = 0 over the sample radii.
 
-    NaN if any radius gives NaN (``nan_max`` propagates it; ``max`` would
-    drop it after the first element).
+    Raises DomainError where a radius gives a non-finite value, derivative
+    or residual (see :func:`_ode_rows`).
     """
     return nan_max(res for _, res in _ode_rows(n, "L", rs))
 
@@ -685,7 +708,7 @@ def ode_residual_L(n: int, rs) -> float:
 def ode_residual_L2(n: int, rs) -> float:
     """Max relative residual of L (L2-profile) = L-profile over the radii.
 
-    NaN if any radius gives NaN, as in :func:`ode_residual_L`.
+    Raises DomainError on a non-finite row, as :func:`ode_residual_L` does.
     """
     return nan_max(res for _, res in _ode_rows(n, "L2", rs))
 

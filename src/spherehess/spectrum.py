@@ -19,6 +19,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .errors import (
     DomainError,
@@ -131,6 +132,12 @@ class SpectrumTable:
         return self.entries[key]
 
 
+def _lowest_terms(a: int, b: int) -> tuple[int, int]:
+    """a / b (b != 0) as (numerator, denominator) in lowest terms, denominator > 0."""
+    g = gcd(a, b) if b > 0 else -gcd(a, b)
+    return a // g, b // g
+
+
 def _solve_lattice(n: int, j_max: int, seeds: dict[int, Fraction]) -> SpectrumTable:
     """Solve mu_gamma (d - n) = mu_beta (d + n) on the lattice j <= j_max.
 
@@ -141,6 +148,17 @@ def _solve_lattice(n: int, j_max: int, seeds: dict[int, Fraction]) -> SpectrumTa
     single worklist sweep from the seeds and the forced zeros fills every
     reachable mode along the nondegenerate edges; every edge relation is then
     re-checked exactly.
+
+    The sweep carries each value as a pair of ints (numerator, denominator)
+    in lowest terms with a positive denominator, and the re-check is the
+    cross-multiplied relation num_gamma lo den_beta == num_beta hi den_gamma,
+    the same relation in Q because both denominators are positive.  Only the
+    returned entries are ``Fraction``s.
+
+    Raises:
+        InconsistentSystem: a mode is reached from no seed or forced zero
+            ("unreached modes"), or a value breaks an edge relation ("edge
+            relation violated").
     """
     if j_max < 0:
         raise DomainError("j_max must be >= 0")
@@ -157,39 +175,43 @@ def _solve_lattice(n: int, j_max: int, seeds: dict[int, Fraction]) -> SpectrumTa
                 d = kappa(nodes[key]) - kappa(beta)
                 edges.append(((j, q), key, d - n, d + n))
 
-    values = {(0, q): Fraction(v) for q, v in seeds.items()}
-    # neighbours[node] lists (other, r) with mu_other = r * mu_node.
-    neighbours: dict[tuple[int, int], list[tuple[tuple[int, int], Fraction]]] = {
+    values = {(0, q): (v.numerator, v.denominator) for q, v in seeds.items()}
+    # neighbours[node] lists (other, a, b) with mu_other = mu_node * a / b,
+    # b > 0 and a / b in lowest terms.
+    neighbours: dict[tuple[int, int], list[tuple[tuple[int, int], int, int]]] = {
         key: [] for key in nodes
     }
     for beta, gamma, lo, hi in edges:
         if lo == 0 and hi != 0:
-            values.setdefault(beta, Fraction(0))
+            values.setdefault(beta, (0, 1))
         elif hi == 0 and lo != 0:
-            values.setdefault(gamma, Fraction(0))
+            values.setdefault(gamma, (0, 1))
         elif lo != 0 and hi != 0:
-            neighbours[beta].append((gamma, Fraction(hi, lo)))
-            neighbours[gamma].append((beta, Fraction(lo, hi)))
+            neighbours[beta].append((gamma, *_lowest_terms(hi, lo)))
+            neighbours[gamma].append((beta, *_lowest_terms(lo, hi)))
 
     pending = list(values)
     while pending:
         node = pending.pop()
-        for other, ratio in neighbours[node]:
+        num, den = values[node]
+        for other, a, b in neighbours[node]:
             if other not in values:
-                values[other] = values[node] * ratio
+                values[other] = _lowest_terms(num * a, den * b)
                 pending.append(other)
 
     missing = [t for key, t in nodes.items() if key not in values]
     if missing:
         raise InconsistentSystem(f"unreached modes: {missing}")
     for beta, gamma, lo, hi in edges:
-        if values[gamma] * lo != values[beta] * hi:
+        num_b, den_b = values[beta]
+        num_g, den_g = values[gamma]
+        if num_g * lo * den_b != num_b * hi * den_g:
             raise InconsistentSystem(
                 f"edge relation violated between (j={beta[0]}, q={beta[1]}) "
                 f"and (j={gamma[0]}, q={gamma[1]})"
             )
     return SpectrumTable(
-        dim_n=n, entries={t: values[key] for key, t in nodes.items()}
+        dim_n=n, entries={t: Fraction(*values[key]) for key, t in nodes.items()}
     )
 
 

@@ -1,7 +1,9 @@
 """Command-line interface: golden outputs, exit codes, determinism."""
 
+import dataclasses
 import json
 import shlex
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -19,6 +21,14 @@ n,j,q,branch,recursion_value,closed_form_value,equal
 4,2,0,T0,0,0,true
 4,2,1,T0,0,0,true
 4,2,2,T0,20160,20160,true
+# check,recursion-equals-closed-form,PASS,0.000e+00
+# report,spectrum,version,1.0.0
+"""
+
+# The last rows of ``spectrum --dim 12 --jmax 300 --format csv``: a large-j
+# cell, where the exact integers run to 39 digits.
+GOLDEN_SPECTRUM_CSV_TAIL = """\
+12,300,2,T0,342097555433808971444136610934292480000,342097555433808971444136610934292480000,true
 # check,recursion-equals-closed-form,PASS,0.000e+00
 # report,spectrum,version,1.0.0
 """
@@ -58,6 +68,13 @@ class TestGoldenOutputs:
         )
         assert code == 0
         assert out == GOLDEN_SPECTRUM_CSV
+
+    def test_spectrum_large_j_cell(self, capsys):
+        code, out, _ = _run(
+            capsys, "spectrum", "--dim", "12", "--jmax", "300", "--format", "csv"
+        )
+        assert code == 0
+        assert out.endswith("\n12,300,1,T0,0,0,true\n" + GOLDEN_SPECTRUM_CSV_TAIL)
 
     def test_traces_csv(self, capsys):
         code, out, _ = _run(capsys, "traces", "--kmax", "2", "--format", "csv")
@@ -202,6 +219,25 @@ class TestReadmeCommands:
         assert "Traceback" not in out + err
 
 
+class TestSymbolsSuite:
+    def test_null_ray_covers_the_d2_bracket(self, capsys, monkeypatch):
+        from spherehess import symbols
+
+        bracket_d2 = symbols.bracket_D2
+
+        def perturbed(n, s):
+            coeffs = bracket_d2(n, s)
+            return dataclasses.replace(coeffs, b=coeffs.b + Fraction(1, 1000))
+
+        monkeypatch.setattr(symbols, "bracket_D2", perturbed)
+        code, out, _ = _run(capsys, "verify", "--suite", "symbols", "--format", "json")
+        assert code == 1
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert checks["null-ray-value"]["status"] == "FAIL"
+        assert checks["null-ray-value"]["residual"] > 1e-12
+        assert checks["prefactor-vs-oracle"]["status"] == "PASS"
+
+
 class TestGreensSuite:
     CHECKS = [
         name
@@ -230,4 +266,14 @@ class TestGreensSuite:
         assert err.startswith("spherehess: computation failed: D2 value at "
                               "n = 401, x_norm = 0.151")
         assert err.endswith(" leaves the float range\n")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("profile", ["L", "L2"])
+    def test_l_profiles_outside_the_float_range_are_one_line(self, capsys, profile):
+        # L printed inf rows with a nan residual, L2 a bare OverflowError
+        code, out, err = _run(capsys, "greens", "--dim", "351", "--profile", profile)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"spherehess: computation failed: {profile} profile "
+                              "at n = 351, r = 0.3 leaves the float range")
         assert err.count("\n") == 1

@@ -31,6 +31,7 @@ from hypothesis import given, settings, strategies as st
 import spherehess
 from spherehess import greens
 from spherehess._nanmax import nan_max
+from spherehess.errors import DomainError
 from spherehess.cli import (
     ReportEnvelope,
     ResultTable,
@@ -245,20 +246,36 @@ class TestNonFiniteResiduals:
         with pytest.raises(ValueError):
             nan_max([])
 
-    def test_library_residual_keeps_a_late_nan(self):
-        # At n = 301 the L2 residual is NaN at r = 0.3, 2.8 and 3.0; from
-        # r = 0.4 on, the first NaN follows finite residuals.
+    def test_library_residual_raises_at_a_late_non_finite_row(self):
+        # At n = 301 the L2 row is not finite at r = 0.3, 2.8 and 3.0; from
+        # r = 0.4 on, the first such row follows finite ones.  It used to
+        # give a NaN residual, and now raises naming its radius.
         rs = _r_grid()[1:]
-        assert math.isnan(greens.ode_residual_L2(301, rs))
+        with pytest.raises(DomainError, match=(
+                r"^L2 profile at n = 301, r = 2.8 leaves the float range")):
+            greens.ode_residual_L2(301, rs)
 
-    def test_nan_residual_fails_and_prints_valid_json(self):
+    def test_non_finite_row_is_one_line_exit_one(self):
+        # At n = 301 the L profile's value overflows at r = 0.3 and its second
+        # derivative at r = 0.4; the command printed NaN residuals as a FAIL.
         proc = _python("-m", "spherehess", "greens", "--dim", "301",
                        "--profile", "L", "--format", "json")
         assert proc.returncode == 1, proc.stderr
-        doc = json.loads(proc.stdout, parse_constant=_reject_constant)
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            "spherehess: computation failed: L profile at n = 301, r = 0.3 "
+            "leaves the float range: value inf, derivatives -inf, inf, ODE "
+            "residual nan"]
+
+    def test_nan_residual_fails_and_prints_valid_json(self):
+        env = ReportEnvelope(
+            "greens", {}, ResultTable(("r",), (("0.30",),)),
+            (check_against("ode-residual-max", math.nan, 1e-8),),
+        )
+        doc = json.loads(render_report(env, "json"),
+                         parse_constant=_reject_constant)
         assert doc["status"] == "FAIL"
         [check] = doc["checks"]
-        assert check["name"] == "ode-residual-max"
         assert check["status"] == "FAIL"
         assert check["residual"] == "nan"
 
@@ -284,7 +301,9 @@ class TestArithmeticFailures:
         assert "Traceback" not in proc.stderr
         lines = proc.stderr.splitlines()
         assert len(lines) == 1
-        assert lines[0].startswith("spherehess: computation failed: OverflowError")
+        assert lines[0].startswith(f"spherehess: computation failed: {profile} "
+                                   "profile at n = 401, r = 0.3 leaves the float "
+                                   "range")
 
 
 class TestOptionSurface:

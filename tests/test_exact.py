@@ -28,6 +28,19 @@ class TestRising:
             expect *= start + i
         assert rising(Fraction(start), length) == expect
 
+    @given(st.one_of(st.integers(-20, 20),
+                     st.builds(Fraction, st.integers(-40, 40), st.integers(2, 9))
+                     .filter(lambda x: x.denominator > 1)),
+           st.integers(0, 12))
+    def test_integer_kernel_matches_fraction_loop(self, start, length):
+        # one integer product over q**length, for int and non-integer starts
+        expect = Fraction(1)
+        for i in range(length):
+            expect *= Fraction(start) + i
+        got = rising(start, length)
+        assert isinstance(got, Fraction)
+        assert got == expect
+
     def test_frozen_values(self):
         assert rising(Fraction(2), 4) == 2 * 3 * 4 * 5
         assert rising(Fraction(-3), 3) == -6

@@ -258,6 +258,13 @@ class TestOverflowingValues:
         with pytest.raises(DomainError, match=f"n = 301, r = {r} is {value}$"):
             green(301, r)
 
+    @pytest.mark.parametrize("residual", [ode_residual_L, ode_residual_L2])
+    def test_ode_rows_raise(self, residual):
+        kind = "L" if residual is ode_residual_L else "L2"
+        with pytest.raises(DomainError, match=(
+                rf"^{kind} profile at n = 351, r = 0.3 leaves the float range")):
+            residual(351, R_GRID)
+
     def test_d2_value_raises(self):
         with pytest.raises(DomainError, match="n = 301, x_norm = 5.0 is inf$"):
             green_D2(301, 5.0)
@@ -291,6 +298,20 @@ class TestD2AtLargeN:
             oracle = float(((1 + big_x**2) / 4) ** ((n - 1) // 2) / vol
                            * 2 * (-1) ** k * bracket)
         assert abs(green_D2(n, x) - oracle) <= 1e-12 * abs(oracle)
+
+    def test_first_series_term_below_the_float_range(self):
+        # t^3 = 1e-450 rounds to 0, and the value came back as -0.0; the
+        # literal bracket is 1e-450 beside pi/2, so the oracle carries 450
+        # digits on top of its 50
+        n, x = 3, 1e150
+        with mpmath.workdps(500):
+            big_x = mpmath.mpf(x)
+            bracket = mpmath.pi / 2 - mpmath.atan(big_x) - 1 / big_x
+            vol = 4 * mpmath.pi
+            oracle = float((1 + big_x**2) / 4 / vol * 2 * -bracket)
+        got = green_D2(n, x)
+        assert got > 0
+        assert abs(got - oracle) <= 1e-12 * oracle
 
     def test_series_budget_above_a_million_terms_is_refused(self):
         with pytest.raises(QuadratureFailure, match=(

@@ -5,9 +5,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spherehess.errors import DomainError, InvalidStep, NotAdjacent
+from spherehess.errors import DomainError, InconsistentSystem, InvalidStep, NotAdjacent
 from spherehess.ktypes import KType
 from spherehess.spectrum import (
+    _solve_lattice,
     HessianKind,
     StepDirection,
     classify_hessian,
@@ -105,6 +106,26 @@ class TestRecursion:
             for q in (-2, -1, 0, 1, 2):
                 assert table.value(j, q) == t0_eigenvalue(KType(3, j, q))
 
+    def test_rational_seed_scales_the_unit_table(self):
+        # a seed with a denominator, so the integer re-check sees one
+        unit = spectrum_generate(6, 30, Fraction(1)).entries
+        scaled = spectrum_generate(6, 30, Fraction(3, 7)).entries
+        assert scaled == {t: Fraction(3, 7) * v for t, v in unit.items()}
+
+    def test_warm_workload_identity(self):
+        table = spectrum_generate(12, 800, t0_eigenvalue(KType(12, 0, 2)))
+        assert closed_form_table(12, 800).entries == table.entries
+
+    def test_recheck_catches_a_seed_against_a_forced_zero(self):
+        # (0, 0) is forced to zero by its degenerate edge; a nonzero seed
+        # there wins the sweep and must fail the re-check
+        with pytest.raises(InconsistentSystem, match="edge relation violated"):
+            _solve_lattice(5, 3, {0: Fraction(1), 2: Fraction(1)})
+
+    def test_no_seed_leaves_modes_unreached(self):
+        with pytest.raises(InconsistentSystem, match="unreached modes"):
+            _solve_lattice(5, 3, {})
+
     def test_value_requires_tabulated_mode(self):
         table = spectrum_generate(4, 2, Fraction(1))
         with pytest.raises(DomainError):
@@ -121,6 +142,17 @@ class TestClosedForm:
         assert t0_eigenvalue(KType(n, j, 0)) == 0
         assert t0_eigenvalue(KType(n, j, 1)) == 0
         assert t0_eigenvalue(KType(n, j, 2)) > 0
+
+    @pytest.mark.parametrize("n", range(3, 14))
+    def test_table_is_the_pointwise_formula(self, n):
+        expect = {}
+        for j in range(61):
+            for q in _all_q(n):
+                value = Fraction(1)
+                for i in range(n):
+                    value *= Fraction(j + 2 + i) * (q - 1 + i)
+                expect[KType(n, j, q)] = value
+        assert closed_form_table(n, 60).entries == expect
 
     def test_three_sphere_mirror_zero(self):
         assert t0_eigenvalue(KType(3, 5, -1)) == 0
