@@ -621,8 +621,8 @@ def _suite_confgroup(n: int, seed: int, tols: dict[str, float]) -> list[CheckRes
         cov_res.append(cg.check_ahlfors_covariance(vec_field, phi, pts))
     chart_pts = rng.normal(size=(10, n)) * 0.8
     ker_worst = _worst(
-        float(np.max(np.abs(cg.ahlfors_chart(fld, x))))
-        for fld in cg.sphere_conformal_fields(n) for x in chart_pts
+        float(np.max(np.abs(cg._ahlfors_at(fld, chart_pts))))
+        for fld in cg.sphere_conformal_fields(n)
     )
     return [
         check_against("lorentz-form", lorentz, 1e-12),

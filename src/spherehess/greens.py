@@ -240,7 +240,9 @@ def tau_tail_quadrature(a: int, p: int, x: float) -> float:
     bits as ``scipy.integrate.quad``.  QuadratureFailure is raised when a
     piece reports a nonzero QUADPACK flag or the summed error estimate
     exceeds 1e-10 times max(1, |value|); its message names every piece's
-    interval, error estimate, flag and evaluation count.  The port is
+    interval, error estimate, flag and evaluation count.  It is raised too
+    when the tail underflows to 0 (x = 1e150 at a = 2, p = 1), since the
+    integrand is positive and 0 would be a quiet wrong value.  The port is
     imported here, at the only call site, so that importing the package
     and every command that does not run this twin stay free of it.
     """
@@ -270,6 +272,10 @@ def tau_tail_quadrature(a: int, p: int, x: float) -> float:
         raise QuadratureFailure(
             f"tail of tau^-{a} (1+tau^2)^-{p} from x = {x!r}: estimated error "
             f"{err:.3e} against bound {bound:.3e} ({detail})")
+    if val == 0.0:
+        raise QuadratureFailure(
+            f"tail of tau^-{a} (1+tau^2)^-{p} from x = {x!r} underflows to 0, "
+            f"but its integrand is positive")
     return val
 
 
@@ -453,8 +459,12 @@ def green_L2(n: int, r: float) -> float:
 
 
 def _d2_prefactor(n: int, x: float) -> float:
+    """((1+x^2)/4)^{(n-1)/2} / vol(S^{n-1}); OverflowError once x*x does."""
     omega = float(sphere_constants(n).boundary_volume)
-    return ((1.0 + x * x) / 4.0) ** ((n - 1) / 2.0) / omega
+    base = (1.0 + x * x) / 4.0
+    if base == math.inf:
+        raise OverflowError(f"x * x overflows at x = {x!r}")
+    return base ** ((n - 1) / 2.0) / omega
 
 
 def green_D2_profile(n: int) -> RadialGreen:
@@ -591,14 +601,16 @@ def green_D2_quadrature(n: int, x_norm: float) -> float:
     """Squared-Dirac Green value with the tail integral done by quadrature.
 
     Raises DomainError where the integrand, the prefactor or
-    1/vol(S^{n-1}) leaves the float range, as the closed form does.
+    1/vol(S^{n-1}) leaves the float range, as the closed form does (x*x in
+    the prefactor overflows from x = 1.35e154), and QuadratureFailure where
+    the tail underflows to 0 (x = 1e150 at n = 3).
     """
     _require_odd(n)
     if not 0 < x_norm < math.inf:
         raise DomainError(f"x_norm = {x_norm} must be positive and finite")
     try:
-        tail = tau_tail_quadrature(n - 1, 1, x_norm)
-        return _d2_prefactor(n, x_norm) * 2.0 * tail
+        prefactor = _d2_prefactor(n, x_norm)
+        return prefactor * 2.0 * tau_tail_quadrature(n - 1, 1, x_norm)
     except (OverflowError, ZeroDivisionError) as exc:
         raise _d2_range_error(n, x_norm) from exc
 

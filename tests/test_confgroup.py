@@ -1,13 +1,18 @@
 """Moebius action, conformal factors, tensor pairings, and the chart-level
 conformal Killing operator."""
 
+import json
 import math
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from spherehess import confgroup
+from spherehess._nanmax import nan_max
+from spherehess.cli import console_main
 from spherehess.errors import Degenerate, DomainError
 from spherehess.confgroup import (
     ChartMap,
@@ -41,6 +46,7 @@ from spherehess.confgroup import (
     polynomial_tensor_field,
     pullback_field,
     random_band_limited_field,
+    random_chart_map,
     random_moebius,
     sphere_conformal_fields,
     sphere_grid,
@@ -49,6 +55,10 @@ from spherehess.confgroup import (
     u_action,
 )
 from spherehess.exact import sphere_volume
+
+# ``verify --suite confgroup --format json`` stdout by its other options.
+_VERIFY_CONFGROUP_JSON = json.loads(
+    (Path(__file__).parent / "data" / "verify_confgroup_json.json").read_text())
 
 
 def _unit(rng, dim):
@@ -219,6 +229,100 @@ def _whole_grid_pairing(h, k, g):
     return g.integrate(np.einsum("nij,nij->n", h.sample(g), k.sample(g)))
 
 
+# The one-point chart code that the batched kernels replaced, kept as the
+# oracle of their bits: each primitive and each map walks one point, the
+# Ahlfors operator takes four field calls per axis, and the covariance
+# check loops over the points.
+_KIND = confgroup._PrimitiveKind
+
+
+def _pointwise_apply(prim, x):
+    if prim.kind is _KIND.TRANSLATION:
+        return x + prim.vector
+    if prim.kind is _KIND.DILATION:
+        return prim.scale * x
+    if prim.kind is _KIND.ROTATION:
+        return prim.rotation @ x
+    return x / float(x @ x)
+
+
+def _pointwise_frame(phi, x):
+    """(phi(x), J(x), mu(x)) by the map's own walks over its primitives."""
+    x = np.asarray(x, dtype=float)
+    dim = len(x)
+    jac, mu = np.eye(dim), 1.0
+    for prim in phi.primitives:
+        if prim.kind is _KIND.TRANSLATION:
+            step = np.eye(dim)
+        elif prim.kind is _KIND.DILATION:
+            step = prim.scale * np.eye(dim)
+            mu *= abs(prim.scale)
+        elif prim.kind is _KIND.ROTATION:
+            step = np.array(prim.rotation, dtype=float)
+        else:
+            r2 = float(x @ x)
+            step = (np.eye(dim) - 2.0 * np.outer(x, x) / r2) / r2
+            mu *= 1.0 / r2
+        jac = step @ jac
+        x = _pointwise_apply(prim, x)
+    return x, jac, mu
+
+
+def _pointwise_lambda(x):
+    return 2.0 / (1.0 + float(x @ x))
+
+
+def _pointwise_ahlfors(vec_field, x):
+    h = confgroup._FD_STEP
+    dim = len(x)
+    lam = _pointwise_lambda(x)
+    value = np.asarray(vec_field(x), dtype=float)
+    dmat = np.zeros((dim, dim))
+    for i in range(dim):
+        e = np.zeros(dim)
+        e[i] = h
+        fp2 = np.asarray(vec_field(x + 2 * e), dtype=float)
+        fp1 = np.asarray(vec_field(x + e), dtype=float)
+        fm1 = np.asarray(vec_field(x - e), dtype=float)
+        fm2 = np.asarray(vec_field(x - 2 * e), dtype=float)
+        dmat[i, :] = (-fp2 + 8 * fp1 - 8 * fm1 + fm2) / (12 * h)
+    lie = (-2.0 * lam**3 * float(x @ value) * np.eye(dim)
+           + lam**2 * (dmat + dmat.T))
+    div_g = float(np.trace(dmat)) - dim * lam * float(x @ value)
+    return lie - (2.0 / dim) * div_g * lam**2 * np.eye(dim)
+
+
+def _pointwise_covariance(vec_field, phi, points):
+    def pulled_field(x):
+        image, jac, _ = _pointwise_frame(phi, x)
+        return np.linalg.solve(jac, np.asarray(vec_field(image), float))
+
+    worst = 0.0
+    for x in np.asarray(points, dtype=float):
+        image, jac, mu = _pointwise_frame(phi, x)
+        omega = mu * _pointwise_lambda(image) / _pointwise_lambda(x)
+        lhs = jac.T @ _pointwise_ahlfors(vec_field, image) @ jac
+        lhs /= omega**2
+        rhs = _pointwise_ahlfors(pulled_field, x)
+        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+    return worst
+
+
+def _cubic_field(rng, n):
+    const = rng.normal(size=n)
+    lin = rng.normal(size=(n, n))
+    return lambda x: const + lin @ x + 0.3 * x * float(x @ x)
+
+
+def _seeded_chart_map(rng, n, inverted):
+    """random_chart_map, or one with two inversions between such maps."""
+    phi = random_chart_map(rng, n, max_log_scale=1.0)
+    if not inverted:
+        return phi
+    return compose_chart(phi, chart_inversion(), random_chart_map(rng, n, 0.5),
+                         chart_inversion())
+
+
 class TestSameBits:
     """The blocked, node-last kernels against the formulas they replace.
 
@@ -376,6 +480,82 @@ class TestSameBits:
         assert np.all(np.isfinite(pullback_field(flip, h).raw(g.nodes)))
 
 
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("inverted", [False, True])
+    def test_chart_frames_are_the_pointwise_walk(self, n, inverted):
+        rng = np.random.default_rng(100 + 10 * n + inverted)
+        phi = _seeded_chart_map(rng, n, inverted)
+        xs = rng.normal(size=(61, n)) * 0.7
+        images, jacs, mus = confgroup._chart_frames(phi, xs)
+        for x, image, jac, mu in zip(xs, images, jacs, mus):
+            want_image, want_jac, want_mu = _pointwise_frame(phi, x)
+            assert np.array_equal(image, want_image)
+            assert np.array_equal(jac, want_jac)
+            assert mu == want_mu
+            assert np.array_equal(phi.apply(x), want_image)
+            assert np.array_equal(phi.jacobian(x), want_jac)
+            assert phi.mu(x) == want_mu
+            assert phi.conformal_factor_round(x) == (
+                want_mu * _pointwise_lambda(want_image) / _pointwise_lambda(x))
+            assert chart_lambda(x) == _pointwise_lambda(x)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_covariance_is_the_pointwise_loop(self, n, seed):
+        # 16 maps per n, half of them with two inversions.
+        rng = np.random.default_rng(200 + 10 * n + seed)
+        vec_field = _cubic_field(rng, n)
+        phi = _seeded_chart_map(rng, n, seed % 2 == 1)
+        pts = rng.normal(size=(25, n)) * 0.7
+        want = _pointwise_covariance(vec_field, phi, pts)
+        assert check_ahlfors_covariance(vec_field, phi, pts) == want
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_covariance_calls_the_field_at_the_same_points(self, n):
+        # The same 2 P (4n+1) arguments, bit for bit, in a new order: the
+        # images' stencils first, then phi at every stencil point.
+        rng = np.random.default_rng(300 + n)
+        field = _cubic_field(rng, n)
+        phi = _seeded_chart_map(rng, n, True)
+        pts = rng.normal(size=(7, n)) * 0.7
+        seen = {"batched": [], "pointwise": []}
+
+        def recorder(key):
+            def vec_field(x):
+                seen[key].append(x.tobytes())
+                return field(x)
+            return vec_field
+
+        check_ahlfors_covariance(recorder("batched"), phi, pts)
+        _pointwise_covariance(recorder("pointwise"), phi, pts)
+        assert len(seen["batched"]) == 2 * len(pts) * (4 * n + 1)
+        assert sorted(seen["batched"]) == sorted(seen["pointwise"])
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_kernel_fields_worst_is_the_pointwise_worst(self, n):
+        # verify --suite confgroup takes one batched call per field.
+        rng = np.random.default_rng(400 + n)
+        pts = rng.normal(size=(10, n)) * 0.8
+        fields = sphere_conformal_fields(n)
+        got = nan_max(float(np.max(np.abs(confgroup._ahlfors_at(fld, pts))))
+                      for fld in fields)
+        want = nan_max(float(np.max(np.abs(_pointwise_ahlfors(fld, x))))
+                       for fld in fields for x in pts)
+        assert got == want
+        for x in pts[:3]:
+            assert np.array_equal(ahlfors_chart(fields[0], x),
+                                  _pointwise_ahlfors(fields[0], x))
+
+    @pytest.mark.parametrize("case", sorted(_VERIFY_CONFGROUP_JSON))
+    def test_verify_confgroup_output_is_unchanged(self, capsys, case):
+        # JSON prints every residual's repr; recorded with numpy 2.4.6 and
+        # OpenBLAS on x86-64 before the chart kernels were batched.
+        code = console_main(["verify", "--suite", "confgroup", *case.split(),
+                             "--format", "json"])
+        assert code == 0
+        assert capsys.readouterr().out == _VERIFY_CONFGROUP_JSON[case]
+
+
 class TestChart:
     def test_stereographic_round_trip(self):
         rng = np.random.default_rng(8)
@@ -474,3 +654,38 @@ class TestAhlfors:
         )
         pts = rng.normal(size=(50, n)) * 0.7
         assert check_ahlfors_covariance(vec_field, phi, pts) <= 1e-6
+
+    @pytest.mark.parametrize("points", [np.zeros(2), np.zeros((0, 2)),
+                                        np.zeros((2, 0)), np.zeros((3, 2, 1))])
+    def test_covariance_refuses_points_that_are_not_a_stack(self, points):
+        # A 1-D array died with a bare TypeError, and no rows gave 0.0.
+        message = (r"^points must be a non-empty \(P, n\) array, got shape "
+                   + re.escape(str(points.shape)) + "$")
+        with pytest.raises(DomainError, match=message):
+            check_ahlfors_covariance(lambda x: x, chart_dilation(1.5), points)
+
+    @pytest.mark.parametrize("phi, part", [
+        (chart_translation([0.1, 0.2, 0.3]), "translation of shape (3,)"),
+        (compose_chart(chart_dilation(2.0), chart_rotation(np.eye(3))),
+         "rotation of shape (3, 3)"),
+    ])
+    def test_covariance_refuses_a_width_the_map_does_not_fit(self, phi, part):
+        # Each died with a bare numpy ValueError.
+        with pytest.raises(DomainError, match=re.escape(
+                f"points of shape (4, 2) do not fit the chart map's {part}")):
+            check_ahlfors_covariance(lambda x: x, phi, np.ones((4, 2)))
+
+    def test_inversion_at_a_stencil_point_is_degenerate(self):
+        # x + h e_0 is the origin, a point of the pulled field's stencil.
+        x = np.array([[-confgroup._FD_STEP, 0.0]])
+        with pytest.raises(Degenerate, match="^inversion applied at the origin$"):
+            check_ahlfors_covariance(lambda x: x, chart_inversion(), x)
+
+    def test_a_nan_residual_is_not_dropped(self):
+        # The point loop folded with the builtin max, which keeps 0.0 beside
+        # a NaN: this check returned 6.3e-12 from its first point alone.
+        def vec_field(x):
+            return x * np.nan if x[0] > 0.5 else x
+
+        pts = np.array([[0.1, 0.2], [0.9, 0.1]])
+        assert math.isnan(check_ahlfors_covariance(vec_field, chart_dilation(1.5), pts))

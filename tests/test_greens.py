@@ -271,10 +271,12 @@ class TestOverflowingValues:
 
     # A power of x_norm overflows at (401, 0.15) and vol(S^{n-1}) underflows
     # to 0 at n = 501 and 1001.  Each used to escape as a bare OverflowError
-    # or ZeroDivisionError.
+    # or ZeroDivisionError.  At (3, 2e154) the prefactor's x * x overflows;
+    # the bracket gave inf, the quadrature twin nan.
     @pytest.mark.parametrize("route", [green_D2, green_D2_printed_bracket,
                                        green_D2_quadrature])
-    @pytest.mark.parametrize("n, x", [(401, 0.15), (501, 2.0), (1001, 1.001)])
+    @pytest.mark.parametrize("n, x", [(401, 0.15), (501, 2.0), (1001, 1.001),
+                                      (3, 2e154)])
     def test_d2_outside_the_float_range_raises(self, route, n, x):
         with pytest.raises(DomainError, match=(
                 rf"^D2 value at n = {n}, x_norm = {re.escape(repr(x))} "
@@ -312,6 +314,16 @@ class TestD2AtLargeN:
         got = green_D2(n, x)
         assert got > 0
         assert abs(got - oracle) <= 1e-12 * oracle
+
+    @pytest.mark.parametrize("x, value", [(1e150, 1.33e-152), (1e154, 1.33e-156)])
+    def test_quadrature_tail_below_the_float_range_is_refused(self, x, value):
+        # The twin's tail, about x^-3/3, underflows to 0, and the twin gave a
+        # quiet 0.0; the bracket keeps its value.
+        with pytest.raises(QuadratureFailure, match=(
+                r"^tail of tau\^-2 \(1\+tau\^2\)\^-1 from x = "
+                + re.escape(repr(x)) + " underflows to 0")):
+            green_D2_quadrature(3, x)
+        assert green_D2(3, x) == pytest.approx(value, rel=1e-3)
 
     def test_series_budget_above_a_million_terms_is_refused(self):
         with pytest.raises(QuadratureFailure, match=(
