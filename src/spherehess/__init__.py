@@ -41,8 +41,7 @@ _EXPORTS = {
     "exact": ("ExactConst", "gamma_half_integer", "rising", "sphere_volume"),
     "ktypes": (
         "DominantWeight", "KType", "branches", "bundle_ktypes_bruteforce",
-        "bundle_weights", "enumerate_bundle_ktypes", "enumerate_bundle_ktypes3",
-        "is_dominant",
+        "bundle_weights", "is_dominant",
     ),
     "spectrum": (
         "Classification", "HessianKind", "SpectrumTable", "StepDirection",

@@ -482,7 +482,7 @@ def cmd_qsymbol(n: int, seed: int) -> ReportEnvelope:
 # ---------------------------------------------------------------------------
 
 
-def _suite_spectrum(seed: int, tols: dict[str, float]) -> list[CheckResult]:
+def _suite_spectrum(dim: int, seed: int, tols: dict[str, float]) -> list[CheckResult]:
     from .spectrum import (
         _recursion_table,
         closed_form_table,
@@ -501,7 +501,7 @@ def _suite_spectrum(seed: int, tols: dict[str, float]) -> list[CheckResult]:
     ]
 
 
-def _suite_greens(seed: int, tols: dict[str, float]) -> list[CheckResult]:
+def _suite_greens(dim: int, seed: int, tols: dict[str, float]) -> list[CheckResult]:
     from . import greens
 
     checks = []
@@ -536,7 +536,7 @@ def _suite_greens(seed: int, tols: dict[str, float]) -> list[CheckResult]:
     return checks
 
 
-def _suite_symbols(seed: int, tols: dict[str, float]) -> list[CheckResult]:
+def _suite_symbols(dim: int, seed: int, tols: dict[str, float]) -> list[CheckResult]:
     from . import symbols
 
     checks = []
@@ -577,7 +577,7 @@ def _suite_symbols(seed: int, tols: dict[str, float]) -> list[CheckResult]:
     return checks
 
 
-def _suite_qcurv(seed: int, tols: dict[str, float]) -> list[CheckResult]:
+def _suite_qcurv(dim: int, seed: int, tols: dict[str, float]) -> list[CheckResult]:
     ok = _q_symbol_identity_holds(seed, (4, 6, 8), 25)
     return [CheckResult("q-symbol-identity-n468",
                         "PASS" if ok else "FAIL", 0.0, 0.0)]
@@ -634,31 +634,23 @@ def _suite_confgroup(n: int, seed: int, tols: dict[str, float]) -> list[CheckRes
     ]
 
 
+# Each verify suite and the options it reads besides --seed: a tolerance it
+# does not read is a usage error, and only a suite that reads "dim" reports it.
 _SUITES = {
-    "spectrum": _suite_spectrum,
-    "greens": _suite_greens,
-    "symbols": _suite_symbols,
-    "qcurv": _suite_qcurv,
-    "confgroup": None,  # needs dim; dispatched in cmd_verify
-}
-
-# The tolerances each verify suite reads; passing another is a usage error.
-_SUITE_TOLERANCES = {
-    "spectrum": (),
-    "greens": ("tol_ode", "tol_quad"),
-    "symbols": (),
-    "qcurv": (),
-    "confgroup": ("tol_conf",),
+    "spectrum": (_suite_spectrum, ()),
+    "greens": (_suite_greens, ("tol_ode", "tol_quad")),
+    "symbols": (_suite_symbols, ()),
+    "qcurv": (_suite_qcurv, ()),
+    "confgroup": (_suite_confgroup, ("dim", "tol_conf")),
 }
 
 
 def cmd_verify(suite: str, dim: int, seed: int, tols: dict[str, float]) -> ReportEnvelope:
+    run, reads = _SUITES[suite]
     params = {"suite": suite, "seed": str(seed)}
-    if suite == "confgroup":
+    if "dim" in reads:
         params["dim"] = str(dim)
-        checks = _suite_confgroup(dim, seed, tols)
-    else:
-        checks = _SUITES[suite](seed, tols)
+    checks = run(dim, seed, tols)
     notes = tuple(
         f"{c.name}: {c.status} (residual {_fmt_res(c.residual)})" for c in checks
     )
@@ -737,7 +729,7 @@ def _dispatch(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Repo
              if getattr(args, name, None) is not None}
     if args.command == "verify":
         for name in given:
-            if name not in _SUITE_TOLERANCES[args.suite]:
+            if name not in _SUITES[args.suite][1]:
                 parser.error(f"{_flag(name)} is not read by --suite {args.suite}")
     if "seed" in args and args.seed < 0:
         parser.error("--seed must be >= 0")

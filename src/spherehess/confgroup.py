@@ -739,16 +739,6 @@ class ChartPrimitive:
         outer = xs[:, :, None] * xs[:, None, :]
         return xs / r2[:, None], (np.eye(dim) - 2.0 * outer / r2_mat) / r2_mat, 1.0 / r2
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return ChartMap((self,)).apply(x)
-
-    def jacobian(self, x: np.ndarray) -> np.ndarray:
-        return ChartMap((self,)).jacobian(x)
-
-    def mu(self, x: np.ndarray) -> float:
-        """Flat conformal scale: J^T J = mu^2 Id."""
-        return ChartMap((self,)).mu(x)
-
 
 def _chart_frames(phi: ChartMap, xs: np.ndarray):
     """(phi(x), J(x), mu(x)) at the rows of an (M, n) array, in one walk.
@@ -770,22 +760,31 @@ def _chart_frames(phi: ChartMap, xs: np.ndarray):
 
 @dataclass(frozen=True)
 class ChartMap:
-    """Composition of chart primitives (applied left to right)."""
+    """Composition of chart primitives (applied left to right).
+
+    The one-point methods raise DomainError, as
+    :func:`check_ahlfors_covariance` does, where the point's width does not
+    fit a translation or a rotation.
+    """
 
     primitives: tuple[ChartPrimitive, ...]
 
+    def _frames_at(self, x: np.ndarray):
+        return _chart_frames(self, _chart_points(self, _one_point(x)))
+
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return _chart_frames(self, _one_point(x))[0][0]
+        return self._frames_at(x)[0][0]
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
-        return np.array(_chart_frames(self, _one_point(x))[1][0])
+        return np.array(self._frames_at(x)[1][0])
 
     def mu(self, x: np.ndarray) -> float:
-        return float(_chart_frames(self, _one_point(x))[2][0])
+        """Flat conformal scale: J^T J = mu^2 Id."""
+        return float(self._frames_at(x)[2][0])
 
     def conformal_factor_round(self, x: np.ndarray) -> float:
         """Omega with phi^*(lambda^2 delta) = Omega^2 lambda^2 delta."""
-        xs = _one_point(x)
+        xs = _chart_points(self, _one_point(x))
         images, _, mu = _chart_frames(self, xs)
         return float((mu * _lambdas(images) / _lambdas(xs))[0])
 

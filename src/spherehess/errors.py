@@ -1,5 +1,12 @@
 """Shared exception types."""
 
+__all__ = [
+    "SphereHessError", "RankMismatch", "UnsupportedSigma", "InvalidStep",
+    "NotAdjacent", "InconsistentSystem", "DomainError", "QuadratureFailure",
+    "FitUnstable", "ParityError", "ZeroCovector", "PreconditionViolation",
+    "Degenerate",
+]
+
 
 class SphereHessError(Exception):
     """Base class for all library errors."""

@@ -14,6 +14,9 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
+__all__ = ["rising", "gamma_half_integer", "ExactConst", "sphere_volume_exact",
+           "sphere_volume"]
+
 _MIN_NORMAL = sys.float_info.min
 
 

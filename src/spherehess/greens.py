@@ -77,7 +77,6 @@ __all__ = [
     "green_L",
     "green_L2",
     "green_D2",
-    "green_D2_printed_bracket",
     "green_D2_quadrature",
     "green_D2_closed3",
     "chart_radius",
@@ -294,9 +293,6 @@ class RadialGreen:
         singular_orders: exponents of the negative powers of r present in the
             short-distance expansion (used by the regular-part fit).
         evaluate / d1 / d2: value and first/second r-derivatives.
-        closed_form_params: exact rational data of the arctangent /
-            partial-fraction antiderivative backing the profile (None when
-            the profile is a pure power).
 
     Profiles are defined on (0, pi); the pure-power "L" profile extends to
     r = pi, where the others are limits of an indeterminate product.
@@ -309,7 +305,6 @@ class RadialGreen:
     evaluate: Callable[[float], float]
     d1: Callable[[float], float] | None = None
     d2: Callable[[float], float] | None = None
-    closed_form_params: TauTailIntegral | None = None
 
     def __call__(self, r: float) -> float:
         hi_ok = r <= math.pi if self.kind == "L" else r < math.pi
@@ -443,13 +438,7 @@ def green_L2_profile(n: int) -> RadialGreen:
 
     orders = tuple(range(4 - n, 0, 2)) if n >= 5 else ()
     return RadialGreen(
-        dim_n=n,
-        kind="L2",
-        singular_orders=orders,
-        evaluate=ev,
-        d1=d1,
-        d2=d2,
-        closed_form_params=i_int,
+        dim_n=n, kind="L2", singular_orders=orders, evaluate=ev, d1=d1, d2=d2
     )
 
 
@@ -472,6 +461,12 @@ def green_D2_profile(n: int) -> RadialGreen:
 
     G(r) = (1/vol(S^{n-1})) ((1+X^2)/4)^{(n-1)/2} * J(X),  X = tan(r/2),
     J(X) = int_X^inf 2 tau^{1-n} (1+tau^2)^{-1} dtau.
+
+    J is the exact partial-fraction tail, not the arctangent bracket of
+    :func:`green_D2`: the trace pipeline fits this profile at r <= 0.1, and
+    routed through :func:`green_D2` its k = 2 residual against the spectral
+    trace grows from 4.13e-6 to 1.48e-5, past the 1e-5 bound of the
+    ``pipeline-vs-spectral-D2-k2`` check.
     """
     _require_odd(n)
     j_int = tau_tail_exact(n - 1, 1)
@@ -481,17 +476,11 @@ def green_D2_profile(n: int) -> RadialGreen:
         return _d2_prefactor(n, x) * 2.0 * j_int.value(x)
 
     orders = tuple(range(2 - n, 0, 2))
-    return RadialGreen(
-        dim_n=n,
-        kind="D2",
-        singular_orders=orders,
-        evaluate=ev,
-        closed_form_params=j_int,
-    )
+    return RadialGreen(dim_n=n, kind="D2", singular_orders=orders, evaluate=ev)
 
 
-def green_D2_printed_bracket(n: int, x_norm: float) -> float:
-    """Squared-Dirac Green value from the arctangent-bracket closed form.
+def green_D2(n: int, x_norm: float) -> float:
+    """Squared-Dirac Green value as a function of the chart radius |x|.
 
     With k = (n-1)/2 and X = |x| the tail integral reduces to
 
@@ -503,9 +492,15 @@ def green_D2_printed_bracket(n: int, x_norm: float) -> float:
     holds for every X at n <= 13 and first fails at n = 27, just below
     X = 1.5.  Elsewhere with X > 1 the bracket is summed as the arctangent
     series remainder; at X <= 1, where that series does not converge, the
-    literal form raises QuadratureFailure instead.  Where a power of X, the
-    prefactor or 1/vol(S^{n-1}) leaves the float range (vol(S^{n-1}) rounds
-    to 0 from n = 457 on) it raises DomainError.
+    literal form raises QuadratureFailure instead.  Where the prefactor
+    alone leaves the float range (n = 41, X = 1e8, where the value is
+    7.7e-15), (1+X^2)/4 = m 2^e is raised as m^k and 2^(ek) is applied to
+    the finished value; that route refuses n >= 439, where 1/vol(S^{n-1})
+    overflows.  Where a power of X, x*x or the value leaves the float
+    range, or vol(S^{n-1}) rounds to 0 (from n = 457 on), it raises
+    DomainError.  The quadrature twin :func:`green_D2_quadrature` is
+    compared with it in the tests and in ``verify --suite greens``, not on
+    every call.
     """
     _require_odd(n)
     if not 0 < x_norm < math.inf:
@@ -513,8 +508,21 @@ def green_D2_printed_bracket(n: int, x_norm: float) -> float:
     k = (n - 1) // 2
     try:
         bracket, shift = _arctan_bracket(n, x_norm, k)
-        return math.ldexp(_d2_prefactor(n, x_norm) * 2.0 * (-1) ** k * bracket,
-                          -shift)
+        try:
+            value = _d2_prefactor(n, x_norm) * 2.0 * (-1) ** k * bracket
+        except OverflowError:
+            value = math.inf
+        if math.isinf(value):
+            omega = float(sphere_constants(n).boundary_volume)
+            if omega < sys.float_info.min:
+                raise OverflowError(f"1 / vol(S^{n - 1}) overflows")
+            m, e = math.frexp((1.0 + x_norm * x_norm) / 4.0)
+            value = m ** k / omega * 2.0 * (-1) ** k * bracket
+            shift -= e * k
+        value = math.ldexp(value, -shift)
+        if math.isinf(value):
+            raise OverflowError(f"the value or x * x overflows at x = {x_norm!r}")
+        return value
     except (OverflowError, ZeroDivisionError) as exc:
         raise _d2_range_error(n, x_norm) from exc
 
@@ -526,8 +534,8 @@ def _d2_range_error(n: int, x_norm: float) -> DomainError:
 
 def _arctan_bracket(n: int, x_norm: float, k: int) -> tuple[float, int]:
     """(b, s) with b 2^-s = pi/2 - arctan X - sum_{j<k} (-1)^j X^{-2j-1}/(2j+1),
-    summed as :func:`green_D2_printed_bracket` describes; s = 0 unless the
-    series' first term is below the normal float range."""
+    summed as :func:`green_D2` describes; s = 0 unless the series' first
+    term is below the normal float range."""
     if x_norm < 1.5:
         atan = math.atan(x_norm)
         bracket = math.pi / 2 - atan
@@ -601,33 +609,20 @@ def green_D2_quadrature(n: int, x_norm: float) -> float:
     """Squared-Dirac Green value with the tail integral done by quadrature.
 
     Raises DomainError where the integrand, the prefactor or
-    1/vol(S^{n-1}) leaves the float range, as the closed form does (x*x in
-    the prefactor overflows from x = 1.35e154), and QuadratureFailure where
+    1/vol(S^{n-1}) leaves the float range (x*x in the prefactor overflows
+    from x = 1.35e154, as in :func:`green_D2`), and QuadratureFailure where
     the tail underflows to 0 (x = 1e150 at n = 3).
     """
     _require_odd(n)
     if not 0 < x_norm < math.inf:
         raise DomainError(f"x_norm = {x_norm} must be positive and finite")
     try:
-        prefactor = _d2_prefactor(n, x_norm)
-        return prefactor * 2.0 * tau_tail_quadrature(n - 1, 1, x_norm)
+        value = _d2_prefactor(n, x_norm) * 2.0 * tau_tail_quadrature(n - 1, 1, x_norm)
+        if math.isinf(value):
+            raise OverflowError(f"the prefactor or the value overflows at x = {x_norm!r}")
+        return value
     except (OverflowError, ZeroDivisionError) as exc:
         raise _d2_range_error(n, x_norm) from exc
-
-
-def green_D2(n: int, x_norm: float) -> float:
-    """Squared-Dirac Green value as a function of the chart radius |x|.
-
-    Returns the arctangent-bracket closed form, which raises
-    QuadratureFailure where its rounding estimate exceeds 1e-9 relative,
-    and DomainError on a non-finite value.  The quadrature twin
-    :func:`green_D2_quadrature` is compared with it in the tests and in
-    ``verify --suite greens``, not on every call.
-    """
-    value = green_D2_printed_bracket(n, x_norm)
-    if not math.isfinite(value):
-        raise DomainError(f"D2 value at n = {n}, x_norm = {x_norm!r} is {value!r}")
-    return value
 
 
 def green_D2_closed3(r: float) -> float:

@@ -20,8 +20,7 @@ __all__ = [
     "KType",
     "is_dominant",
     "branches",
-    "enumerate_bundle_ktypes",
-    "enumerate_bundle_ktypes3",
+    "bundle_weights",
     "bundle_ktypes_bruteforce",
     "dominant_weights_upto",
 ]
@@ -158,73 +157,24 @@ class KType:
         return pad_weight((2 + self.j, self.q), self.dim_n + 1)
 
 
-def enumerate_bundle_ktypes(
-    sigma: DominantWeight, n: int, j_max: int
-) -> list[KType]:
-    """All K-types of the bundle labeled by ``sigma`` with first entry bounded.
-
-    ``sigma`` must be the SO(n)-weight (1, 0, ...) or (2, 0, ...).  For
-    sigma = (2,...): the family {(2+j, q) : 0 <= j <= j_max, q in {0,1,2}}.
-    For sigma = (1,...): the family {(1+l, r) : 0 <= l <= j_max, r in {0,1}},
-    encoded as KType(j=l-1, q=r) only where the (2+j, q) labeling applies;
-    the list is returned as raw weights via :func:`bundle_weights`.
-
-    Only n >= 4 is handled here; use :func:`enumerate_bundle_ktypes3` for the
-    five-branch situation on the 3-sphere.
-    """
-    if n < 4:
-        raise DomainError("use enumerate_bundle_ktypes3 for n = 3")
-    head = _sigma_head(sigma, n)
-    if head == (2,):
-        return [
-            KType(dim_n=n, j=j, q=q)
-            for j in range(j_max + 1)
-            for q in q_range(n)
-        ]
-    raise UnsupportedSigma(
-        f"sigma with leading entries {head} is not one of the supported "
-        "bundles (only (2, 0, ...) yields KType objects; "
-        "use bundle_weights for (1, 0, ...))"
-    )
-
-
 def bundle_weights(
     sigma: DominantWeight, n: int, first_max: int
 ) -> set[tuple[int, int]]:
     """Leading two weight entries (a, b) of all SO(n+1)-types over ``sigma``.
 
-    For sigma = (1, 0, ...): {(1+l, r) : l >= 0, r in {0, 1}} with a <= first_max.
-    For sigma = (2, 0, ...): {(2+j, q) : j >= 0, q in {0, 1, 2}} with a <= first_max.
+    For sigma = (s, 0, ...) interlacing gives a >= s >= b, and b >= 0 for
+    n >= 4; on the 3-sphere SO(4) has rank two and b runs over -s..s.  So the
+    family is {(a, b) : s <= a <= first_max, b in range(-s if n == 3 else 0,
+    s + 1)}: for s = 2 the tensor modes (2+j, q) with q in :func:`q_range`.
     """
-    head = _sigma_head(sigma, n)
-    if head == (1,):
-        return {
-            (1 + ell, r)
-            for ell in range(first_max)
-            for r in (0, 1)
-            if 1 + ell <= first_max
-        }
-    if head == (2,):
-        return {
-            (2 + j, q)
-            for j in range(first_max - 1)
-            for q in (0, 1, 2)
-            if 2 + j <= first_max
-        }
-    raise UnsupportedSigma(f"unsupported sigma head {head}")
-
-
-def enumerate_bundle_ktypes3(j_max: int) -> list[KType]:
-    """K-types over the 3-sphere: the five branches q in {-2,...,2}.
-
-    SO(4) has rank two, so the second weight entry carries a sign and the
-    single family splits into mirror pairs.
-    """
-    return [
-        KType(dim_n=3, j=j, q=q)
-        for j in range(j_max + 1)
-        for q in q_range(3)
-    ]
+    if n < 3:
+        raise DomainError(f"n must be >= 3, got {n}")
+    (s,) = _sigma_head(sigma, n)
+    return {
+        (a, b)
+        for a in range(s, first_max + 1)
+        for b in range(-s if n == 3 else 0, s + 1)
+    }
 
 
 def _sigma_head(sigma: DominantWeight, n: int) -> tuple[int, ...]:

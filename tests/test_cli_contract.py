@@ -171,8 +171,7 @@ _PUBLIC = {
         ZeroCovector""",
     "exact": "ExactConst gamma_half_integer rising sphere_volume",
     "ktypes": """DominantWeight KType branches bundle_ktypes_bruteforce
-        bundle_weights enumerate_bundle_ktypes enumerate_bundle_ktypes3
-        is_dominant""",
+        bundle_weights is_dominant""",
     "spectrum": """Classification HessianKind SpectrumTable StepDirection
         classify_hessian closed_form_table kappa kappa_inner_product kappa_step
         recursion_matches_closed_form spectrum_generate spectrum_generate3
@@ -216,6 +215,13 @@ class TestLazyExports:
         listed = set(dir(spherehess))
         assert _PUBLIC_NAMES | set(_PUBLIC) <= listed
         assert "__version__" in listed
+
+    @pytest.mark.parametrize("module", sorted(_PUBLIC))
+    def test_exports_agree_with_the_submodule_all(self, module):
+        sub = importlib.import_module(f"spherehess.{module}")
+        assert set(spherehess._EXPORTS[module]) <= set(sub.__all__)
+        for name in sub.__all__:
+            assert hasattr(sub, name), name
 
     @pytest.mark.parametrize("name", ["annotations", "cg", "no_such_name"])
     def test_unknown_name_raises_attribute_error(self, name):

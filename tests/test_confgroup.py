@@ -675,6 +675,17 @@ class TestAhlfors:
                 f"points of shape (4, 2) do not fit the chart map's {part}")):
             check_ahlfors_covariance(lambda x: x, phi, np.ones((4, 2)))
 
+    @pytest.mark.parametrize("phi, part", [
+        (chart_translation([1.0, 2.0, 3.0]), "translation of shape (3,)"),
+        (chart_rotation(np.eye(3)), "rotation of shape (3, 3)"),
+    ])
+    def test_one_point_methods_refuse_a_width_the_map_does_not_fit(self, phi, part):
+        # Each died with a bare numpy ValueError.
+        for method in (phi.apply, phi.jacobian, phi.mu, phi.conformal_factor_round):
+            with pytest.raises(DomainError, match=re.escape(
+                    f"points of shape (1, 2) do not fit the chart map's {part}")):
+                method(np.ones(2))
+
     def test_inversion_at_a_stencil_point_is_degenerate(self):
         # x + h e_0 is the origin, a point of the pulled field's stencil.
         x = np.array([[-confgroup._FD_STEP, 0.0]])

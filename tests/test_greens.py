@@ -20,7 +20,6 @@ from spherehess.greens import (
     chart_radius,
     green_D2,
     green_D2_closed3,
-    green_D2_printed_bracket,
     green_D2_quadrature,
     green_L,
     green_L2,
@@ -173,10 +172,6 @@ class TestGreenL2:
     def test_defining_ode(self, n):
         assert ode_residual_L2(n, R_GRID) <= 1e-8
 
-    def test_profile_carries_exact_tail_integral(self):
-        prof = green_L2_profile(5)
-        assert prof.closed_form_params is not None
-
     def test_three_sphere_has_no_singular_part(self):
         assert green_L2_profile(3).singular_orders == ()
         assert green_L2_profile(5).singular_orders == (-1,)
@@ -192,15 +187,9 @@ class TestGreenD2:
     def test_dual_route_agreement(self, n):
         for r in R_GRID:
             x = chart_radius(r)
-            a = green_D2_printed_bracket(n, x)
+            a = green_D2(n, x)
             b = green_D2_quadrature(n, x)
             assert abs(a - b) <= 1e-9 * max(abs(a), abs(b))
-
-    @pytest.mark.parametrize("n", range(3, 14, 2))
-    def test_value_is_the_printed_bracket(self, n):
-        for r in R_GRID:
-            x = chart_radius(r)
-            assert green_D2(n, x) == green_D2_printed_bracket(n, x)
 
     @pytest.mark.parametrize("n,x", [(35, 1.45), (41, 1.45), (51, 1.3), (51, 1.49)])
     def test_cancelling_bracket_is_summed_as_the_series(self, n, x):
@@ -222,7 +211,7 @@ class TestGreenD2:
         # beyond x = 1.5; both routes must still agree to near machine level
         for n in (3, 5, 7, 9):
             for x in (2.0, 8.0, 30.0, 120.0):
-                a = green_D2_printed_bracket(n, x)
+                a = green_D2(n, x)
                 b = green_D2_quadrature(n, x)
                 assert abs(a - b) <= 1e-11 * max(abs(a), abs(b))
 
@@ -243,7 +232,7 @@ class TestGreenD2:
         # at x = 1 (r = pi/2) the n = 3 bracket contributes 2 (1 - pi/4)
         # and the chart prefactor is ((1 + x^2)/4) / vol(S^2) = 1/(8 pi)
         expected = (1 / (8 * math.pi)) * 2 * (1 - math.pi / 4)
-        assert green_D2_printed_bracket(3, 1.0) == pytest.approx(expected, rel=1e-14)
+        assert green_D2(3, 1.0) == pytest.approx(expected, rel=1e-14)
 
 
 class TestOverflowingValues:
@@ -266,15 +255,16 @@ class TestOverflowingValues:
             residual(351, R_GRID)
 
     def test_d2_value_raises(self):
-        with pytest.raises(DomainError, match="n = 301, x_norm = 5.0 is inf$"):
-            green_D2(301, 5.0)
+        # about 1e393; (301, 5.0), which once raised here too, is 7.9e95
+        with pytest.raises(DomainError, match=(
+                "n = 301, x_norm = 0.1 leaves the float range$")):
+            green_D2(301, 0.1)
 
     # A power of x_norm overflows at (401, 0.15) and vol(S^{n-1}) underflows
     # to 0 at n = 501 and 1001.  Each used to escape as a bare OverflowError
     # or ZeroDivisionError.  At (3, 2e154) the prefactor's x * x overflows;
     # the bracket gave inf, the quadrature twin nan.
-    @pytest.mark.parametrize("route", [green_D2, green_D2_printed_bracket,
-                                       green_D2_quadrature])
+    @pytest.mark.parametrize("route", [green_D2, green_D2_quadrature])
     @pytest.mark.parametrize("n, x", [(401, 0.15), (501, 2.0), (1001, 1.001),
                                       (3, 2e154)])
     def test_d2_outside_the_float_range_raises(self, route, n, x):
@@ -300,6 +290,31 @@ class TestD2AtLargeN:
             oracle = float(((1 + big_x**2) / 4) ** ((n - 1) // 2) / vol
                            * 2 * (-1) ** k * bracket)
         assert abs(green_D2(n, x) - oracle) <= 1e-12 * abs(oracle)
+
+    # The prefactor alone leaves the float range here (it used to raise
+    # "is inf" or "leaves the float range"), the value does not.  The oracle
+    # writes the tail as a hypergeometric function, not as the bracket.
+    @pytest.mark.parametrize("n, x, value", [
+        (41, 1e8, 7.7e-15), (29, 1.78e11, 1.0e-18), (301, 5.0, 7.9e95),
+        (101, 1e100, 2.6e-94), (437, 3.0, 2.77e182)])
+    def test_overflowing_prefactor_is_scaled(self, n, x, value):
+        with mpmath.workdps(40):
+            big_x = mpmath.mpf(x)
+            tail = big_x ** -n / n * mpmath.hyp2f1(
+                1, mpmath.mpf(n) / 2, mpmath.mpf(n + 2) / 2, -1 / big_x**2)
+            vol = 2 * mpmath.pi ** mpmath.mpf(n / 2) / mpmath.gamma(mpmath.mpf(n / 2))
+            oracle = float(((1 + big_x**2) / 4) ** ((n - 1) // 2) / vol * 2 * tail)
+        assert abs(green_D2(n, x) - oracle) <= 1e-12 * oracle
+        assert oracle == pytest.approx(value, rel=0.01)
+
+    def test_scaled_prefactor_refuses_a_subnormal_volume(self):
+        # vol(S^454) is 5e-324, so 1/vol(S^{n-1}) overflows; the quadrature
+        # twin gave inf at both points
+        for n, x in ((455, 3.0), (301, 5.0)):
+            with pytest.raises(DomainError, match="leaves the float range$"):
+                green_D2_quadrature(n, x)
+        with pytest.raises(DomainError, match="leaves the float range$"):
+            green_D2(455, 3.0)
 
     def test_first_series_term_below_the_float_range(self):
         # t^3 = 1e-450 rounds to 0, and the value came back as -0.0; the

@@ -11,10 +11,9 @@ from spherehess.ktypes import (
     bundle_ktypes_bruteforce,
     bundle_weights,
     dominant_weights_upto,
-    enumerate_bundle_ktypes,
-    enumerate_bundle_ktypes3,
     is_dominant,
     pad_weight,
+    q_range,
 )
 
 
@@ -111,29 +110,19 @@ class TestKType:
 
 
 class TestEnumeration:
-    def test_tensor_family(self):
-        sigma = pad_weight((2,), 5)
-        kinds = enumerate_bundle_ktypes(sigma, 5, j_max=3)
-        assert {(t.j, t.q) for t in kinds} == {
-            (j, q) for j in range(4) for q in range(3)
-        }
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_tensor_family_is_the_ktype_lattice(self, n):
+        # the tensor bundle carries exactly the modes (2+j, q), q in q_range(n)
+        got = bundle_weights(pad_weight((2,), n), n, first_max=5)
+        assert got == {(2 + j, q) for j in range(4) for q in q_range(n)}
+        assert all(KType(n, a - 2, b).weight.entries[:2] == (a, b) for a, b in got)
 
-    def test_one_forms_rejected_with_pointer(self):
-        with pytest.raises(UnsupportedSigma):
-            enumerate_bundle_ktypes(pad_weight((1,), 5), 5, j_max=3)
-
-    def test_three_sphere_five_branches(self):
-        kinds = enumerate_bundle_ktypes3(j_max=2)
-        assert {(t.j, t.q) for t in kinds} == {
-            (j, q) for j in range(3) for q in range(-2, 3)
-        }
-
-    @pytest.mark.parametrize("n", [4, 5, 6])
-    def test_bruteforce_matches_family_small(self, n):
-        for head in ((1,), (2,)):
-            sigma = pad_weight(head, n)
-            got = bundle_ktypes_bruteforce(sigma, n, first_max=8)
-            assert got == bundle_weights(sigma, n, first_max=8)
+    @pytest.mark.parametrize("n", range(3, 9))
+    @pytest.mark.parametrize("s", range(4))
+    def test_bruteforce_matches_family_small(self, n, s):
+        sigma = pad_weight((s,), n)
+        got = bundle_ktypes_bruteforce(sigma, n, first_max=12)
+        assert got == bundle_weights(sigma, n, first_max=12)
 
     def test_family_shapes(self):
         assert bundle_weights(pad_weight((1,), 6), 6, 4) == {
@@ -142,8 +131,17 @@ class TestEnumeration:
         assert bundle_weights(pad_weight((2,), 6), 6, 4) == {
             (first, q) for first in range(2, 5) for q in (0, 1, 2)
         }
+        # SO(4) has rank two: the second entry carries a sign on S^3
+        assert bundle_weights(pad_weight((1,), 3), 3, 3) == {
+            (first, r) for first in range(1, 4) for r in (-1, 0, 1)
+        }
+        assert bundle_weights(pad_weight((2,), 3), 3, 3) == {
+            (first, q) for first in (2, 3) for q in (-2, -1, 0, 1, 2)
+        }
 
     def test_sigma_validation(self):
+        with pytest.raises(DomainError):
+            bundle_weights(pad_weight((2,), 2), 2, 4)
         with pytest.raises(RankMismatch):
             bundle_weights(pad_weight((2,), 5), 6, 4)
         with pytest.raises(UnsupportedSigma):
