@@ -513,10 +513,10 @@ def _suite_greens(dim: int, seed: int, tols: dict[str, float]) -> list[CheckResu
         checks.append(check_against(
             f"ode-residual-L2-n{n}", greens.ode_residual_L2(n, rs),
             tols["tol_ode"]))
-        exact = float(greens.sphere_constants(n).d_n) / (n - 2)
         checks.append(check_against(
             f"homogeneous-coefficient-n{n}",
-            abs(greens._fit_homogeneous_coefficient(n) / exact - 1.0), 1e-9))
+            abs(greens._fit_homogeneous_coefficient(n) / greens._l2_coefficient(n)
+                - 1.0), 1e-9))
         worst = _worst(res for _, _, res in _d2_rows(n, rs))
         checks.append(check_against(f"dual-route-D2-n{n}", worst, 1e-9))
         tau = _tau_check(n - 3, 2, tols["tol_quad"])

@@ -694,7 +694,11 @@ def _float_powers(values: np.ndarray, k: int) -> np.ndarray:
 
 
 def _one_point(x) -> np.ndarray:
-    return np.asarray(x, dtype=float)[None, :]
+    """``x`` as a float (1, n) array, DomainError unless it is one (n,) point."""
+    point = np.asarray(x, dtype=float)
+    if point.ndim != 1:
+        raise DomainError(f"a point must be an (n,) array, got shape {point.shape}")
+    return point[None, :]
 
 
 def chart_lambda(x: np.ndarray) -> float:
@@ -762,9 +766,9 @@ def _chart_frames(phi: ChartMap, xs: np.ndarray):
 class ChartMap:
     """Composition of chart primitives (applied left to right).
 
-    The one-point methods raise DomainError, as
-    :func:`check_ahlfors_covariance` does, where the point's width does not
-    fit a translation or a rotation.
+    The one-point methods raise DomainError naming the shape where the point
+    is not an (n,) array, and, as :func:`check_ahlfors_covariance` does,
+    where its width does not fit a translation or a rotation.
     """
 
     primitives: tuple[ChartPrimitive, ...]

@@ -120,12 +120,37 @@ def sphere_constants(n: int) -> SphereConstants:
     """C_n = 1/(2^{n-1} (n-2) vol(S^{n-1})) and D_n = 2^{(n-2)/2} C_n.
 
     Cached: the result is frozen, so every profile of dimension n shares it.
+    The floats that the value routes read are cached beside it, converted
+    once per n: vol(S^{n-1}) by :func:`_boundary_volume` and D_n/(n-2) by
+    :func:`_l2_coefficient`.
     """
     _require_odd(n)
     omega = sphere_volume_exact(n - 1)
     c_n = ExactConst(Fraction(1, n - 2), 0, Fraction(1 - n)) / omega
     d_n = c_n * ExactConst(Fraction(1), 0, Fraction(n - 2, 2))
     return SphereConstants(n=n, boundary_volume=omega, c_n=c_n, d_n=d_n)
+
+
+@functools.cache
+def _boundary_volume(n: int) -> float:
+    """vol(S^{n-1}) as a float; cached per n.
+
+    From n = 439 on the volume is a subnormal float (3.8e-309 at n = 439),
+    and from n = 457 on it rounds to 0, so a division by it would lose
+    digits without a word (``green_D2(449, 1.2)`` came out 9.9e-7 off).
+    There OverflowError names n, and the D2 routes raise their DomainError.
+    """
+    omega = float(sphere_constants(n).boundary_volume)
+    if omega < sys.float_info.min:
+        raise OverflowError(f"1 / vol(S^{n - 1}) overflows at n = {n}")
+    return omega
+
+
+@functools.cache
+def _l2_coefficient(n: int) -> float:
+    """D_n/(n-2), the homogeneous coefficient of :func:`green_L2_profile`, as
+    a float; cached per n."""
+    return float(sphere_constants(n).d_n) / (n - 2)
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +190,12 @@ class TauTailIntegral:
                  + sum_e power_coeffs[e] tau^e
                  + sum_l rational_coeffs[l] tau (1+tau^2)^{-l},
     and the tail value is F(inf) - F(X) with F(inf) = arctan_coeff * pi/2.
+
+    The float of each coefficient is cached when the integral is built, in
+    ``arctan_float``, ``power_floats`` and ``rational_floats`` (same order
+    as the exact tuples), and the evaluations read only those.  They are
+    derived data: left out of the constructor, of eq (and so of the hash)
+    and of the repr.
     """
 
     a: int
@@ -172,20 +203,32 @@ class TauTailIntegral:
     arctan_coeff: Fraction
     power_coeffs: tuple[tuple[int, Fraction], ...]
     rational_coeffs: tuple[tuple[int, Fraction], ...]
+    arctan_float: float = field(init=False, repr=False, compare=False)
+    power_floats: tuple[tuple[int, float], ...] = field(
+        init=False, repr=False, compare=False)
+    rational_floats: tuple[tuple[int, float], ...] = field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "arctan_float", float(self.arctan_coeff))
+        object.__setattr__(self, "power_floats",
+                           tuple((e, float(c)) for e, c in self.power_coeffs))
+        object.__setattr__(self, "rational_floats",
+                           tuple((l, float(c)) for l, c in self.rational_coeffs))
 
     def antiderivative_at(self, x: float) -> float:
-        out = float(self.arctan_coeff) * math.atan(x)
-        for e, c in self.power_coeffs:
-            out += float(c) * x**e
-        for l, c in self.rational_coeffs:
-            out += float(c) * x / (1.0 + x * x) ** l
+        out = self.arctan_float * math.atan(x)
+        for e, c in self.power_floats:
+            out += c * x**e
+        for l, c in self.rational_floats:
+            out += c * x / (1.0 + x * x) ** l
         return out
 
     def value(self, x: float) -> float:
         """The tail integral from x to infinity (finite x > 0)."""
         if not 0 < x < math.inf:
             raise DomainError(f"tail integral needs finite x > 0, got x = {x!r}")
-        return float(self.arctan_coeff) * (math.pi / 2) - self.antiderivative_at(x)
+        return self.arctan_float * (math.pi / 2) - self.antiderivative_at(x)
 
 
 @functools.cache
@@ -296,7 +339,8 @@ class RadialGreen:
 
     Profiles are defined on (0, pi); the pure-power "L" profile extends to
     r = pi, where the others are limits of an indeterminate product.
-    Calling the profile raises DomainError on a non-finite value.
+    Calling the profile raises DomainError where the value is not finite or
+    its evaluation overflows.
     """
 
     dim_n: int
@@ -310,7 +354,11 @@ class RadialGreen:
         hi_ok = r <= math.pi if self.kind == "L" else r < math.pi
         if not (0.0 < r and hi_ok):
             raise DomainError(f"r = {r} outside the domain of the {self.kind} profile")
-        value = self.evaluate(r)
+        try:
+            value = self.evaluate(r)
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise DomainError(f"{self.kind} profile at n = {self.dim_n}, r = {r!r} "
+                              f"leaves the float range") from exc
         if not math.isfinite(value):
             raise DomainError(f"{self.kind} profile at n = {self.dim_n}, r = {r!r} is {value!r}")
         return value
@@ -346,9 +394,25 @@ def green_L_profile(n: int) -> RadialGreen:
     )
 
 
+@functools.cache
+def _shared_profile(kind: str, n: int) -> RadialGreen:
+    """The ``kind`` profile of dimension n, built once per (kind, n).
+
+    Only this module's value and trace routes evaluate it; callers of the
+    public builders get fresh objects, so none can reach the shared one.
+    """
+    builders = {"L": green_L_profile, "L2": green_L2_profile,
+                "D2": green_D2_profile}
+    return builders[kind](n)
+
+
 def green_L(n: int, r: float) -> float:
-    """Value of the conformal-Laplacian Green profile at geodesic radius r."""
-    return green_L_profile(n)(r)
+    """Value of the conformal-Laplacian Green profile at geodesic radius r.
+
+    The profile is built on the first call for a given n and cached; later
+    calls only evaluate it.
+    """
+    return _shared_profile("L", n)(r)
 
 
 def _fit_homogeneous_coefficient(n: int) -> float:
@@ -362,8 +426,7 @@ def _fit_homogeneous_coefficient(n: int) -> float:
     """
     import numpy as np
 
-    consts = sphere_constants(n)
-    b = float(consts.d_n) / (n - 2)
+    b = _l2_coefficient(n)
     m = (n - 2) / 2.0
     i_int = tau_tail_exact(n - 3, 2)
 
@@ -395,8 +458,7 @@ def green_L2_profile(n: int) -> RadialGreen:
     which satisfies the iterated equation with residual at roundoff level.
     """
     _require_odd(n)
-    consts = sphere_constants(n)
-    b = float(consts.d_n) / (n - 2)
+    b = _l2_coefficient(n)
     m = (n - 2) / 2.0
     i_int = tau_tail_exact(n - 3, 2)
 
@@ -443,13 +505,18 @@ def green_L2_profile(n: int) -> RadialGreen:
 
 
 def green_L2(n: int, r: float) -> float:
-    """Value of the iterated-operator Green profile at geodesic radius r."""
-    return green_L2_profile(n)(r)
+    """Value of the iterated-operator Green profile at geodesic radius r.
+
+    The profile is built on the first call for a given n and cached; later
+    calls only evaluate it.
+    """
+    return _shared_profile("L2", n)(r)
 
 
 def _d2_prefactor(n: int, x: float) -> float:
-    """((1+x^2)/4)^{(n-1)/2} / vol(S^{n-1}); OverflowError once x*x does."""
-    omega = float(sphere_constants(n).boundary_volume)
+    """((1+x^2)/4)^{(n-1)/2} / vol(S^{n-1}); OverflowError once x*x does or
+    vol(S^{n-1}) is not a normal float (n >= 439)."""
+    omega = _boundary_volume(n)
     base = (1.0 + x * x) / 4.0
     if base == math.inf:
         raise OverflowError(f"x * x overflows at x = {x!r}")
@@ -495,10 +562,10 @@ def green_D2(n: int, x_norm: float) -> float:
     literal form raises QuadratureFailure instead.  Where the prefactor
     alone leaves the float range (n = 41, X = 1e8, where the value is
     7.7e-15), (1+X^2)/4 = m 2^e is raised as m^k and 2^(ek) is applied to
-    the finished value; that route refuses n >= 439, where 1/vol(S^{n-1})
-    overflows.  Where a power of X, x*x or the value leaves the float
-    range, or vol(S^{n-1}) rounds to 0 (from n = 457 on), it raises
-    DomainError.  The quadrature twin :func:`green_D2_quadrature` is
+    the finished value.  Where a power of X, x*x or the value leaves the
+    float range, or vol(S^{n-1}) is not a normal float (from n = 439 on,
+    where dividing by the subnormal volume lost up to 19% at n = 455), it
+    raises DomainError.  The quadrature twin :func:`green_D2_quadrature` is
     compared with it in the tests and in ``verify --suite greens``, not on
     every call.
     """
@@ -513,11 +580,8 @@ def green_D2(n: int, x_norm: float) -> float:
         except OverflowError:
             value = math.inf
         if math.isinf(value):
-            omega = float(sphere_constants(n).boundary_volume)
-            if omega < sys.float_info.min:
-                raise OverflowError(f"1 / vol(S^{n - 1}) overflows")
             m, e = math.frexp((1.0 + x_norm * x_norm) / 4.0)
-            value = m ** k / omega * 2.0 * (-1) ** k * bracket
+            value = m ** k / _boundary_volume(n) * 2.0 * (-1) ** k * bracket
             shift -= e * k
         value = math.ldexp(value, -shift)
         if math.isinf(value):
@@ -608,10 +672,11 @@ def _arctan_series_remainder(t: float, k: int) -> tuple[float, int]:
 def green_D2_quadrature(n: int, x_norm: float) -> float:
     """Squared-Dirac Green value with the tail integral done by quadrature.
 
-    Raises DomainError where the integrand, the prefactor or
-    1/vol(S^{n-1}) leaves the float range (x*x in the prefactor overflows
-    from x = 1.35e154, as in :func:`green_D2`), and QuadratureFailure where
-    the tail underflows to 0 (x = 1e150 at n = 3).
+    Raises DomainError where the integrand, the prefactor or the value
+    leaves the float range (x*x in the prefactor overflows from x =
+    1.35e154, as in :func:`green_D2`) or vol(S^{n-1}) is not a normal float
+    (n >= 439), and QuadratureFailure where the tail underflows to 0
+    (x = 1e150 at n = 3).
     """
     _require_odd(n)
     if not 0 < x_norm < math.inf:
@@ -676,14 +741,15 @@ def homogeneous_mode_residual(n: int, sigma: int, z: float) -> float:
 def _ode_rows(n: int, kind: str, rs) -> list[tuple[float, float]]:
     """(value, relative ODE residual) of the "L" or "L2" profile at each radius.
 
-    L (L-profile) = 0 and L (L2-profile) = L-profile.  Each profile is built
-    once, and its value and derivatives are evaluated once per radius.
+    L (L-profile) = 0 and L (L2-profile) = L-profile.  Both profiles are the
+    shared ones of the value functions, and each profile's value and
+    derivatives are evaluated once per radius.
     Raises DomainError naming the kind, n and r where a value, a derivative
     or the residual overflows or is not finite, as the profile's own call
     does.
     """
-    prof = green_L_profile(n) if kind == "L" else green_L2_profile(n)
-    rhs_prof = green_L_profile(n) if kind == "L2" else None
+    prof = _shared_profile(kind, n)
+    rhs_prof = _shared_profile("L", n) if kind == "L2" else None
     rows = []
     for r in rs:
         try:
@@ -889,10 +955,12 @@ class PipelineTrace:
 
 
 def trace_from_pipeline(kind: TraceKind, k: int) -> PipelineTrace:
-    """Trace via the numerical pipeline: regular_part(profile) x vol(S^n)."""
+    """Trace via the numerical pipeline: regular_part(profile) x vol(S^n).
+
+    The profile is the shared one of the value functions.
+    """
     n = 2 * k + 1
-    profile = green_L2_profile(n) if kind is TraceKind.L2 else green_D2_profile(n)
-    reg = regular_part(profile)
+    reg = regular_part(_shared_profile(kind.value, n))
     vol = float(sphere_volume_exact(n))
     return PipelineTrace(
         kind=kind,

@@ -95,17 +95,23 @@ def branches(beta: DominantWeight, sigma: DominantWeight) -> bool:
         )
     if not (is_dominant(beta) and is_dominant(sigma)):
         return False
-    b, s = beta.entries, sigma.entries
-    if beta.group_rank % 2 == 1:
+    return _interlaces(beta.entries, sigma.entries, beta.group_rank % 2 == 1)
+
+
+def _interlaces(b: tuple[int, ...], s: tuple[int, ...], odd: bool) -> bool:
+    """The branching rule on dominant entry tuples of SO(N) and SO(N-1).
+
+    ``odd`` says whether N is odd.
+    """
+    m = len(b)
+    if odd:
         # SO(2m+1) -> SO(2m), both rank m: b1 >= s1 >= b2 >= ... >= bm >= |sm|
-        m = len(b)
         for i in range(m - 1):
             if not (b[i] >= s[i] >= b[i + 1]):
                 return False
         return b[m - 1] >= abs(s[m - 1])
     # SO(2m) -> SO(2m-1), ranks m and m-1:
     # b1 >= s1 >= b2 >= s2 >= ... >= s_{m-1} >= |bm|
-    m = len(b)
     for i in range(m - 1):
         if not b[i] >= s[i]:
             return False
@@ -194,6 +200,12 @@ def _sigma_head(sigma: DominantWeight, n: int) -> tuple[int, ...]:
 
 def dominant_weights_upto(group_rank: int, bound: int) -> Iterator[DominantWeight]:
     """All dominant weights of SO(group_rank) with every |entry| <= bound."""
+    for entries in _dominant_entries(group_rank, bound):
+        yield _weight(entries, group_rank)
+
+
+def _dominant_entries(group_rank: int, bound: int) -> Iterator[tuple[int, ...]]:
+    """The entry tuples of :func:`dominant_weights_upto`, in the same order."""
     rank = group_rank // 2
     even = group_rank % 2 == 0
 
@@ -209,8 +221,7 @@ def dominant_weights_upto(group_rank: int, bound: int) -> Iterator[DominantWeigh
             yield from rec(prefix)
             prefix.pop()
 
-    for entries in rec([]):
-        yield _weight(entries, group_rank)
+    return rec([])
 
 
 def bundle_ktypes_bruteforce(
@@ -221,18 +232,18 @@ def bundle_ktypes_bruteforce(
     Exhaustive search over all dominant weights with entries bounded by
     ``first_max``; the result must coincide with :func:`bundle_weights` and
     in particular every branching weight is supported on its first two slots.
+    The search runs on entry tuples, which are dominant by construction, as
+    ``sigma`` is once validated.
     """
     _sigma_head(sigma, n)
+    s, odd = sigma.entries, (n + 1) % 2 == 1
     found: set[tuple[int, int]] = set()
-    for beta in dominant_weights_upto(n + 1, first_max):
-        if branches(beta, sigma):
-            tail = beta.entries[2:]
-            if any(e != 0 for e in tail):
+    for b in _dominant_entries(n + 1, first_max):
+        if _interlaces(b, s, odd):
+            if any(e != 0 for e in b[2:]):
                 raise DomainError(
-                    f"branching weight {beta.entries} has unexpected support "
+                    f"branching weight {b} has unexpected support "
                     "beyond the first two entries"
                 )
-            first = beta.entries[0]
-            second = beta.entries[1] if len(beta.entries) > 1 else 0
-            found.add((first, second))
+            found.add((b[0], b[1] if len(b) > 1 else 0))
     return found

@@ -686,6 +686,15 @@ class TestAhlfors:
                     f"points of shape (1, 2) do not fit the chart map's {part}")):
                 method(np.ones(2))
 
+    @pytest.mark.parametrize("point, shape", [(3.0, "()"), ([[1.0, 2.0]], "(1, 2)")])
+    def test_one_point_methods_refuse_a_point_that_is_not_a_vector(self, point, shape):
+        # The scalar died with a bare IndexError.
+        phi = chart_dilation(2.0)
+        for method in (phi.apply, phi.jacobian, phi.mu, phi.conformal_factor_round):
+            with pytest.raises(DomainError, match=re.escape(
+                    f"a point must be an (n,) array, got shape {shape}")):
+                method(point)
+
     def test_inversion_at_a_stencil_point_is_degenerate(self):
         # x + h e_0 is the origin, a point of the pulled field's stencil.
         x = np.array([[-confgroup._FD_STEP, 0.0]])

@@ -316,6 +316,32 @@ class TestD2AtLargeN:
         with pytest.raises(DomainError, match="leaves the float range$"):
             green_D2(455, 3.0)
 
+    def test_subnormal_volume_is_refused_and_437_keeps_its_bits(self):
+        # From n = 439 on vol(S^{n-1}) is subnormal, and the value divided by
+        # it: 9.9e-7 off at n = 449 and 19% off at n = 455, with no error.
+        x = 1.2
+        for n in range(437, 456, 2):
+            k = (n - 1) // 2
+            with mpmath.workdps(60):
+                big_x = mpmath.mpf(x)
+                bracket = mpmath.pi / 2 - mpmath.atan(big_x) - mpmath.fsum(
+                    (-1) ** j * big_x ** (-2 * j - 1) / (2 * j + 1) for j in range(k))
+                vol = 2 * mpmath.pi ** (mpmath.mpf(n) / 2) / mpmath.gamma(mpmath.mpf(n) / 2)
+                oracle = ((1 + big_x**2) / 4) ** k / vol * 2 * (-1) ** k * bracket
+            if n == 437:
+                got = green_D2(n, x)
+                assert got.hex() == "0x1.68b528cf98597p+739"
+                assert abs(got - oracle) <= 1e-13 * oracle
+                continue
+            assert mpmath.isfinite(oracle) and oracle > 0
+            for route in (green_D2, green_D2_quadrature):
+                with pytest.raises(DomainError, match=(
+                        rf"^D2 value at n = {n}, x_norm = 1.2 leaves the float range$")):
+                    route(n, x)
+            with pytest.raises(DomainError, match=(
+                    rf"^D2 profile at n = {n}, r = 1.2 leaves the float range$")):
+                green_D2_profile(n)(1.2)
+
     def test_first_series_term_below_the_float_range(self):
         # t^3 = 1e-450 rounds to 0, and the value came back as -0.0; the
         # literal bracket is 1e-450 beside pi/2, so the oracle carries 450
@@ -517,6 +543,41 @@ class TestCachedBuilders:
         assert sphere_constants(5) is sphere_constants(5)
         assert tau_tail_exact(4, 2) is tau_tail_exact(4, 2)
 
+    @pytest.mark.parametrize("a, p", [(0, 1), (4, 2), (10, 2), (12, 1)])
+    def test_tail_floats_are_the_coefficient_floats(self, a, p):
+        tail = tau_tail_exact(a, p)
+        assert tail.arctan_float == float(tail.arctan_coeff)
+        for floats, exact in ((tail.power_floats, tail.power_coeffs),
+                              (tail.rational_floats, tail.rational_coeffs)):
+            assert floats == tuple((e, float(c)) for e, c in exact)
+        # derived data: not part of the constructor, eq, hash or repr
+        twin = greens.TauTailIntegral(a, p, tail.arctan_coeff, tail.power_coeffs,
+                                      tail.rational_coeffs)
+        assert twin == tail and hash(twin) == hash(tail)
+        assert "float" not in repr(tail)
+
+    def test_values_build_each_profile_once(self, monkeypatch):
+        builds = []
+
+        def counting(n):
+            builds.append(n)
+            return green_L2_profile(n)
+
+        greens._shared_profile.cache_clear()
+        monkeypatch.setattr(greens, "green_L2_profile", counting)
+        try:
+            for i in range(200):
+                green_L2(7, 0.3 + 0.01 * i)
+        finally:
+            greens._shared_profile.cache_clear()
+        assert builds == [7]
+
+    def test_public_builders_return_fresh_plain_functions(self):
+        # a tracer that wraps plain functions counts every build
+        for builder in (green_L_profile, green_L2_profile, green_D2_profile):
+            assert type(builder).__name__ == "function"
+            assert builder(5) is not builder(5)
+
     @pytest.mark.parametrize("n", [3, 5, 7, 9])
     def test_values_equal_fresh_profiles_bitwise(self, n):
         from spherehess.cli import _r_grid
@@ -525,3 +586,50 @@ class TestCachedBuilders:
         for r in _r_grid():
             assert green_L(n, r) == prof_l(r)
             assert green_L2(n, r) == prof_l2(r)
+
+
+class TestPinnedBits:
+    """float.hex of every Green route and pipeline trace, recorded before the
+    value routes cached their profiles and float constants."""
+
+    # sha256 of the space-joined float.hex strings over cli._r_grid(), first
+    # 16 hex digits, per route and odd n = 3..13
+    DIGESTS = {
+        "L": ["a1da0123582d4bd1", "aa8c6a2f36357770", "70b1d9f9c6138790",
+              "2b35b1aa715366b1", "71286e6ffa91d116", "1fefe4f9bb2a261c"],
+        "L2": ["42f619883b0af458", "50653d12f9b26db7", "35a5e3a43382a4f8",
+               "524d70be5435ab03", "eb6026be3febd2a0", "467d8c4ca7b5bcfd"],
+        "D2": ["922a4da41e9763e3", "0a1c893554d30b3d", "abf769e9f174ea37",
+               "7b8763e070eb7a98", "554d5f093c38bf36", "1acefdfb10a40346"],
+        "D2 profile": ["f50521790d26871c", "c8b65a5b2a46e97a", "f082c36f90acd0a0",
+                       "7138e2f37fa4417b", "475c6defed89602e", "469a1d2d71c5023b"],
+    }
+    TRACES = {
+        (TraceKind.L2, 1): "0x1.3bd3cc9b82ae9p+0",
+        (TraceKind.L2, 2): "-0x1.3bd3b42492d33p-4",
+        (TraceKind.D2, 1): "-0x1.3bd3cc9aee3c5p+0",
+        (TraceKind.D2, 2): "0x1.d9bd32bfa7c66p-3",
+    }
+
+    @pytest.mark.parametrize("route", list(DIGESTS))
+    def test_route_values_keep_their_bits(self, route):
+        import hashlib
+
+        from spherehess.cli import _r_grid
+
+        def values(n):
+            if route == "L":
+                return [green_L(n, r) for r in _r_grid()]
+            if route == "L2":
+                return [green_L2(n, r) for r in _r_grid()]
+            if route == "D2":
+                return [green_D2(n, chart_radius(r)) for r in _r_grid()]
+            return [green_D2_profile(n)(r) for r in _r_grid()]
+
+        got = [hashlib.sha256(" ".join(v.hex() for v in values(n)).encode())
+               .hexdigest()[:16] for n in range(3, 14, 2)]
+        assert got == self.DIGESTS[route]
+
+    @pytest.mark.parametrize("kind, k", list(TRACES))
+    def test_pipeline_traces_keep_their_bits(self, kind, k):
+        assert trace_from_pipeline(kind, k).value.hex() == self.TRACES[kind, k]
