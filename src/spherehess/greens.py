@@ -137,7 +137,7 @@ def _boundary_volume(n: int) -> float:
 
     From n = 439 on the volume is a subnormal float (3.8e-309 at n = 439),
     and from n = 457 on it rounds to 0, so a division by it would lose
-    digits without a word (``green_D2(449, 1.2)`` came out 9.9e-7 off).
+    digits without a word (9.9e-7 relative at n = 449, 19% at n = 455).
     There OverflowError names n, and the D2 routes raise their DomainError.
     """
     omega = float(sphere_constants(n).boundary_volume)
@@ -400,6 +400,7 @@ def _shared_profile(kind: str, n: int) -> RadialGreen:
 
     Only this module's value and trace routes evaluate it; callers of the
     public builders get fresh objects, so none can reach the shared one.
+    The cache keeps one small profile per (kind, n) asked for.
     """
     builders = {"L": green_L_profile, "L2": green_L2_profile,
                 "D2": green_D2_profile}
@@ -563,9 +564,8 @@ def green_D2(n: int, x_norm: float) -> float:
     alone leaves the float range (n = 41, X = 1e8, where the value is
     7.7e-15), (1+X^2)/4 = m 2^e is raised as m^k and 2^(ek) is applied to
     the finished value.  Where a power of X, x*x or the value leaves the
-    float range, or vol(S^{n-1}) is not a normal float (from n = 439 on,
-    where dividing by the subnormal volume lost up to 19% at n = 455), it
-    raises DomainError.  The quadrature twin :func:`green_D2_quadrature` is
+    float range, or vol(S^{n-1}) is not a normal float (from n = 439 on;
+    see :func:`_boundary_volume`), it raises DomainError.  The quadrature twin :func:`green_D2_quadrature` is
     compared with it in the tests and in ``verify --suite greens``, not on
     every call.
     """

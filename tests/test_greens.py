@@ -1,6 +1,7 @@
 """Radial Green's functions: closed forms, ODE residuals, tail integrals,
 regular parts, and regularized traces."""
 
+import hashlib
 import math
 import re
 from fractions import Fraction
@@ -613,8 +614,6 @@ class TestPinnedBits:
 
     @pytest.mark.parametrize("route", list(DIGESTS))
     def test_route_values_keep_their_bits(self, route):
-        import hashlib
-
         from spherehess.cli import _r_grid
 
         def values(n):
