@@ -2,6 +2,7 @@
 regular parts, and regularized traces."""
 
 import hashlib
+import inspect
 import math
 import re
 from fractions import Fraction
@@ -576,7 +577,7 @@ class TestCachedBuilders:
     def test_public_builders_return_fresh_plain_functions(self):
         # a tracer that wraps plain functions counts every build
         for builder in (green_L_profile, green_L2_profile, green_D2_profile):
-            assert type(builder).__name__ == "function"
+            assert inspect.isfunction(builder)
             assert builder(5) is not builder(5)
 
     @pytest.mark.parametrize("n", [3, 5, 7, 9])
