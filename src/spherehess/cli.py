@@ -33,7 +33,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -82,6 +81,11 @@ def check_against(name: str, residual: float, tolerance: float) -> CheckResult:
     status = "PASS" if residual <= tolerance else "FAIL"
     return CheckResult(name=name, status=status, residual=float(residual),
                        tolerance=float(tolerance))
+
+
+def _exact(name: str, ok: bool) -> CheckResult:
+    """An exact check: PASS or FAIL, with residual and tolerance 0."""
+    return CheckResult(name, "PASS" if ok else "FAIL", 0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -200,13 +204,10 @@ def _render_json(env: ReportEnvelope) -> str:
 
 
 def render_report(env: ReportEnvelope, fmt: str) -> str:
-    if fmt == "table":
-        return _render_table(env)
-    if fmt == "csv":
-        return _render_csv(env)
-    if fmt == "json":
-        return _render_json(env)
-    raise ValueError(f"unknown format {fmt!r}")
+    renderers = {"table": _render_table, "csv": _render_csv, "json": _render_json}
+    if fmt not in renderers:
+        raise ValueError(f"unknown format {fmt!r}")
+    return renderers[fmt](env)
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +217,7 @@ def render_report(env: ReportEnvelope, fmt: str) -> str:
 
 def cmd_spectrum(n: int, j_max: int) -> ReportEnvelope:
     from .ktypes import KType, q_range
-    from .spectrum import _recursion_table, t0_eigenvalue
+    from .spectrum import opposite_signs_at_q_pm2, recursion_table, t0_eigenvalue
 
     params = {"dim": str(n), "jmax": str(j_max)}
     if n == 2:
@@ -224,13 +225,12 @@ def cmd_spectrum(n: int, j_max: int) -> ReportEnvelope:
             "dimension 2: the Hessian is universally zero "
             "(every direction is a gauge direction); no table.",
         )
-        checks = (CheckResult("universally-zero-hessian", "PASS", 0.0, 0.0),)
+        checks = (_exact("universally-zero-hessian", True),)
         return ReportEnvelope("spectrum", params, notes, checks)
 
-    table = _recursion_table(n, j_max)
+    table = recursion_table(n, j_max)
     rows: list[tuple[str, ...]] = []
     all_equal = True
-    signs_ok = True
     for j in range(j_max + 1):
         for q in q_range(n):
             rec = table.value(j, q)
@@ -243,19 +243,11 @@ def cmd_spectrum(n: int, j_max: int) -> ReportEnvelope:
                  frac_str(rec), frac_str(closed),
                  "true" if equal else "false")
             )
-        if n == 3:
-            hi, lo = table.value(j, 2), table.value(j, -2)
-            signs_ok = signs_ok and hi * lo < 0
 
-    checks = [
-        CheckResult("recursion-equals-closed-form",
-                    "PASS" if all_equal else "FAIL", 0.0, 0.0),
-    ]
+    checks = [_exact("recursion-equals-closed-form", all_equal)]
     if n == 3:
-        checks.append(
-            CheckResult("opposite-signs-at-q-plus-minus-2",
-                        "PASS" if signs_ok else "FAIL", 0.0, 0.0)
-        )
+        checks.append(_exact("opposite-signs-at-q-plus-minus-2",
+                             opposite_signs_at_q_pm2(table)))
     result = ResultTable(
         columns=("n", "j", "q", "branch", "recursion_value",
                  "closed_form_value", "equal"),
@@ -308,40 +300,13 @@ def cmd_signs(n_max: int) -> ReportEnvelope:
                  "pattern", "status"),
         rows=tuple(rows),
     )
-    checks = (
-        CheckResult("printed-pattern-agreement",
-                    "PASS" if all_agree else "FAIL", 0.0, 0.0),
-    )
-    return ReportEnvelope("signs", params, result, checks)
+    return ReportEnvelope("signs", params, result,
+                          (_exact("printed-pattern-agreement", all_agree),))
 
 
 # ---------------------------------------------------------------------------
 # traces
 # ---------------------------------------------------------------------------
-
-
-# Keyed by greens.TraceKind name, so that importing the CLI imports no layer.
-_FROZEN_TRACES = {
-    ("L2", 1): Fraction(3, 128),
-    ("L2", 2): Fraction(-5, 2048),
-    ("D2", 1): Fraction(-1, 4),
-    ("D2", 2): Fraction(3, 16),
-}
-
-
-def _trace_evaluators() -> dict:
-    """The closed-form trace evaluator of each greens.TraceKind name."""
-    from . import greens
-
-    return {"L2": greens.kv_trace_L2, "D2": greens.kv_trace_D2}
-
-
-def _frozen_traces_match(k_max: int) -> bool:
-    """True when the closed-form evaluators reproduce every frozen trace
-    coefficient with k <= k_max."""
-    evaluators = _trace_evaluators()
-    return all(evaluators[kind](k)[0] == value
-               for (kind, k), value in _FROZEN_TRACES.items() if k <= k_max)
 
 
 def cmd_traces(k_max: int) -> ReportEnvelope:
@@ -350,10 +315,10 @@ def cmd_traces(k_max: int) -> ReportEnvelope:
     params = {"kmax": str(k_max)}
     rows: list[tuple[str, ...]] = []
     signs_ok = True
-    evaluators = _trace_evaluators()
-    for kind, label in ((greens.TraceKind.L2, "L^2"), (greens.TraceKind.D2, "D^2")):
+    for kind, label, trace in ((greens.TraceKind.L2, "L^2", greens.kv_trace_L2),
+                               (greens.TraceKind.D2, "D^2", greens.kv_trace_D2)):
         for k in range(1, k_max + 1):
-            coeff, pi_exp = evaluators[kind.name](k)
+            coeff, pi_exp = trace(k)
             n = 2 * k + 1
             signs_ok = signs_ok and (
                 (1 if coeff > 0 else -1) == greens.trace_sign_expected(kind, k)
@@ -368,10 +333,8 @@ def cmd_traces(k_max: int) -> ReportEnvelope:
         rows=tuple(rows),
     )
     checks = (
-        CheckResult("alternating-sign-pattern",
-                    "PASS" if signs_ok else "FAIL", 0.0, 0.0),
-        CheckResult("frozen-values-k-le-2",
-                    "PASS" if _frozen_traces_match(k_max) else "FAIL", 0.0, 0.0),
+        _exact("alternating-sign-pattern", signs_ok),
+        _exact("frozen-values-k-le-2", greens.frozen_traces_match(k_max)),
     )
     return ReportEnvelope("traces", params, result, checks)
 
@@ -390,56 +353,27 @@ def cmd_greens(n: int, profile: str, tol_ode: float, tol_quad: float) -> ReportE
 
     params = {"dim": str(n), "profile": profile,
               "tol_ode": repr(tol_ode), "tol_quad": repr(tol_quad)}
-    rows: list[tuple[str, ...]] = []
-    checks: list[CheckResult] = []
     rs = _r_grid()
     if profile in ("L", "L2"):
-        residuals = []
-        for r, (val, res) in zip(rs, greens._ode_rows(n, profile, rs)):
-            residuals.append(res)
-            rows.append((f"{r:.2f}", repr(val), _fmt_res(res)))
-        result = ResultTable(columns=("r", "value", "ode_residual"),
-                             rows=tuple(rows))
-        checks.append(check_against("ode-residual-max", _worst(residuals), tol_ode))
+        found = greens.ode_rows(n, profile, rs)
+        rows = [(f"{r:.2f}", repr(val), _fmt_res(res)) for r, (val, res) in zip(rs, found)]
+        result = ResultTable(("r", "value", "ode_residual"), tuple(rows))
+        checks = [check_against("ode-residual-max", _worst(res for _, res in found), tol_ode)]
         if profile == "L2":
-            checks.append(_tau_check(n - 3, 2, tol_quad))
+            checks.append(check_against("tau-quadrature-vs-closed-form",
+                                        greens.tau_tail_gap(n - 3, 2), tol_quad))
     elif profile == "D2":
-        residuals = []
-        for r, (x, val, res) in zip(rs, _d2_rows(n, rs)):
-            residuals.append(res)
-            rows.append((f"{r:.2f}", repr(x), repr(val), _fmt_res(res)))
-        result = ResultTable(columns=("r", "x", "value", "route_residual"),
-                             rows=tuple(rows))
-        checks.append(check_against("dual-route-max", _worst(residuals), 1e-9))
-        checks.append(_tau_check(n - 1, 1, tol_quad))
+        xs = [greens.chart_radius(r) for r in rs]
+        found = [greens.d2_route_gap(n, x) for x in xs]
+        rows = [(f"{r:.2f}", repr(x), repr(val), _fmt_res(res))
+                for r, x, (val, res) in zip(rs, xs, found)]
+        result = ResultTable(("r", "x", "value", "route_residual"), tuple(rows))
+        checks = [check_against("dual-route-max", _worst(res for _, res in found), 1e-9),
+                  check_against("tau-quadrature-vs-closed-form",
+                                greens.tau_tail_gap(n - 1, 1), tol_quad)]
     else:
         raise ValueError(f"unknown profile {profile!r}")
     return ReportEnvelope("greens", params, result, tuple(checks))
-
-
-def _d2_rows(n: int, rs) -> list[tuple[float, float, float]]:
-    """(|x|, D2 value, relative gap to its quadrature twin) at each radius."""
-    from . import greens
-
-    rows = []
-    for r in rs:
-        x = greens.chart_radius(r)
-        value = greens.green_D2(n, x)
-        rows.append((x, value,
-                     abs(value - greens.green_D2_quadrature(n, x)) / abs(value)))
-    return rows
-
-
-def _tau_check(a: int, p: int, tol: float) -> CheckResult:
-    from . import greens
-
-    exact = greens.tau_tail_exact(a, p)
-    residuals = []
-    for x in (0.25, 0.6, 1.0, 1.8, 3.0):
-        closed = exact.value(x)
-        quad = greens.tau_tail_quadrature(a, p, x)
-        residuals.append(abs(closed - quad) / max(1.0, abs(closed)))
-    return check_against("tau-quadrature-vs-closed-form", _worst(residuals), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -447,34 +381,13 @@ def _tau_check(a: int, p: int, tol: float) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def _q_symbol_identity_holds(seed: int, dims: Sequence[int], trials: int) -> bool:
-    """True when sigma_n(H) = -|xi|^n/4 * k, exactly, on ``trials`` seeded
-    draws in each dimension: a nonzero integer covector xi with entries in
-    [-3, 3] and k the trace-free transverse part of a symmetric integer
-    matrix."""
-    from . import qcurv
-
-    rng = random.Random(seed)
-    for n in dims:
-        for _ in range(trials):
-            xi = (0,) * n
-            while not any(xi):
-                xi = tuple(Fraction(rng.randint(-3, 3)) for _ in range(n))
-            raw = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
-            k = qcurv.project_tt(xi, tuple(
-                tuple(Fraction(raw[i][j] + raw[j][i]) for j in range(n))
-                for i in range(n)))
-            if qcurv.q_hessian_symbol(n, xi, k) != qcurv.q_hessian_expected(n, xi, k):
-                return False
-    return True
-
-
 def cmd_qsymbol(n: int, seed: int) -> ReportEnvelope:
+    from .qcurv import q_symbol_identity_holds
+
     params = {"dim": str(n), "seed": str(seed), "trials": "5"}
-    status = "PASS" if _q_symbol_identity_holds(seed, (n,), 5) else "FAIL"
-    notes = (f"sigma_{n}(H) = -|xi|^{n}/4 * Id : {status} (exact)",)
-    checks = (CheckResult("q-symbol-identity", status, 0.0, 0.0),)
-    return ReportEnvelope("qsymbol", params, notes, checks)
+    ok = q_symbol_identity_holds(seed, (n,), 5)
+    notes = (f"sigma_{n}(H) = -|xi|^{n}/4 * Id : {'PASS' if ok else 'FAIL'} (exact)",)
+    return ReportEnvelope("qsymbol", params, notes, (_exact("q-symbol-identity", ok),))
 
 
 # ---------------------------------------------------------------------------
@@ -483,21 +396,14 @@ def cmd_qsymbol(n: int, seed: int) -> ReportEnvelope:
 
 
 def _suite_spectrum(dim: int, seed: int, tols: dict[str, float]) -> list[CheckResult]:
-    from .spectrum import (
-        _recursion_table,
-        closed_form_table,
-        recursion_matches_closed_form,
-    )
+    from . import spectrum
 
-    ok = all(recursion_matches_closed_form(n, 40) for n in range(4, 9))
-    t3 = _recursion_table(3, 40)
-    ok3 = t3.entries == closed_form_table(3, 40).entries
-    sign3 = all(t3.value(j, 2) * t3.value(j, -2) < 0 for j in range(41))
     return [
-        CheckResult("recursion-equals-closed-form-n4-8",
-                    "PASS" if ok else "FAIL", 0.0, 0.0),
-        CheckResult("five-branch-recursion-n3", "PASS" if ok3 else "FAIL", 0.0, 0.0),
-        CheckResult("opposite-signs-n3", "PASS" if sign3 else "FAIL", 0.0, 0.0),
+        _exact("recursion-equals-closed-form-n4-8",
+               all(spectrum.recursion_matches_closed_form(n, 40) for n in range(4, 9))),
+        _exact("five-branch-recursion-n3", spectrum.recursion_matches_closed_form(3, 40)),
+        _exact("opposite-signs-n3",
+               spectrum.opposite_signs_at_q_pm2(spectrum.recursion_table(3, 40))),
     ]
 
 
@@ -507,80 +413,44 @@ def _suite_greens(dim: int, seed: int, tols: dict[str, float]) -> list[CheckResu
     checks = []
     rs = _r_grid()
     for n in (3, 5, 7):
-        checks.append(check_against(
-            f"ode-residual-L-n{n}", greens.ode_residual_L(n, rs),
-            tols["tol_ode"]))
-        checks.append(check_against(
-            f"ode-residual-L2-n{n}", greens.ode_residual_L2(n, rs),
-            tols["tol_ode"]))
-        checks.append(check_against(
-            f"homogeneous-coefficient-n{n}",
-            abs(greens._fit_homogeneous_coefficient(n) / greens._l2_coefficient(n)
-                - 1.0), 1e-9))
-        worst = _worst(res for _, _, res in _d2_rows(n, rs))
-        checks.append(check_against(f"dual-route-D2-n{n}", worst, 1e-9))
-        tau = _tau_check(n - 3, 2, tols["tol_quad"])
-        checks.append(CheckResult(f"tau-quad-L2-n{n}", tau.status,
-                                  tau.residual, tau.tolerance))
-    checks.append(CheckResult("frozen-trace-values",
-                              "PASS" if _frozen_traces_match(2) else "FAIL",
-                              0.0, 0.0))
-    for kind in (greens.TraceKind.L2, greens.TraceKind.D2):
-        for k in (1, 2):
-            pipe = greens.trace_from_pipeline(kind, k).value
-            ref = greens.spectral_trace_reference(kind, k)
-            factor = greens.spectral_convention_factor(kind, k)
-            checks.append(check_against(
-                f"pipeline-vs-spectral-{kind.value}-k{k}",
-                abs(factor * pipe - ref) / abs(ref), 1e-5))
+        checks += [
+            check_against(f"ode-residual-L-n{n}", greens.ode_residual_L(n, rs),
+                          tols["tol_ode"]),
+            check_against(f"ode-residual-L2-n{n}", greens.ode_residual_L2(n, rs),
+                          tols["tol_ode"]),
+            check_against(f"homogeneous-coefficient-n{n}",
+                          greens.homogeneous_coefficient_gap(n), 1e-9),
+            check_against(f"dual-route-D2-n{n}", _worst(
+                greens.d2_route_gap(n, greens.chart_radius(r))[1] for r in rs), 1e-9),
+            check_against(f"tau-quad-L2-n{n}", greens.tau_tail_gap(n - 3, 2),
+                          tols["tol_quad"]),
+        ]
+    checks.append(_exact("frozen-trace-values", greens.frozen_traces_match(2)))
+    checks += [check_against(f"pipeline-vs-spectral-{kind.value}-k{k}",
+                             greens.pipeline_trace_gap(kind, k), 1e-5)
+               for kind in (greens.TraceKind.L2, greens.TraceKind.D2) for k in (1, 2)]
     return checks
 
 
 def _suite_symbols(dim: int, seed: int, tols: dict[str, float]) -> list[CheckResult]:
     from . import symbols
 
-    checks = []
-    prefactor_res = []
-    for n in range(3, 14):
-        for mode in symbols.PrefactorMode:
-            try:
-                got, _ = symbols.gamma_prefactor(n, mode)
-            except ParityError:
-                continue
-            oracle = symbols.gamma_prefactor_oracle(n, mode)
-            prefactor_res.append(abs(got - oracle) / abs(oracle))
-    checks.append(check_against("prefactor-vs-oracle", _worst(prefactor_res), 1e-12))
-    rich = symbols.zeta0_prefactor_richardson(4)
-    exact4 = symbols.gamma_prefactor(4, symbols.PrefactorMode.ZETA0_LIMIT_AT_ZERO)[0]
-    checks.append(check_against("zeta0-richardson-n4",
-                                abs(rich - exact4) / abs(exact4), 1e-6))
-    semi_ok = True
-    null_res = []
-    for n in range(3, 14):
-        lcof = symbols.bracket_L(n, 0)
-        dcof = symbols.bracket_D2(n, 0)
-        semi_ok = semi_ok and (
-            symbols.bracket_definiteness(lcof, n - 1)
-            is symbols.FormDefiniteness.POS_SEMIDEF
-        )
-        if n % 2 == 1:
-            semi_ok = semi_ok and (
-                symbols.bracket_definiteness(dcof, n - 1)
-                is symbols.FormDefiniteness.NEG_SEMIDEF
-            )
-        # The form at K = P, the projector normal to xi: t = u = n - 1.
-        for cof in (lcof, dcof):
-            null_res.append(abs((n - 1) * (cof.a * (n - 1) + cof.b)))
-    checks.append(CheckResult("semidefinite-at-s0",
-                              "PASS" if semi_ok else "FAIL", 0.0, 0.0))
-    checks.append(check_against("null-ray-value", _worst(null_res), 1e-12))
-    return checks
+    checks = [
+        check_against("prefactor-vs-oracle",
+                      _worst(symbols.prefactor_oracle_gap(n) for n in range(3, 14)), 1e-12),
+        check_against("zeta0-richardson-n4", symbols.zeta0_richardson_gap(4), 1e-6),
+    ]
+    brackets = [symbols.s0_bracket_check(n) for n in range(3, 14)]
+    return checks + [
+        _exact("semidefinite-at-s0", all(semi for semi, _ in brackets)),
+        check_against("null-ray-value", _worst(null for _, null in brackets), 1e-12),
+    ]
 
 
 def _suite_qcurv(dim: int, seed: int, tols: dict[str, float]) -> list[CheckResult]:
-    ok = _q_symbol_identity_holds(seed, (4, 6, 8), 25)
-    return [CheckResult("q-symbol-identity-n468",
-                        "PASS" if ok else "FAIL", 0.0, 0.0)]
+    from .qcurv import q_symbol_identity_holds
+
+    return [_exact("q-symbol-identity-n468", q_symbol_identity_holds(seed, (4, 6, 8), 25))]
 
 
 def _suite_confgroup(n: int, seed: int, tols: dict[str, float]) -> list[CheckResult]:
@@ -606,8 +476,7 @@ def _suite_confgroup(n: int, seed: int, tols: dict[str, float]) -> list[CheckRes
         h = cg.random_band_limited_field(rng, n)
         k = cg.random_band_limited_field(rng, n)
         a = cg.random_moebius(rng, n, 1.0)
-        base, moved = cg._pairing_terms(h, k, a, grid)
-        pair_res.append(abs(base - moved) / (1.0 + abs(base)))
+        pair_res.append(cg.check_pairing_invariance(h, k, a, grid))
     cov_res = []
     for _ in range(2):
         const = rng.normal(size=n)
@@ -619,18 +488,14 @@ def _suite_confgroup(n: int, seed: int, tols: dict[str, float]) -> list[CheckRes
         phi = cg.random_chart_map(rng, n, max_log_scale=1.0)
         pts = rng.normal(size=(50, n)) * 0.7
         cov_res.append(cg.check_ahlfors_covariance(vec_field, phi, pts))
-    chart_pts = rng.normal(size=(10, n)) * 0.8
-    ker_worst = _worst(
-        float(np.max(np.abs(cg._ahlfors_at(fld, chart_pts))))
-        for fld in cg.sphere_conformal_fields(n)
-    )
+    kernel = cg.kernel_field_residual(n, rng.normal(size=(10, n)) * 0.8)
     return [
         check_against("lorentz-form", lorentz, 1e-12),
         check_against("conformality", conf, 1e-7),
         check_against("cocycle", cocycle, 1e-7),
         check_against("pairing-invariance", _worst(pair_res), tol_conf),
         check_against("ahlfors-covariance", _worst(cov_res), tol_conf),
-        check_against("kernel-fields", ker_worst, 1e-8),
+        check_against("kernel-fields", kernel, 1e-8),
     ]
 
 

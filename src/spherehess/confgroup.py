@@ -32,6 +32,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ._nanmax import nan_max
 from .errors import Degenerate, DomainError
 from .exact import sphere_volume
 
@@ -79,6 +80,7 @@ __all__ = [
     "inverse_stereographic",
     "stereographic",
     "sphere_conformal_fields",
+    "kernel_field_residual",
     "check_ahlfors_covariance",
 ]
 
@@ -258,12 +260,16 @@ def _moebius_frame(
 
 
 def frame_at(y: np.ndarray) -> np.ndarray:
-    """Deterministic orthonormal basis of T_y S^n as columns of an (n+1, n) matrix."""
+    """Deterministic orthonormal basis of T_y S^n as columns of an (n+1, n)
+    matrix; DomainError where |y| is zero or not finite."""
     y = np.asarray(y, dtype=float)
+    nrm = np.linalg.norm(y)
+    if not 0 < nrm < math.inf:
+        raise DomainError(f"frame_at needs a point of finite nonzero norm, got {float(nrm)!r}")
     dim = len(y)
     anchor = int(np.argmax(np.abs(y)))
     cols = []
-    basis = [y / np.linalg.norm(y)]
+    basis = [y / nrm]
     for i in range(dim):
         if i == anchor:
             continue
@@ -609,14 +615,21 @@ def _density(proj: np.ndarray, h_raw: np.ndarray, k_raw: np.ndarray) -> np.ndarr
     return np.einsum("nij,nij->n", _compress(proj, h_raw), _compress(proj, k_raw))
 
 
+def _require_grid_dim(h: TensorField, k: TensorField, grid: SphereGrid) -> None:
+    if not h.n == k.n == grid.n:
+        raise DomainError(f"dimension mismatch: fields on S^{h.n} and S^{k.n}, "
+                          f"grid on S^{grid.n}")
+
+
 def pairing(h: TensorField, k: TensorField, grid: SphereGrid) -> float:
     """Integral over S^n of the pointwise Frobenius pairing <h, k>.
 
     Both fields are evaluated over the same blocks, compressed with the
     block's one set of tangent projectors, and the pointwise density of all
     blocks is integrated once, so the value is bit for bit that of one
-    whole-grid evaluation.
+    whole-grid evaluation.  DomainError unless h, k and the grid share n.
     """
+    _require_grid_dim(h, k, grid)
     return grid.integrate(np.concatenate([
         _density(_tangent_projectors(ys), h.raw(ys), k.raw(ys))
         for ys in _blocks(grid.nodes)
@@ -637,9 +650,10 @@ def _pairing_terms(
     ``pairing(h, k, grid)`` and ``pairing(u_action(-n/2) h, u_action(n/2) k,
     grid)``.
     """
+    _require_grid_dim(h, k, grid)
     n = grid.n
-    if a.n != h.n or a.n != k.n:
-        raise DomainError("dimension mismatch")
+    if a.n != n:
+        raise DomainError(f"dimension mismatch: element on S^{a.n}, grid on S^{n}")
     expo_h = RepWeight.of(n, Fraction(-n, 2)).pullback_exponent
     expo_k = RepWeight.of(n, Fraction(n, 2)).pullback_exponent
     base, moved = [], []
@@ -660,9 +674,10 @@ def _pairing_terms(
 def check_pairing_invariance(
     h: TensorField, k: TensorField, a: MoebiusElement, grid: SphereGrid
 ) -> float:
-    """Residual of <h, k> = <u_{-n/2}(phi) h, u_{n/2}(phi) k>."""
+    """Residual of <h, k> = <u_{-n/2}(phi) h, u_{n/2}(phi) k>, relative to
+    1 + |<h, k>|; DomainError unless h, k, a and the grid share n."""
     base, moved = _pairing_terms(h, k, a, grid)
-    return abs(base - moved)
+    return abs(base - moved) / (1.0 + abs(base))
 
 
 # ---------------------------------------------------------------------------
@@ -964,6 +979,16 @@ def sphere_conformal_fields(n: int) -> list[Callable[[np.ndarray], np.ndarray]]:
     for a in range(n + 1):
         fields.append(gradient_field(a))
     return fields
+
+
+def kernel_field_residual(n: int, points: np.ndarray) -> float:
+    """Largest |S X| entry of the fields of :func:`sphere_conformal_fields`
+    at a non-empty (P, n) array of chart points, which S annihilates."""
+    xs = np.asarray(points, dtype=float)
+    if xs.ndim != 2 or xs.shape[0] == 0 or xs.shape[1] != n:
+        raise DomainError(f"points must be a non-empty (P, {n}) array, got shape {xs.shape}")
+    return nan_max(float(np.max(np.abs(_ahlfors_at(fld, xs))))
+                   for fld in sphere_conformal_fields(n))
 
 
 def _chart_points(phi: ChartMap, points) -> np.ndarray:

@@ -70,6 +70,7 @@ __all__ = [
     "TauTailIntegral",
     "tau_tail_exact",
     "tau_tail_quadrature",
+    "tau_tail_gap",
     "RadialGreen",
     "green_L_profile",
     "green_L2_profile",
@@ -78,10 +79,13 @@ __all__ = [
     "green_L2",
     "green_D2",
     "green_D2_quadrature",
+    "d2_route_gap",
     "green_D2_closed3",
     "chart_radius",
     "zform_operator",
     "homogeneous_mode_residual",
+    "homogeneous_coefficient_gap",
+    "ode_rows",
     "ode_residual_L",
     "ode_residual_L2",
     "RegularPartConfig",
@@ -91,10 +95,12 @@ __all__ = [
     "kv_trace_L2",
     "kv_trace_D2",
     "trace_sign_expected",
+    "frozen_traces_match",
     "PipelineTrace",
     "trace_from_pipeline",
     "spectral_trace_reference",
     "spectral_convention_factor",
+    "pipeline_trace_gap",
 ]
 
 
@@ -321,6 +327,17 @@ def tau_tail_quadrature(a: int, p: int, x: float) -> float:
     return val
 
 
+def tau_tail_gap(a: int, p: int) -> float:
+    """Worst gap of :func:`tau_tail_quadrature` to :func:`tau_tail_exact` at
+    x = 0.25, 0.6, 1, 1.8 and 3, each divided by max(1, |exact|)."""
+    exact = tau_tail_exact(a, p)
+    gaps = []
+    for x in (0.25, 0.6, 1.0, 1.8, 3.0):
+        closed = exact.value(x)
+        gaps.append(abs(closed - tau_tail_quadrature(a, p, x)) / max(1.0, abs(closed)))
+    return nan_max(gaps)
+
+
 # ---------------------------------------------------------------------------
 # Radial profiles.
 # ---------------------------------------------------------------------------
@@ -423,7 +440,7 @@ def _fit_homogeneous_coefficient(n: int) -> float:
     Returns A such that G = A (1-z)^{-m} + particular part is the profile
     with the softened r^{-(n-4)} leading singularity.  Exact value is
     D_n / (n-2), which :func:`green_L2_profile` uses; this numeric route is
-    the independent check run by the tests and the greens verify suite.
+    the independent check of :func:`homogeneous_coefficient_gap`.
     """
     import numpy as np
 
@@ -445,6 +462,11 @@ def _fit_homogeneous_coefficient(n: int) -> float:
     vals = np.array([particular_times_mode(float(r)) for r in rs])
     coeffs, _ = _scaled_lstsq(rs, vals, range(7))
     return -float(coeffs[0])
+
+
+def homogeneous_coefficient_gap(n: int) -> float:
+    """|fit / exact - 1| for the fitted and the exact D_n/(n-2)."""
+    return abs(_fit_homogeneous_coefficient(n) / _l2_coefficient(n) - 1.0)
 
 
 def green_L2_profile(n: int) -> RadialGreen:
@@ -566,8 +588,7 @@ def green_D2(n: int, x_norm: float) -> float:
     the finished value.  Where a power of X, x*x or the value leaves the
     float range, or vol(S^{n-1}) is not a normal float (from n = 439 on;
     see :func:`_boundary_volume`), it raises DomainError.  The quadrature twin :func:`green_D2_quadrature` is
-    compared with it in the tests and in ``verify --suite greens``, not on
-    every call.
+    compared with it by :func:`d2_route_gap`, not on every call.
     """
     _require_odd(n)
     if not 0 < x_norm < math.inf:
@@ -690,6 +711,12 @@ def green_D2_quadrature(n: int, x_norm: float) -> float:
         raise _d2_range_error(n, x_norm) from exc
 
 
+def d2_route_gap(n: int, x_norm: float) -> tuple[float, float]:
+    """(:func:`green_D2` value, its gap to :func:`green_D2_quadrature` / |value|)."""
+    value = green_D2(n, x_norm)
+    return value, abs(value - green_D2_quadrature(n, x_norm)) / abs(value)
+
+
 def green_D2_closed3(r: float) -> float:
     """Independent n = 3 closed form (1/(16 pi)) [4/sin r + sec^2(r/2)(r-pi)]."""
     return (4.0 / math.sin(r) + (r - math.pi) / math.cos(r / 2) ** 2) / (16 * math.pi)
@@ -738,7 +765,7 @@ def homogeneous_mode_residual(n: int, sigma: int, z: float) -> float:
     return num / scale
 
 
-def _ode_rows(n: int, kind: str, rs) -> list[tuple[float, float]]:
+def ode_rows(n: int, kind: str, rs) -> list[tuple[float, float]]:
     """(value, relative ODE residual) of the "L" or "L2" profile at each radius.
 
     L (L-profile) = 0 and L (L2-profile) = L-profile.  Both profiles are the
@@ -773,9 +800,9 @@ def ode_residual_L(n: int, rs) -> float:
     """Max relative residual of L (L-profile) = 0 over the sample radii.
 
     Raises DomainError where a radius gives a non-finite value, derivative
-    or residual (see :func:`_ode_rows`).
+    or residual (see :func:`ode_rows`).
     """
-    return nan_max(res for _, res in _ode_rows(n, "L", rs))
+    return nan_max(res for _, res in ode_rows(n, "L", rs))
 
 
 def ode_residual_L2(n: int, rs) -> float:
@@ -783,7 +810,7 @@ def ode_residual_L2(n: int, rs) -> float:
 
     Raises DomainError on a non-finite row, as :func:`ode_residual_L` does.
     """
-    return nan_max(res for _, res in _ode_rows(n, "L2", rs))
+    return nan_max(res for _, res in ode_rows(n, "L2", rs))
 
 
 # ---------------------------------------------------------------------------
@@ -943,6 +970,22 @@ def trace_sign_expected(kind: TraceKind, k: int) -> int:
     return (-1) ** (k + 1) if kind is TraceKind.L2 else (-1) ** k
 
 
+# The published coefficients of pi^2 for k <= 2.
+_FROZEN_TRACES = {
+    (TraceKind.L2, 1): Fraction(3, 128),
+    (TraceKind.L2, 2): Fraction(-5, 2048),
+    (TraceKind.D2, 1): Fraction(-1, 4),
+    (TraceKind.D2, 2): Fraction(3, 16),
+}
+
+
+def frozen_traces_match(k_max: int) -> bool:
+    """True when the evaluators give every frozen coefficient with k <= k_max."""
+    evaluators = {TraceKind.L2: kv_trace_L2, TraceKind.D2: kv_trace_D2}
+    return all(evaluators[kind](k)[0] == value
+               for (kind, k), value in _FROZEN_TRACES.items() if k <= k_max)
+
+
 @dataclass(frozen=True)
 class PipelineTrace:
     """Regular part of the profile at the diagonal times vol(S^n)."""
@@ -1044,3 +1087,10 @@ def spectral_trace_reference(kind: TraceKind, k: int) -> float:
     """
     pi2, rational = _spectral_trace_exact(kind, k)
     return float(pi2) * math.pi**2 + float(rational)
+
+
+def pipeline_trace_gap(kind: TraceKind, k: int) -> float:
+    """|factor x pipeline trace - spectral reference| / |spectral reference|."""
+    pipe = trace_from_pipeline(kind, k).value
+    ref = spectral_trace_reference(kind, k)
+    return abs(spectral_convention_factor(kind, k) * pipe - ref) / abs(ref)

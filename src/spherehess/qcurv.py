@@ -31,6 +31,7 @@ compares two different kinds of arithmetic.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -67,6 +68,7 @@ __all__ = [
     "q_hessian_expected",
     "ahlfors_symbol",
     "project_tt",
+    "q_symbol_identity_holds",
 ]
 
 FracVec = tuple[Fraction, ...]
@@ -445,3 +447,23 @@ def project_tt(xi, m) -> FracMat:
         for i in range(n)
     ]
     return _fractions(num, (n - 1) * nrm**2 * e)
+
+
+def q_symbol_identity_holds(seed: int, dims: tuple[int, ...], trials: int) -> bool:
+    """True when sigma_n(H) = -|xi|^n/4 * k, exactly, on ``trials`` seeded
+    draws in each dimension: a nonzero integer covector xi with entries in
+    [-3, 3] and k the trace-free transverse part of a symmetric integer
+    matrix."""
+    rng = random.Random(seed)
+    for n in dims:
+        for _ in range(trials):
+            xi = (0,) * n
+            while not any(xi):
+                xi = tuple(Fraction(rng.randint(-3, 3)) for _ in range(n))
+            raw = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+            k = project_tt(xi, tuple(
+                tuple(Fraction(raw[i][j] + raw[j][i]) for j in range(n))
+                for i in range(n)))
+            if q_hessian_symbol(n, xi, k) != q_hessian_expected(n, xi, k):
+                return False
+    return True

@@ -41,7 +41,9 @@ __all__ = [
     "spectrum_generate3",
     "t0_eigenvalue",
     "closed_form_table",
+    "recursion_table",
     "recursion_matches_closed_form",
+    "opposite_signs_at_q_pm2",
     "HessianKind",
     "Classification",
     "classify_hessian",
@@ -262,7 +264,7 @@ def closed_form_table(n: int, j_max: int) -> SpectrumTable:
     return SpectrumTable(dim_n=n, entries=entries)
 
 
-def _recursion_table(n: int, j_max: int) -> SpectrumTable:
+def recursion_table(n: int, j_max: int) -> SpectrumTable:
     """The recursion table seeded with the closed form at (0, 2), and on the
     3-sphere also at (0, -2)."""
     if n == 3:
@@ -273,7 +275,12 @@ def _recursion_table(n: int, j_max: int) -> SpectrumTable:
 
 def recursion_matches_closed_form(n: int, j_max: int) -> bool:
     """Exact pointwise equality of the recursion table with the closed form."""
-    return _recursion_table(n, j_max).entries == closed_form_table(n, j_max).entries
+    return recursion_table(n, j_max).entries == closed_form_table(n, j_max).entries
+
+
+def opposite_signs_at_q_pm2(table: SpectrumTable) -> bool:
+    """True when a 3-sphere table's values at q = 2 and -2 differ in sign at every j."""
+    return all(v * table.value(t.j, -2) < 0 for t, v in table.entries.items() if t.q == 2)
 
 
 class HessianKind(enum.Enum):

@@ -42,12 +42,15 @@ __all__ = [
     "gamma_prefactor",
     "gamma_prefactor_exact",
     "gamma_prefactor_oracle",
+    "prefactor_oracle_gap",
     "prefactor_raw",
     "zeta0_prefactor_richardson",
+    "zeta0_richardson_gap",
     "point_projector",
     "evaluate_form",
     "FormDefiniteness",
     "bracket_definiteness",
+    "s0_bracket_check",
     "Functional",
     "ExtremalStatement",
     "extremal_classification",
@@ -212,6 +215,16 @@ def gamma_prefactor_oracle(n: int, mode: PrefactorMode) -> float:
     return four_pi * gneg * gpos / gden
 
 
+def prefactor_oracle_gap(n: int) -> float:
+    """|:func:`gamma_prefactor` - :func:`gamma_prefactor_oracle`| / |oracle| in
+    the one mode of n's parity."""
+    mode = (PrefactorMode.DET_DERIVATIVE_AT_ZERO if n % 2
+            else PrefactorMode.ZETA0_LIMIT_AT_ZERO)
+    got, _ = gamma_prefactor(n, mode)
+    oracle = gamma_prefactor_oracle(n, mode)
+    return abs(got - oracle) / abs(oracle)
+
+
 def prefactor_raw(n: int, s: float) -> float:
     """The full prefactor (4 pi)^{-n/2} Gamma(s-n/2) Gamma(-s+n/2+1)^2 /
     (Gamma(s) Gamma(-2s+n+2)) at real s and n <= 169, by float Gamma values;
@@ -240,6 +253,13 @@ def zeta0_prefactor_richardson(n: int) -> float:
     s1, s2 = 2.0**-20, 2.0**-23
     p1, p2 = prefactor_raw(n, s1), prefactor_raw(n, s2)
     return (s1 * p2 - s2 * p1) / (s1 - s2)
+
+
+def zeta0_richardson_gap(n: int) -> float:
+    """|:func:`zeta0_prefactor_richardson` - exact| / |exact| (even n)."""
+    rich = zeta0_prefactor_richardson(n)
+    exact = gamma_prefactor(n, PrefactorMode.ZETA0_LIMIT_AT_ZERO)[0]
+    return abs(rich - exact) / abs(exact)
 
 
 def point_projector(xi: np.ndarray) -> np.ndarray:
@@ -302,6 +322,17 @@ def bracket_definiteness(coeffs: QuadFormCoeffs, m: int) -> FormDefiniteness:
     if coeffs.b <= 0 and edge <= 0:
         return FormDefiniteness.NEG_SEMIDEF
     return FormDefiniteness.INDEFINITE
+
+
+def s0_bracket_check(n: int) -> tuple[bool, Fraction]:
+    """At s = 0 on S^n: whether L's bracket is positive semidefinite (and, for
+    odd n, D2's negative semidefinite), and the larger |value| of the two at
+    K = P, the projector normal to xi (t = u = n - 1), where both vanish."""
+    lcof, dcof = bracket_L(n, 0), bracket_D2(n, 0)
+    semi = bracket_definiteness(lcof, n - 1) is FormDefiniteness.POS_SEMIDEF
+    if n % 2 == 1:
+        semi = semi and bracket_definiteness(dcof, n - 1) is FormDefiniteness.NEG_SEMIDEF
+    return semi, max(abs((n - 1) * (cof.a * (n - 1) + cof.b)) for cof in (lcof, dcof))
 
 
 _SEMIDEF_SIGN = {

@@ -47,6 +47,10 @@ D^2,2,5,3/16,2,1.8505508252042546
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
+# ``--format json`` stdout of the suites and of qsymbol, by their options.
+_CLI_JSON = json.loads(
+    (Path(__file__).parent / "data" / "cli_json.json").read_text())
+
 
 def _readme_commands() -> list[list[str]]:
     """The argument lists of the README's "Command line" example block."""
@@ -113,6 +117,14 @@ class TestGoldenOutputs:
         assert "4,DET_L,-,-,-,-,NOT-APPLICABLE" in lines
         assert "4,ZETA0_L,2,+1,-1,(-1)^(k+1) zeta_L(0) is a local maximum,PASS" in lines
         assert "4,ZETA0_D2,2,-1,+1,(-1)^(k) zeta_D2(0) is a local maximum,PASS" in lines
+
+    @pytest.mark.parametrize("case", sorted(_CLI_JSON))
+    def test_json_output_is_unchanged(self, capsys, case):
+        # JSON prints every residual's repr, so a moved check that changes
+        # a scale or an operation order changes these bytes.
+        code, out, _ = _run(capsys, *case.split(), "--format", "json")
+        assert code == 0
+        assert out == _CLI_JSON[case]
 
 
 class TestFormats:

@@ -196,6 +196,26 @@ _PUBLIC = {
 _PUBLIC_NAMES = {name for names in _PUBLIC.values() for name in names.split()}
 
 
+class TestOneDefinitionPerCheck:
+    LAYERS = {"confgroup", "exact", "greens", "ktypes", "qcurv", "spectrum", "symbols"}
+
+    def test_cli_reaches_no_private_layer_name(self):
+        # Every residual the CLI prints is a public function of its layer.
+        import ast
+        from spherehess import cli
+
+        nodes = list(ast.walk(ast.parse(Path(cli.__file__).read_text())))
+        imports = [node for node in nodes if isinstance(node, ast.ImportFrom)]
+        aliases = self.LAYERS | {a.asname for node in imports for a in node.names
+                                 if a.name in self.LAYERS and a.asname}
+        private = [a.name for node in imports if node.module in self.LAYERS
+                   for a in node.names if a.name.startswith("_")]
+        private += [f"{node.value.id}.{node.attr}" for node in nodes
+                    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in aliases and node.attr.startswith("_")]
+        assert private == []
+
+
 class TestLazyExports:
     def test_star_import_gives_the_public_names(self):
         namespace: dict = {}

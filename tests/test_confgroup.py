@@ -37,6 +37,7 @@ from spherehess.confgroup import (
     frame_at,
     inverse,
     inverse_stereographic,
+    kernel_field_residual,
     lorentz_form_residual,
     metric_field,
     moebius_boost,
@@ -144,6 +145,17 @@ class TestDifferential:
             assert conformality_residual(a, y) <= 1e-7
             assert cocycle_residual(a, b, y) <= 1e-7
 
+    @pytest.mark.parametrize("y", [[0.0, 0.0, 0.0], [np.nan, 0.0, 1.0],
+                                   [0.0, -np.inf, 1.0]], ids=["zero", "nan", "inf"])
+    def test_point_without_a_tangent_space_is_refused(self, y):
+        # The zero point gave an all-NaN frame and a quiet NaN residual.
+        y = np.array(y)
+        message = r"^frame_at needs a point of finite nonzero norm, got (0\.0|nan|inf)$"
+        with pytest.raises(DomainError, match=message):
+            frame_at(y)
+        with pytest.raises(DomainError, match=message):
+            conformality_residual(moebius_boost(2, 0, 0.5), y)
+
 
 class TestGrids:
     @pytest.mark.parametrize("n", [2, 3])
@@ -189,8 +201,38 @@ class TestTensorAction:
         h = random_band_limited_field(rng, n)
         k = random_band_limited_field(rng, n)
         a = random_moebius(rng, n, 1.0)
-        base = pairing(h, k, g)
-        assert check_pairing_invariance(h, k, a, g) <= 1e-6 * (1 + abs(base))
+        assert check_pairing_invariance(h, k, a, g) <= 1e-6
+
+    @pytest.mark.parametrize("h_dim, k_dim, grid_dim", [(3, 3, 2), (2, 3, 2), (3, 2, 3)])
+    def test_pairing_refuses_mismatched_dimensions(self, h_dim, k_dim, grid_dim):
+        # S^3 fields on an S^2 grid used to raise a bare IndexError.
+        rng = np.random.default_rng(12)
+        h = random_band_limited_field(rng, h_dim)
+        k = random_band_limited_field(rng, k_dim)
+        g = sphere_grid(grid_dim, 6)
+        a = random_moebius(rng, grid_dim, 1.0)
+        message = (rf"^dimension mismatch: fields on S\^{h_dim} and S\^{k_dim}, "
+                   rf"grid on S\^{grid_dim}$")
+        with pytest.raises(DomainError, match=message):
+            pairing(h, k, g)
+        with pytest.raises(DomainError, match=message):
+            check_pairing_invariance(h, k, a, g)
+
+    def test_pairing_check_refuses_an_element_of_another_dimension(self):
+        rng = np.random.default_rng(13)
+        h = random_band_limited_field(rng, 2)
+        g = sphere_grid(2, 6)
+        with pytest.raises(DomainError, match=r"element on S\^3, grid on S\^2$"):
+            check_pairing_invariance(h, h, random_moebius(rng, 3, 1.0), g)
+
+    def test_pairing_check_is_relative_to_one_plus_the_pairing(self):
+        rng = np.random.default_rng(14)
+        g = sphere_grid(2, 10)
+        h = random_band_limited_field(rng, 2)
+        k = random_band_limited_field(rng, 2)
+        a = random_moebius(rng, 2, 1.0)
+        base, moved = confgroup._pairing_terms(h, k, a, g)
+        assert check_pairing_invariance(h, k, a, g) == abs(base - moved) / (1 + abs(base))
 
     def test_u_action_is_a_right_action(self):
         rng = np.random.default_rng(6)
@@ -537,14 +579,18 @@ class TestSameBits:
         rng = np.random.default_rng(400 + n)
         pts = rng.normal(size=(10, n)) * 0.8
         fields = sphere_conformal_fields(n)
-        got = nan_max(float(np.max(np.abs(confgroup._ahlfors_at(fld, pts))))
-                      for fld in fields)
+        got = kernel_field_residual(n, pts)
         want = nan_max(float(np.max(np.abs(_pointwise_ahlfors(fld, x))))
                        for fld in fields for x in pts)
         assert got == want
         for x in pts[:3]:
             assert np.array_equal(ahlfors_chart(fields[0], x),
                                   _pointwise_ahlfors(fields[0], x))
+
+    @pytest.mark.parametrize("shape", [(0, 2), (4, 3), (2,)])
+    def test_kernel_fields_refuse_points_of_another_shape(self, shape):
+        with pytest.raises(DomainError, match=r"non-empty \(P, 2\) array"):
+            kernel_field_residual(2, np.ones(shape))
 
     @pytest.mark.parametrize("case", sorted(_VERIFY_CONFGROUP_JSON))
     def test_verify_confgroup_output_is_unchanged(self, capsys, case):
