@@ -1,17 +1,21 @@
-"""Adaptive Gauss–Kronrod quadrature: a pure-Python port of QUADPACK's qagse.
+"""Adaptive Gauss–Kronrod quadrature: a pure-Python port of QUADPACK's qag.
 
 R. Piessens, E. de Doncker-Kapenga, C. W. Überhuber and D. K. Kahaner,
 *QUADPACK: A Subroutine Package for Automatic Integration*, Springer 1983.
 
-:func:`qagse` is ``dqagse`` with ``dqk21`` (the 21-point Gauss–Kronrod rule),
-``dqpsrt`` (the ordering of the error list) and ``dqelg`` (the epsilon
-algorithm), translated statement by statement in the original operation
-order, so that it returns the same bits as the compiled routine behind
-``scipy.integrate.quad``.  The lists are indexed from 1 as in the original;
-index 0 is unused.  Its only caller, ``greens.tau_tail_quadrature``, fixes
-the tolerances and the subdivision limit, so they are module constants and
-the branches they make unreachable (``limit == 1``, the ``epsabs <= 0``
-input check) are left out.
+:func:`qag` is ``dqage`` with the key for ``dqk21`` (the 21-point
+Gauss–Kronrod rule) and ``dqpsrt`` (the ordering of the error list),
+translated statement by statement in the original operation order: it
+bisects the subinterval with the largest error estimate until the summed
+estimate meets the tolerance, and returns the plain sum of the subinterval
+results.  No extrapolation is attempted; its only caller,
+``greens.tau_tail_quadrature``, hands it integrands that are smooth on a
+closed interval.  The lists are indexed from 1 as in the original; index 0
+is unused.  That caller fixes the tolerance and the subdivision limit, so
+they are module constants and the branches they make unreachable
+(``limit == 1``, the tolerance input check) are left out.  The absolute
+tolerance is 0: the relative one alone decides, so a tail far below 1 is
+resolved as finely as one near 1.
 """
 
 from __future__ import annotations
@@ -19,14 +23,11 @@ from __future__ import annotations
 import sys
 from typing import Callable
 
-EPSABS = 1e-12
 EPSREL = 1e-12
 LIMIT = 200
 
 _EPMACH = sys.float_info.epsilon  # d1mach(4)
 _UFLOW = sys.float_info.min  # d1mach(1)
-_OFLOW = sys.float_info.max  # d1mach(2)
-_LIMEXP = 50  # the epsilon table holds at most 50 + 2 elements
 
 # dqk21: Kronrod abscissae (the even ones are the 10-point Gauss abscissae),
 # Kronrod weights and Gauss weights; the centre node is the last one.
@@ -108,27 +109,25 @@ def _qk21(f: Callable[[float], float], a: float, b: float
     return result, abserr, resabs, resasc
 
 
-def _qpsrt(last: int, maxerr: int, elist: list[float], iord: list[int],
-           nrmax: int) -> tuple[int, float, int]:
-    """dqpsrt: keep iord descending in elist; return (maxerr, errmax, nrmax)."""
+def _qpsrt(last: int, maxerr: int, elist: list[float], iord: list[int]
+           ) -> tuple[int, float]:
+    """dqpsrt: keep iord descending in elist; return (maxerr, errmax).
+
+    dqage always bisects the interval of largest error, so nrmax, which
+    only dqagse's extrapolation moves, is 1 and its branch is left out.
+    """
     if last <= 2:
         iord[1] = 1
         iord[2] = 2
     else:
         errmax = elist[maxerr]
-        for _ in range(nrmax - 1):
-            isucc = iord[nrmax - 1]
-            if errmax <= elist[isucc]:
-                break
-            iord[nrmax] = isucc
-            nrmax -= 1
         jupbn = last
         if last > LIMIT // 2 + 2:
             jupbn = LIMIT + 3 - last
         errmin = elist[last]
         # Insert errmax by traversing the list top-down ...
         jbnd = jupbn - 1
-        for i in range(nrmax + 1, jbnd + 1):
+        for i in range(2, jbnd + 1):
             isucc = iord[i]
             if errmax >= elist[isucc]:
                 break
@@ -136,8 +135,8 @@ def _qpsrt(last: int, maxerr: int, elist: list[float], iord: list[int],
         else:
             iord[jbnd] = maxerr
             iord[jupbn] = last
-            maxerr = iord[nrmax]
-            return maxerr, elist[maxerr], nrmax
+            maxerr = iord[1]
+            return maxerr, elist[maxerr]
         # ... and errmin bottom-up.
         iord[i - 1] = maxerr
         k = jbnd
@@ -150,186 +149,81 @@ def _qpsrt(last: int, maxerr: int, elist: list[float], iord: list[int],
             k -= 1
         else:
             iord[i] = last
-    maxerr = iord[nrmax]
-    return maxerr, elist[maxerr], nrmax
+    maxerr = iord[1]
+    return maxerr, elist[maxerr]
 
 
-def _qelg(n: int, epstab: list[float], res3la: list[float], nres: int
-          ) -> tuple[int, float, float, int]:
-    """dqelg: one step of the epsilon algorithm on epstab[1..n].
+def qag(f: Callable[[float], float], a: float, b: float
+        ) -> tuple[float, float, int, int]:
+    """dqage: integrate f over [a, b] to EPSREL in LIMIT subintervals.
 
-    Returns the new table length n, the extrapolated value, its error
-    estimate and the updated call count nres; epstab and res3la change in
-    place.
-    """
-    nres += 1
-    abserr = _OFLOW
-    result = epstab[n]
-    if n < 3:
-        return n, result, max(abserr, 5.0 * _EPMACH * abs(result)), nres
-    epstab[n + 2] = epstab[n]
-    newelm = (n - 1) // 2
-    epstab[n] = _OFLOW
-    num = n
-    k1 = n
-    for i in range(1, newelm + 1):
-        k2 = k1 - 1
-        k3 = k1 - 2
-        res = epstab[k1 + 2]
-        e0 = epstab[k3]
-        e1 = epstab[k2]
-        e2 = res
-        e1abs = abs(e1)
-        delta2 = e2 - e1
-        err2 = abs(delta2)
-        tol2 = max(abs(e2), e1abs) * _EPMACH
-        delta3 = e1 - e0
-        err3 = abs(delta3)
-        tol3 = max(e1abs, abs(e0)) * _EPMACH
-        if err2 <= tol2 and err3 <= tol3:
-            # e0, e1 and e2 are equal to within machine accuracy.
-            result = res
-            abserr = err2 + err3
-            return n, result, max(abserr, 5.0 * _EPMACH * abs(result)), nres
-        e3 = epstab[k1]
-        epstab[k1] = e1
-        delta1 = e1 - e3
-        err1 = abs(delta1)
-        tol1 = max(e1abs, abs(e3)) * _EPMACH
-        # Two elements very close to each other, or irregular behaviour in
-        # the table: omit a part of the table by adjusting n.
-        if err1 <= tol1 or err2 <= tol2 or err3 <= tol3:
-            n = i + i - 1
-            break
-        ss = 1.0 / delta1 + 1.0 / delta2 - 1.0 / delta3
-        epsinf = abs(ss * e1)
-        if not epsinf > 1e-4:
-            n = i + i - 1
-            break
-        res = e1 + 1.0 / ss
-        epstab[k1] = res
-        k1 = k1 - 2
-        error = err2 + abs(res - e2) + err3
-        if error > abserr:
-            continue
-        abserr = error
-        result = res
-    # Shift the table.
-    if n == _LIMEXP:
-        n = 2 * (_LIMEXP // 2) - 1
-    ib = 2 if num % 2 == 0 else 1
-    for _ in range(newelm + 1):
-        epstab[ib] = epstab[ib + 2]
-        ib += 2
-    if num != n:
-        indx = num - n + 1
-        for i in range(1, n + 1):
-            epstab[i] = epstab[indx]
-            indx += 1
-    if nres < 4:
-        res3la[nres] = result
-        abserr = _OFLOW
-    else:
-        abserr = (abs(result - res3la[3]) + abs(result - res3la[2])
-                  + abs(result - res3la[1]))
-        res3la[1] = res3la[2]
-        res3la[2] = res3la[3]
-        res3la[3] = result
-    return n, result, max(abserr, 5.0 * _EPMACH * abs(result)), nres
-
-
-def qagse(f: Callable[[float], float], a: float, b: float
-          ) -> tuple[float, float, int, int]:
-    """dqagse: integrate f over [a, b] to EPSABS/EPSREL in LIMIT subintervals.
-
-    Returns ``(value, abserr, ier, neval)``.  ``ier`` is QUADPACK's flag
-    after its final shift, as scipy reports it: 0 converged; 1 the
-    subdivision limit was reached; 2 roundoff kept the tolerance out of
-    reach; 3 bad integrand behaviour at a point; 4 the extrapolation did not
-    converge; 5 the integral is probably divergent or slowly convergent.
+    Returns ``(value, abserr, ier, neval)``.  ``ier`` is QUADPACK's flag:
+    0 converged; 1 the subdivision limit was reached; 2 roundoff kept the
+    tolerance out of reach; 3 bad integrand behaviour at a point of the
+    range (a subinterval too small to bisect).
     """
     alist = [0.0] * (LIMIT + 1)
     blist = [0.0] * (LIMIT + 1)
     rlist = [0.0] * (LIMIT + 1)
     elist = [0.0] * (LIMIT + 1)
     iord = [0] * (LIMIT + 1)
-    rlist2 = [0.0] * (_LIMEXP + 3)
-    res3la = [0.0] * 4
     ier = 0
     alist[1] = a
     blist[1] = b
 
     # First approximation to the integral, and the test on its accuracy.
     result, abserr, defabs, resabs = _qk21(f, a, b)
-    dres = abs(result)
-    errbnd = max(EPSABS, EPSREL * dres)
     last = 1
     rlist[1] = result
     elist[1] = abserr
     iord[1] = 1
-    if abserr <= 100.0 * _EPMACH * defabs and abserr > errbnd:
+    errbnd = EPSREL * abs(result)
+    if abserr <= 50.0 * _EPMACH * defabs and abserr > errbnd:
         ier = 2
     if (ier != 0 or (abserr <= errbnd and abserr != resabs)
             or abserr == 0.0):
         return result, abserr, ier, 42 * last - 21
 
-    rlist2[1] = result
     errmax = abserr
     maxerr = 1
     area = result
     errsum = abserr
-    abserr = _OFLOW
-    nrmax = 1
-    nres = 0
-    numrl2 = 2
-    ktmin = 0
-    extrap = False
-    noext = False
-    ierro = 0
-    iroff1 = iroff2 = iroff3 = 0
-    small = erlarg = ertest = correc = 0.0
-    ksgn = 1 if dres >= (1.0 - 50.0 * _EPMACH) * defabs else -1
+    iroff1 = iroff2 = 0
 
-    summed = False  # leave through dqagse's label 115: sum the rlist
     for last in range(2, LIMIT + 1):
-        # Bisect the subinterval with the nrmax-th largest error estimate.
+        # Bisect the subinterval with the largest error estimate.
         a1 = alist[maxerr]
         b1 = 0.5 * (alist[maxerr] + blist[maxerr])
         a2 = b1
         b2 = blist[maxerr]
-        erlast = errmax
         area1, error1, resabs, defab1 = _qk21(f, a1, b1)
         area2, error2, resabs, defab2 = _qk21(f, a2, b2)
 
-        # Improve the previous approximations to the integral and error.
+        # Improve the previous approximations to the integral and error,
+        # and test for accuracy.
         area12 = area1 + area2
         erro12 = error1 + error2
         errsum = errsum + erro12 - errmax
         area = area + area12 - rlist[maxerr]
         if defab1 != error1 and defab2 != error2:
-            if not (abs(rlist[maxerr] - area12) > 1e-5 * abs(area12)
-                    or erro12 < 0.99 * errmax):
-                if extrap:
-                    iroff2 += 1
-                else:
-                    iroff1 += 1
+            if (abs(rlist[maxerr] - area12) <= 1e-5 * abs(area12)
+                    and erro12 >= 0.99 * errmax):
+                iroff1 += 1
             if last > 10 and erro12 > errmax:
-                iroff3 += 1
+                iroff2 += 1
         rlist[maxerr] = area1
         rlist[last] = area2
-        errbnd = max(EPSABS, EPSREL * abs(area))
-
-        # Roundoff, the subdivision limit, and bad integrand behaviour at a
-        # point of the range set the error flag.
-        if iroff1 + iroff2 >= 10 or iroff3 >= 20:
-            ier = 2
-        if iroff2 >= 5:
-            ierro = 3
-        if last == LIMIT:
-            ier = 1
-        if (max(abs(a1), abs(b2))
-                <= (1.0 + 100.0 * _EPMACH) * (abs(a2) + 1000.0 * _UFLOW)):
-            ier = 4
+        errbnd = EPSREL * abs(area)
+        if not errsum <= errbnd:
+            # Roundoff, the subdivision limit, and bad integrand behaviour
+            # at a point of the range set the error flag.
+            if iroff1 >= 6 or iroff2 >= 20:
+                ier = 2
+            if last == LIMIT:
+                ier = 1
+            if (max(abs(a1), abs(b2))
+                    <= (1.0 + 100.0 * _EPMACH) * (abs(a2) + 1000.0 * _UFLOW)):
+                ier = 3
 
         # Append the newly created intervals to the list.
         if error2 > error1:
@@ -346,103 +240,12 @@ def qagse(f: Callable[[float], float], a: float, b: float
             blist[last] = b2
             elist[maxerr] = error1
             elist[last] = error2
-        maxerr, errmax, nrmax = _qpsrt(last, maxerr, elist, iord, nrmax)
-        if errsum <= errbnd:
-            summed = True
+        maxerr, errmax = _qpsrt(last, maxerr, elist, iord)
+        if ier != 0 or errsum <= errbnd:
             break
-        if ier != 0:
-            break
-        if last == 2:
-            small = abs(b - a) * 0.375
-            erlarg = errsum
-            ertest = errbnd
-            rlist2[2] = area
-            continue
-        if noext:
-            continue
-        erlarg = erlarg - erlast
-        if abs(b1 - a1) > small:
-            erlarg = erlarg + erro12
-        if not extrap:
-            # Is the interval to be bisected next the smallest one?
-            if abs(blist[maxerr] - alist[maxerr]) > small:
-                continue
-            extrap = True
-            nrmax = 2
-        if ierro != 3 and not erlarg <= ertest:
-            # The smallest interval has the largest error.  Before
-            # bisecting, decrease the sum of the errors over the larger
-            # intervals (erlarg) and extrapolate.
-            jupbnd = last
-            if last > 2 + LIMIT // 2:
-                jupbnd = LIMIT + 3 - last
-            larger = False
-            for _ in range(nrmax, jupbnd + 1):
-                maxerr = iord[nrmax]
-                errmax = elist[maxerr]
-                if abs(blist[maxerr] - alist[maxerr]) > small:
-                    larger = True
-                    break
-                nrmax += 1
-            if larger:
-                continue
 
-        # Extrapolate.
-        numrl2 += 1
-        rlist2[numrl2] = area
-        numrl2, reseps, abseps, nres = _qelg(numrl2, rlist2, res3la, nres)
-        ktmin += 1
-        if ktmin > 5 and abserr < 1e-3 * errsum:
-            ier = 5
-        if not abseps >= abserr:
-            ktmin = 0
-            abserr = abseps
-            result = reseps
-            correc = erlarg
-            ertest = max(EPSABS, EPSREL * abs(reseps))
-            if abserr <= ertest:
-                break
-
-        # Prepare the bisection of the smallest interval.
-        if numrl2 == 1:
-            noext = True
-        if ier == 5:
-            break
-        maxerr = iord[1]
-        errmax = elist[maxerr]
-        nrmax = 1
-        extrap = False
-        small = small * 0.5
-        erlarg = errsum
-
-    # Set the final result and error estimate (labels 100 to 130).
-    divergence_test = False
-    if summed or abserr == _OFLOW:
-        summed = True
-    elif ier + ierro == 0:
-        divergence_test = True
-    else:
-        if ierro == 3:
-            abserr = abserr + correc
-        if ier == 0:
-            ier = 3
-        if result != 0.0 and area != 0.0:
-            summed = abserr / abs(result) > errsum / abs(area)
-        else:
-            summed = abserr > errsum
-        divergence_test = not summed and area != 0.0
-    if summed:
-        result = 0.0
-        for k in range(1, last + 1):
-            result = result + rlist[k]
-        abserr = errsum
-    elif divergence_test and not (
-            ksgn == -1 and max(abs(result), abs(area)) <= defabs * 0.01):
-        # With area == 0 the compiled quotient is +-inf or nan, and either
-        # sets the flag.
-        if (area == 0.0 or 0.01 > result / area or result / area > 100.0
-                or errsum > abs(area)):
-            ier = 6
-    if ier > 2:
-        ier = ier - 1
-    return result, abserr, ier, 42 * last - 21
+    # The final result: the sum of the subinterval results.
+    result = 0.0
+    for k in range(1, last + 1):
+        result = result + rlist[k]
+    return result, errsum, ier, 42 * last - 21

@@ -263,7 +263,8 @@ def frame_at(y: np.ndarray) -> np.ndarray:
     """Deterministic orthonormal basis of T_y S^n as columns of an (n+1, n)
     matrix; DomainError where |y| is zero or not finite."""
     y = np.asarray(y, dtype=float)
-    nrm = np.linalg.norm(y)
+    with np.errstate(over="ignore"):  # an infinite norm is refused next
+        nrm = np.linalg.norm(y)
     if not 0 < nrm < math.inf:
         raise DomainError(f"frame_at needs a point of finite nonzero norm, got {float(nrm)!r}")
     dim = len(y)
@@ -485,10 +486,19 @@ class TensorField:
 
     def evaluate(self, ys: np.ndarray) -> np.ndarray:
         ys = np.asarray(ys, dtype=float)
+        _require_width(self.n, ys)
         return _compress(_tangent_projectors(ys), self.raw(ys))
 
     def sample(self, grid: SphereGrid) -> np.ndarray:
         return self.evaluate(grid.nodes)
+
+
+def _require_width(n: int, ys: np.ndarray) -> None:
+    """DomainError unless ys is an (N, n+1) array of points for a field on S^n."""
+    shape = np.shape(ys)
+    if len(shape) != 2 or shape[1] != n + 1:
+        raise DomainError(f"dimension mismatch: points of shape {shape} for a field "
+                          f"on S^{n}, which takes width {n + 1}")
 
 
 def polynomial_tensor_field(
@@ -505,6 +515,7 @@ def polynomial_tensor_field(
         raise DomainError(f"matrices must be {dim} x {dim}")
 
     def raw(ys: np.ndarray) -> np.ndarray:
+        _require_width(n, ys)
         yt = np.ascontiguousarray(ys.T)
         out = np.repeat(constant[:, :, None], len(ys), axis=2)
         term = np.empty_like(out)
@@ -524,6 +535,7 @@ def metric_field(n: int) -> TensorField:
     dim = n + 1
 
     def raw(ys: np.ndarray) -> np.ndarray:
+        _require_width(n, ys)
         return np.broadcast_to(np.eye(dim), (len(ys), dim, dim)).copy()
 
     return TensorField(n=n, raw=raw)
@@ -572,6 +584,7 @@ def pullback_field(a: MoebiusElement, fld: TensorField) -> TensorField:
         raise DomainError("dimension mismatch")
 
     def raw(ys: np.ndarray) -> np.ndarray:
+        _require_width(fld.n, ys)
         phi, jac, _ = _moebius_frame(a, ys)
         return _pullback_matrices(jac, fld.evaluate(phi))
 
@@ -585,6 +598,7 @@ def u_action(w: RepWeight, a: MoebiusElement, fld: TensorField) -> TensorField:
     expo = w.pullback_exponent
 
     def raw(ys: np.ndarray) -> np.ndarray:
+        _require_width(fld.n, ys)
         phi, jac, w_t = _moebius_frame(a, ys)
         return _weighted_pullback(jac, _omega(w_t), expo, fld.evaluate(phi))
 

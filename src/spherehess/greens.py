@@ -29,7 +29,7 @@ This module builds three radial profiles:
 All tail integrals int_X^inf tau^{-a} (1+tau^2)^{-p} dtau with even a are
 evaluated exactly (partial fractions in tau^2 plus the arctangent reduction).
 Each value is computed by one route; the independent twins (adaptive
-quadrature of the tail by a pure-Python port of QUADPACK's qagse, the
+quadrature of the tail by a pure-Python port of QUADPACK's qag, the
 least-squares fit of the homogeneous coefficient) are exported for the
 tests and the ``verify --suite greens`` checks and are not run on the value
 path.
@@ -281,18 +281,19 @@ def tau_tail_quadrature(a: int, p: int, x: float) -> float:
 
     The tail beyond tau = max(x, 1) is integrated in the inverted variable
     u = 1/tau, so only finite intervals ever reach the quadrature routine.
-    Each piece runs QUADPACK's qagse (21-point Gauss–Kronrod with bisection
-    and epsilon extrapolation; Piessens et al., *QUADPACK*, Springer 1983)
-    to 1e-12 absolute and relative in at most 200 subintervals, through the
-    pure-Python port in ``spherehess._quadpack``, which returns the same
-    bits as ``scipy.integrate.quad``.  QuadratureFailure is raised when a
-    piece reports a nonzero QUADPACK flag or the summed error estimate
-    exceeds 1e-10 times max(1, |value|); its message names every piece's
+    Each piece runs QUADPACK's qag (21-point Gauss–Kronrod with bisection
+    of the interval with the largest error; Piessens et al., *QUADPACK*,
+    Springer 1983) to 1e-12 relative in at most 200 subintervals, through
+    the pure-Python port in ``spherehess._quadpack``.  QuadratureFailure is
+    raised when a piece reports a nonzero QUADPACK flag or the summed error
+    estimate exceeds 1e-10 times |value|; its message names every piece's
     interval, error estimate, flag and evaluation count.  It is raised too
     when the tail underflows to 0 (x = 1e150 at a = 2, p = 1), since the
-    integrand is positive and 0 would be a quiet wrong value.  The port is
-    imported here, at the only call site, so that importing the package
-    and every command that does not run this twin stay free of it.
+    integrand is positive and 0 would be a quiet wrong value.  DomainError
+    is raised where the integrand leaves the float range (tau^-a overflows
+    on the direct piece: a = 100, x = 1e-5).  The port is imported here, at
+    the only call site, so that importing the package and every command
+    that does not run this twin stay free of it.
     """
     if not 0 < x < math.inf:
         raise DomainError(f"tail integral needs finite x > 0, got x = {x!r}")
@@ -308,10 +309,14 @@ def tau_tail_quadrature(a: int, p: int, x: float) -> float:
         spans = [(inverted, 0.0, 1.0 / x)]
     else:
         spans = [(direct, x, 1.0), (inverted, 0.0, 1.0)]
-    pieces = [_quadpack.qagse(f, lo, hi) for f, lo, hi in spans]
+    try:
+        pieces = [_quadpack.qag(f, lo, hi) for f, lo, hi in spans]
+    except OverflowError as exc:
+        raise DomainError(f"tail of tau^-{a} (1+tau^2)^-{p} from x = {x!r}: the "
+                          f"integrand leaves the float range") from exc
     val = sum(v for v, _, _, _ in pieces)
     err = sum(e for _, e, _, _ in pieces)
-    bound = 1e-10 * max(1.0, abs(val))
+    bound = 1e-10 * abs(val)
     if err > bound or any(ier for _, _, ier, _ in pieces):
         detail = "; ".join(
             f"{f.__name__} [{lo!r}, {hi!r}]: error {e:.3e}, ier {ier}, "
@@ -707,7 +712,7 @@ def green_D2_quadrature(n: int, x_norm: float) -> float:
         if math.isinf(value):
             raise OverflowError(f"the prefactor or the value overflows at x = {x_norm!r}")
         return value
-    except (OverflowError, ZeroDivisionError) as exc:
+    except (OverflowError, ZeroDivisionError, DomainError) as exc:
         raise _d2_range_error(n, x_norm) from exc
 
 

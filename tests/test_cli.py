@@ -193,7 +193,7 @@ class TestExitCodes:
         assert code == 0
         assert json.loads(out)["status"] == "PASS"
 
-    @pytest.mark.parametrize("dim", ["27", "41", "101"])
+    @pytest.mark.parametrize("dim", ["27", "41", "101", "151"])
     def test_green_d2_where_the_literal_bracket_cancels(self, capsys, dim):
         code, out, _ = _run(capsys, "greens", "--dim", dim, "--profile", "D2",
                             "--format", "json")

@@ -2,7 +2,7 @@
 
 scipy is no dependency of the package: the adaptive-quadrature twin
 (``greens.tau_tail_quadrature``) runs ``spherehess._quadpack``, a
-stdlib-only port of QUADPACK's qagse (Piessens et al., *QUADPACK*,
+stdlib-only port of QUADPACK's qag (Piessens et al., *QUADPACK*,
 Springer 1983), so no command, the twin's included, may import it.
 The package re-exports its names lazily and each command imports the layers
 it runs, so the exact commands (``qsymbol`` and the symbols and qcurv

@@ -156,6 +156,12 @@ class TestDifferential:
         with pytest.raises(DomainError, match=message):
             conformality_residual(moebius_boost(2, 0, 0.5), y)
 
+    def test_overflowing_norm_is_refused_without_a_warning(self):
+        # numpy's norm warned of the overflow before the point was refused,
+        # and the warnings filter turns that warning into the failure.
+        with pytest.raises(DomainError, match=r"finite nonzero norm, got inf$"):
+            conformality_residual(moebius_boost(2, 0, 0.5), [1e300, 1e300, 0.0])
+
 
 class TestGrids:
     @pytest.mark.parametrize("n", [2, 3])
@@ -217,6 +223,21 @@ class TestTensorAction:
             pairing(h, k, g)
         with pytest.raises(DomainError, match=message):
             check_pairing_invariance(h, k, a, g)
+
+    @pytest.mark.parametrize("field", ["polynomial", "metric", "pullback", "u_action"])
+    @pytest.mark.parametrize("call", ["raw", "evaluate"])
+    def test_field_refuses_points_of_another_sphere(self, field, call):
+        # Each died with a bare IndexError or a numpy ValueError.
+        rng = np.random.default_rng(15)
+        f3 = random_band_limited_field(rng, 3)
+        a = random_moebius(rng, 3, 1.0)
+        fld = {"polynomial": f3, "metric": metric_field(3),
+               "pullback": pullback_field(a, f3),
+               "u_action": u_action(RepWeight.of(3, 1), a, f3)}[field]
+        with pytest.raises(DomainError, match=(
+                r"^dimension mismatch: points of shape \(78, 3\) for a field "
+                r"on S\^3, which takes width 4$")):
+            getattr(fld, call)(sphere_grid(2, 6).nodes)
 
     def test_pairing_check_refuses_an_element_of_another_dimension(self):
         rng = np.random.default_rng(13)

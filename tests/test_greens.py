@@ -87,44 +87,59 @@ class TestTauTail:
         with pytest.raises(DomainError, match="finite x > 0"):
             tail(x)
 
-    @pytest.mark.parametrize("x, pieces", [
-        (0.6, ["direct [0.6, 1.0]", "inverted [0.0, 1.0]"]),
-        (1.8, ["inverted [0.0, 0.5555555555555556]"]),
+    @pytest.mark.parametrize("x, bound, pieces", [
+        (0.6, "5.652e-11", ["direct [0.6, 1.0]", "inverted [0.0, 1.0]"]),
+        (1.8, "1.527e-13", ["inverted [0.0, 0.5555555555555556]"]),
     ])
-    def test_nonzero_flag_raises_with_diagnostics(self, monkeypatch, x, pieces):
+    def test_nonzero_flag_raises_with_diagnostics(self, monkeypatch, x, bound, pieces):
         # A QUADPACK flag fails the twin even when the summed error estimate
         # is within its bound: the value is not returned quietly.
-        real = _quadpack.qagse
+        real = _quadpack.qag
 
         def roundoff(f, lo, hi):
             value, abserr, _, neval = real(f, lo, hi)
             return value, abserr, 2, neval
 
-        monkeypatch.setattr(_quadpack, "qagse", roundoff)
+        monkeypatch.setattr(_quadpack, "qag", roundoff)
         with pytest.raises(QuadratureFailure) as exc:
             tau_tail_quadrature(4, 2, x)
         message = str(exc.value)
         assert f"tau^-4 (1+tau^2)^-2 from x = {x!r}" in message
-        assert "against bound 1.000e-10" in message
+        # The bound is 1e-10 relative to the tail, which is below 1 here.
+        assert f"against bound {bound} (" in message
         for piece in pieces:
             assert f"{piece}: error " in message
         assert message.count("ier 2, neval ") == len(pieces)
 
-    def test_divergence_flag_raises_although_the_estimate_is_small(self):
-        # Near the pole the direct piece reports ier 5 (probably divergent)
-        # with a 6e-12 error estimate on a sum of -1.5708, while the tail is
-        # 1e200: the error bound alone lets that value through.
-        with pytest.raises(QuadratureFailure, match=r"ier 5, neval \d+"):
+    def test_subdivision_limit_raises_near_the_pole(self):
+        # The tail is 1e200, all of it within a few x of the pole: the
+        # direct piece spends its 200 subintervals there and reports ier 1
+        # with a 2.1e63 error estimate, so the twin refuses the value.
+        with pytest.raises(QuadratureFailure, match=r"ier 1, neval 8379"):
             tau_tail_quadrature(2, 1, 1e-200)
 
+    @pytest.mark.parametrize("a, x", [(4, 1e-5), (6, 3e-5), (62, 1e-4)])
+    def test_small_x_matches_the_closed_form(self, a, x):
+        # Each of these once raised QuadratureFailure: the epsilon algorithm
+        # extrapolated the smooth direct piece to a wrong limit (ier 4).
+        exact = tau_tail_exact(a, 1).value(x)
+        assert abs(tau_tail_quadrature(a, 1, x) - exact) <= 1e-13 * exact
+
+    def test_integrand_leaving_the_float_range_raises(self):
+        # tau^-100 overflows near x = 1e-5; this was a bare OverflowError.
+        with pytest.raises(DomainError, match=(
+                r"^tail of tau\^-100 \(1\+tau\^2\)\^-1 from x = 1e-05: the "
+                r"integrand leaves the float range$")):
+            tau_tail_quadrature(100, 1, 1e-5)
+
     def test_error_estimate_above_bound_raises_with_diagnostics(self, monkeypatch):
-        monkeypatch.setattr(_quadpack, "qagse",
+        monkeypatch.setattr(_quadpack, "qag",
                             lambda f, lo, hi: (0.5, 1e-9, 0, 21))
         with pytest.raises(QuadratureFailure) as exc:
             tau_tail_quadrature(2, 1, 3.0)
         assert str(exc.value) == (
             "tail of tau^-2 (1+tau^2)^-1 from x = 3.0: estimated error "
-            "1.000e-09 against bound 1.000e-10 (inverted "
+            "1.000e-09 against bound 5.000e-11 (inverted "
             "[0.0, 0.3333333333333333]: error 1.000e-09, ier 0, neval 21)")
 
     @pytest.mark.xfail(strict=True, reason=(
