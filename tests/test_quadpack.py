@@ -70,20 +70,46 @@ def test_every_piece_of_the_benchmark_greens_commands_keeps_its_bits(capsys):
     assert seen == set(PIECES)
 
 
+def _assert_within_both_estimates(f, lo, hi):
+    """The port's estimate and scipy's together cover their difference."""
+    integrate = pytest.importorskip("scipy.integrate")
+    value, abserr, ier, _ = _quadpack.qag(f, lo, hi)
+    want, want_err = integrate.quad(f, lo, hi, epsabs=0.0,
+                                    epsrel=_quadpack.EPSREL,
+                                    limit=_quadpack.LIMIT)
+    assert abs(value - want) <= abserr + want_err
+    return ier
+
+
 @settings(max_examples=150, deadline=None)
 @given(a=st.sampled_from(range(0, 39, 2)), p=st.integers(1, 3),
        x=st.floats(0.01, 20.0))
 def test_tau_integrands_agree_with_scipy_within_both_estimates(a, p, x):
-    integrate = pytest.importorskip("scipy.integrate")
     with _recorded_calls() as calls:
         tau_tail_quadrature(a, p, x)
     for f, lo, hi in calls:
-        value, abserr, ier, _ = _quadpack.qag(f, lo, hi)
-        want, want_err = integrate.quad(f, lo, hi, epsabs=0.0,
-                                        epsrel=_quadpack.EPSREL,
-                                        limit=_quadpack.LIMIT)
-        assert ier == 0
-        assert abs(value - want) <= abserr + want_err
+        assert _assert_within_both_estimates(f, lo, hi) == 0
+
+
+@pytest.mark.parametrize("alpha", [-0.9, -0.5, 0.2, 1.5])
+@pytest.mark.parametrize("c", [1.0, 30.0, 100.0])
+def test_power_times_cosine(alpha, c):
+    # Without extrapolation the port still converges on t^-0.5 at the end
+    # of the range; t^-0.9 needs more than LIMIT bisections, and the flag
+    # comes with an error estimate that stays honest.
+    ier = _assert_within_both_estimates(
+        lambda t: t**alpha * math.cos(c * t), 0.0, 1.0)
+    assert ier == (1 if alpha < -0.5 else 0)
+
+
+@pytest.mark.parametrize("f, lo, hi", [
+    (lambda t: math.log(t) / math.sqrt(t), 0.0, 1.0),
+    # Equal error estimates when ordering the list bottom-up.
+    (lambda t: -(1.0 if t < 0 else 0.0) - math.cos(140.0 * t), -1.0, 1.0),
+], ids=["log(t)/sqrt(t)", "tied-errors"])
+def test_subdividing_integrands(f, lo, hi):
+    assert _assert_within_both_estimates(f, lo, hi) == 0
+    assert _quadpack.qag(f, lo, hi)[3] > 21
 
 
 @pytest.mark.parametrize("f, lo, hi, ier, neval", [
