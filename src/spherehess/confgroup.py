@@ -111,7 +111,7 @@ class MoebiusElement:
             )
         object.__setattr__(self, "matrix", m)
         res = lorentz_form_residual(self)
-        if res > 1e-12:
+        if not res <= 1e-12:
             raise DomainError(
                 f"matrix violates the Lorentz form by {res:.3e} (> 1e-12)"
             )
@@ -157,6 +157,9 @@ def moebius_boost(n: int, direction, rapidity: float) -> MoebiusElement:
     """
     v = np.zeros(n + 1)
     if isinstance(direction, (int, np.integer)):
+        if not 0 <= direction <= n:
+            raise DomainError(f"boost direction = {direction} is not an axis "
+                              f"0..{n}")
         v[int(direction)] = 1.0
     else:
         v[:] = np.asarray(direction, dtype=float)
@@ -164,8 +167,14 @@ def moebius_boost(n: int, direction, rapidity: float) -> MoebiusElement:
         if nrm == 0.0:
             raise DomainError("boost direction must be nonzero")
         v /= nrm
+    try:
+        c, s = math.cosh(rapidity), math.sinh(rapidity)
+    except OverflowError:
+        c = math.inf
+    if not math.isfinite(c):
+        raise DomainError(f"boost rapidity = {rapidity!r}: cosh is not a "
+                          f"finite float")
     m = np.eye(n + 2)
-    c, s = math.cosh(rapidity), math.sinh(rapidity)
     m[: n + 1, : n + 1] += (c - 1.0) * np.outer(v, v)
     m[: n + 1, n + 1] = s * v
     m[n + 1, : n + 1] = s * v
@@ -341,7 +350,7 @@ class SphereGrid:
     def __post_init__(self) -> None:
         total = float(np.sum(self.weights))
         vol = sphere_volume(self.n)
-        if abs(total - vol) > 1e-10 * vol:
+        if not abs(total - vol) <= 1e-10 * vol:
             raise DomainError(
                 f"weights sum {total!r} differs from vol(S^{self.n}) = {vol!r}"
             )
@@ -823,20 +832,23 @@ class ChartMap:
 
 
 def chart_translation(v) -> ChartMap:
-    return ChartMap(
-        (ChartPrimitive(_PrimitiveKind.TRANSLATION, vector=np.asarray(v, float)),)
-    )
+    v = np.asarray(v, float)
+    if not np.all(np.isfinite(v)):
+        raise DomainError(f"translation vector v = {v.tolist()!r} must be finite")
+    return ChartMap((ChartPrimitive(_PrimitiveKind.TRANSLATION, vector=v),))
 
 
 def chart_dilation(s: float) -> ChartMap:
     if s == 0:
         raise DomainError("dilation scale must be nonzero")
+    if not math.isfinite(s):
+        raise DomainError(f"dilation scale s = {s!r} must be finite")
     return ChartMap((ChartPrimitive(_PrimitiveKind.DILATION, scale=float(s)),))
 
 
 def chart_rotation(q) -> ChartMap:
     q = np.asarray(q, dtype=float)
-    if np.max(np.abs(q.T @ q - np.eye(len(q)))) > 1e-12:
+    if not np.max(np.abs(q.T @ q - np.eye(len(q)))) <= 1e-12:
         raise DomainError("rotation matrix must be orthogonal")
     return ChartMap((ChartPrimitive(_PrimitiveKind.ROTATION, rotation=q),))
 

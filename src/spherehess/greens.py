@@ -172,21 +172,6 @@ def _binom(k: int, r: int) -> int:
     return math.comb(k, r)
 
 
-def _arctan_power_expansion(l: int) -> tuple[Fraction, dict[int, Fraction]]:
-    """T_l = int (1+tau^2)^{-l} dtau as arctan coeff + tau (1+tau^2)^{-j} terms.
-
-    T_1 = arctan(tau); T_l = tau / (2(l-1)(1+tau^2)^{l-1})
-                             + (2l-3)/(2(l-1)) T_{l-1}.
-    """
-    if l == 1:
-        return Fraction(1), {}
-    arc, rat = _arctan_power_expansion(l - 1)
-    scale = Fraction(2 * l - 3, 2 * (l - 1))
-    out = {j: scale * c for j, c in rat.items()}
-    out[l - 1] = out.get(l - 1, Fraction(0)) + Fraction(1, 2 * (l - 1))
-    return scale * arc, out
-
-
 @dataclass(frozen=True)
 class TauTailIntegral:
     """Exact antiderivative data for int_X^inf tau^{-a} (1+tau^2)^{-p} dtau.
@@ -244,6 +229,13 @@ def tau_tail_exact(a: int, p: int) -> TauTailIntegral:
     Partial fractions in u = tau^2:
         1/(u^s (1+u)^p) = sum_i A_i u^{-i} + sum_l B_l (1+u)^{-l},
         A_i = (-1)^{s-i} C(p+s-i-1, s-i),  B_l = (-1)^s C(s+p-l-1, p-l).
+    Each B_l multiplies T_l = int (1+tau^2)^{-l} dtau.  T_1 = arctan(tau)
+    and T_l = tau / (2(l-1)(1+tau^2)^{l-1}) + (2l-3)/(2(l-1)) T_{l-1} give
+        T_l = P_l [arctan(tau) + sum_{j<l} tau (1+tau^2)^{-j} / (2j P_{j+1})],
+        P_l = prod_{i=2..l} (2i-3)/(2i-2),
+    so sum_l B_l T_l has arctangent coefficient sum_l B_l P_l and
+    tau (1+tau^2)^{-j} coefficient sum_{l>j} B_l P_l / (2j P_{j+1}): one
+    pass over l and one suffix sum, exact in Fractions.
 
     Cached: the result is frozen, so every caller with the same (a, p)
     shares it.
@@ -254,19 +246,22 @@ def tau_tail_exact(a: int, p: int) -> TauTailIntegral:
         raise DomainError("need a >= 0 and p >= 1")
     s = a // 2
     powers: dict[int, Fraction] = {}
-    arctan_total = Fraction(0)
     rationals: dict[int, Fraction] = {}
     for i in range(1, s + 1):
         a_i = Fraction((-1) ** (s - i) * _binom(p + s - i - 1, s - i))
         powers[1 - 2 * i] = a_i / (1 - 2 * i)
+    prods, weights = [], []  # P_l and B_l P_l for l = 1..p
+    prod = Fraction(1)
     for l in range(1, p + 1):
-        b_l = Fraction((-1) ** s * _binom(s + p - l - 1, p - l))
-        if b_l == 0:
-            continue
-        arc, rat = _arctan_power_expansion(l)
-        arctan_total += b_l * arc
-        for j, c in rat.items():
-            rationals[j] = rationals.get(j, Fraction(0)) + b_l * c
+        if l > 1:
+            prod *= Fraction(2 * l - 3, 2 * l - 2)
+        prods.append(prod)
+        weights.append(prod * ((-1) ** s * _binom(s + p - l - 1, p - l)))
+    arctan_total = sum(weights, Fraction(0))
+    tail = Fraction(0)
+    for j in range(p - 1, 0, -1):
+        tail += weights[j]
+        rationals[j] = tail / (2 * j * prods[j])
     return TauTailIntegral(
         a=a,
         p=p,
@@ -357,7 +352,10 @@ class RadialGreen:
         kind: short identifier ("L", "L2", "D2").
         singular_orders: exponents of the negative powers of r present in the
             short-distance expansion (used by the regular-part fit).
-        evaluate / d1 / d2: value and first/second r-derivatives.
+        evaluate: the value at r.
+        terms: (value, first, second r-derivative) at r from one shared
+            evaluation, or None where no closed-form derivatives are known
+            (the "D2" profile).  :func:`ode_rows` reads it.
 
     Profiles are defined on (0, pi); the pure-power "L" profile extends to
     r = pi, where the others are limits of an indeterminate product.
@@ -369,8 +367,7 @@ class RadialGreen:
     kind: str
     singular_orders: tuple[int, ...]
     evaluate: Callable[[float], float]
-    d1: Callable[[float], float] | None = None
-    d2: Callable[[float], float] | None = None
+    terms: Callable[[float], tuple[float, float, float]] | None = None
 
     def __call__(self, r: float) -> float:
         hi_ok = r <= math.pi if self.kind == "L" else r < math.pi
@@ -395,24 +392,26 @@ def chart_radius(r: float) -> float:
 
 def green_L_profile(n: int) -> RadialGreen:
     """Fundamental-solution profile C_n / sin^{n-2}(r/2) of the conformal
-    Laplacian, with closed-form derivatives."""
+    Laplacian.
+
+    Its ``terms`` gives the value and the closed-form first and second
+    derivatives from one sin(r/2) and one cos(r/2).
+    """
     _require_odd(n)
     c = float(sphere_constants(n).c_n)
 
     def ev(r: float) -> float:
         return c * math.sin(r / 2) ** (2 - n)
 
-    def d1(r: float) -> float:
-        u = math.sin(r / 2)
-        return c * (2 - n) / 2 * u ** (1 - n) * math.cos(r / 2)
-
-    def d2(r: float) -> float:
-        u = math.sin(r / 2)
-        return c * (2 - n) / 4 * ((1 - n) * u**-n * math.cos(r / 2) ** 2 - u ** (2 - n))
+    def terms(r: float) -> tuple[float, float, float]:
+        u, v = math.sin(r / 2), math.cos(r / 2)
+        return (c * u ** (2 - n),
+                c * (2 - n) / 2 * u ** (1 - n) * v,
+                c * (2 - n) / 4 * ((1 - n) * u**-n * v**2 - u ** (2 - n)))
 
     orders = tuple(range(2 - n, 0, 2))
     return RadialGreen(
-        dim_n=n, kind="L", singular_orders=orders, evaluate=ev, d1=d1, d2=d2
+        dim_n=n, kind="L", singular_orders=orders, evaluate=ev, terms=terms
     )
 
 
@@ -484,6 +483,7 @@ def green_L2_profile(n: int) -> RadialGreen:
         G(r) = (D_n/(n-2)) [ (1-z)^{1-m} + (1+z)^{-m} I(z) ],  z = cos r,
 
     which satisfies the iterated equation with residual at roundoff level.
+    Its ``terms`` evaluates z, I(z), I'(z) and I''(z) once per radius.
     """
     _require_odd(n)
     b = _l2_coefficient(n)
@@ -498,37 +498,30 @@ def green_L2_profile(n: int) -> RadialGreen:
         z = math.cos(r)
         return b * ((1 - z) ** (1 - m) + (1 + z) ** (-m) * i_of_z(z))
 
-    def gz(z: float) -> float:
+    def terms(r: float) -> tuple[float, float, float]:
+        # G, its z-derivatives g_z and g_zz, and I, I', I'' at z = cos r;
+        # dz/dr = -sin r turns them into r-derivatives.
+        z = math.cos(r)
         i_val = i_of_z(z)
         i_prime = ((1 + z) / (1 - z)) ** m
-        return b * (
+        i_second = 2 * m * (1 - z) ** (-m - 1) * (1 + z) ** (m - 1)
+        g_z = b * (
             -(1 - m) * (1 - z) ** (-m)
             - m * (1 + z) ** (-m - 1) * i_val
             + (1 + z) ** (-m) * i_prime
         )
-
-    def gzz(z: float) -> float:
-        i_val = i_of_z(z)
-        i_prime = ((1 + z) / (1 - z)) ** m
-        i_second = 2 * m * (1 - z) ** (-m - 1) * (1 + z) ** (m - 1)
-        return b * (
+        g_zz = b * (
             -(1 - m) * m * (1 - z) ** (-m - 1)
             + m * (m + 1) * (1 + z) ** (-m - 2) * i_val
             - 2 * m * (1 + z) ** (-m - 1) * i_prime
             + (1 + z) ** (-m) * i_second
         )
-
-    def d1(r: float) -> float:
-        z = math.cos(r)
-        return -math.sin(r) * gz(z)
-
-    def d2(r: float) -> float:
-        z = math.cos(r)
-        return math.sin(r) ** 2 * gzz(z) - math.cos(r) * gz(z)
+        value = b * ((1 - z) ** (1 - m) + (1 + z) ** (-m) * i_val)
+        return value, -math.sin(r) * g_z, math.sin(r) ** 2 * g_zz - z * g_z
 
     orders = tuple(range(4 - n, 0, 2)) if n >= 5 else ()
     return RadialGreen(
-        dim_n=n, kind="L2", singular_orders=orders, evaluate=ev, d1=d1, d2=d2
+        dim_n=n, kind="L2", singular_orders=orders, evaluate=ev, terms=terms
     )
 
 
@@ -732,20 +725,6 @@ def green_D2_closed3(r: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _radial_terms(f: RadialGreen, r: float) -> tuple[float, float, float]:
-    """The profile's value and first two derivatives at r, each evaluated once."""
-    if not 0.0 < r < math.pi:
-        raise DomainError(f"r = {r} outside (0, pi)")
-    if f.d1 is None or f.d2 is None:
-        raise DomainError(f"the {f.kind} profile has no closed-form derivatives")
-    f1, f2 = f.d1(r), f.d2(r)
-    return f.evaluate(r), f1, f2
-
-
-def _radial_L(n: int, r: float, f0: float, f1: float, f2: float) -> float:
-    return -f2 - (n - 1) * (math.cos(r) / math.sin(r)) * f1 + n * (n - 2) / 4 * f0
-
-
 def zform_operator(n: int, y: float, y1: float, y2: float, z: float) -> float:
     """(1-z^2) y'' - n z y' - n(n-2)/4 y at z, from supplied derivatives."""
     return (1 - z * z) * y2 - n * z * y1 - n * (n - 2) / 4 * y
@@ -773,21 +752,27 @@ def homogeneous_mode_residual(n: int, sigma: int, z: float) -> float:
 def ode_rows(n: int, kind: str, rs) -> list[tuple[float, float]]:
     """(value, relative ODE residual) of the "L" or "L2" profile at each radius.
 
-    L (L-profile) = 0 and L (L2-profile) = L-profile.  Both profiles are the
-    shared ones of the value functions, and each profile's value and
-    derivatives are evaluated once per radius.
-    Raises DomainError naming the kind, n and r where a value, a derivative
-    or the residual overflows or is not finite, as the profile's own call
-    does.
+    L (L-profile) = 0 and L (L2-profile) = L-profile, with
+    (L f)(r) = -f'' - (n-1) cot(r) f' + n(n-2)/4 f.  Both profiles are the
+    shared ones of the value functions; the profile's ``terms`` and the
+    right-hand side are evaluated once per radius.
+    Raises DomainError for a profile without ``terms`` (the "D2" one) and
+    for a radius outside (0, pi), each before anything is evaluated there,
+    and naming the kind, n and r where a value, a derivative or the
+    residual overflows or is not finite, as the profile's own call does.
     """
     prof = _shared_profile(kind, n)
+    if prof.terms is None:
+        raise DomainError(f"the {kind} profile has no closed-form derivatives")
     rhs_prof = _shared_profile("L", n) if kind == "L2" else None
     rows = []
     for r in rs:
+        if not 0.0 < r < math.pi:
+            raise DomainError(f"r = {r} outside (0, pi)")
         try:
             rhs = 0.0 if rhs_prof is None else rhs_prof.evaluate(r)
-            f0, f1, f2 = _radial_terms(prof, r)
-            val = _radial_L(n, r, f0, f1, f2)
+            f0, f1, f2 = prof.terms(r)
+            val = -f2 - (n - 1) * (math.cos(r) / math.sin(r)) * f1 + n * (n - 2) / 4 * f0
             scale = abs(f2) + abs(n * (n - 2) / 4 * f0) + abs(rhs)
             res = abs(val - rhs) / max(scale, 1e-300)
         except OverflowError as exc:
@@ -864,11 +849,11 @@ def _scaled_lstsq(rs, vals, exponents):
 
 
 def regular_part(
-    profile,
-    singular_orders: tuple[int, ...] | None = None,
+    fun: Callable[[float], float],
+    singular_orders: tuple[int, ...],
     config: RegularPartConfig | None = None,
 ) -> RegularPartResult:
-    """Extract the constant term of profile(r) = sum c_s r^s + c_0 + O(r).
+    """Extract the constant term of fun(r) = sum c_s r^s + c_0 + O(r).
 
     Least-squares fit on 24 geometric nodes over the window with basis
     {r^s : s in singular_orders} plus polynomial degrees 0..6; the fitted
@@ -876,25 +861,23 @@ def regular_part(
     extrapolated (two levels, eliminating r and r^2) at the smallest nodes.
 
     Args:
-        profile: RadialGreen (singular orders taken from it) or a plain
-            callable (then pass singular_orders explicitly; default none).
-        singular_orders: override for the Laurent exponents.
+        fun: the profile as a function of r, such as a
+            :class:`RadialGreen`'s ``evaluate``.
+        singular_orders: the Laurent exponents s < 0 of the expansion,
+            such as the profile's ``singular_orders``; () for none.
         config: RegularPartConfig; the default window is [1e-3, 1e-1].
 
     Raises:
-        FitUnstable: if the combined error estimate exceeds 1e-6.  The
-            message names the window, the node count, both parts of the
-            estimate (the gap between the last two Richardson values and
-            the gap between the fit's constant and the extrapolated value)
-            and the condition number of the column-scaled design.
+        FitUnstable: if the combined error estimate exceeds 1e-6 or is not
+            a number.  The message names the window, the node count, both
+            parts of the estimate (the gap between the last two Richardson
+            values and the gap between the fit's constant and the
+            extrapolated value) and the condition number of the
+            column-scaled design.
     """
     import numpy as np
 
     cfg = config or RegularPartConfig()
-    if singular_orders is None:
-        singular_orders = getattr(profile, "singular_orders", ())
-    fun = profile.evaluate if isinstance(profile, RadialGreen) else profile
-
     lo, hi = cfg.window
     if not 0 < lo < hi:
         raise DomainError("window must satisfy 0 < lo < hi")
@@ -922,7 +905,7 @@ def regular_part(
     richardson_gap = abs(top[0] - top[1])
     fit_gap = abs(value - c0_fit)
     err = richardson_gap + fit_gap
-    if err > _MAX_FIT_ERROR:
+    if not err <= _MAX_FIT_ERROR:
         smallest = singular_values[-1]
         cond = singular_values[0] / smallest if smallest > 0 else math.inf
         raise FitUnstable(
@@ -1008,7 +991,8 @@ def trace_from_pipeline(kind: TraceKind, k: int) -> PipelineTrace:
     The profile is the shared one of the value functions.
     """
     n = 2 * k + 1
-    reg = regular_part(_shared_profile(kind.value, n))
+    prof = _shared_profile(kind.value, n)
+    reg = regular_part(prof.evaluate, prof.singular_orders)
     vol = float(sphere_volume_exact(n))
     return PipelineTrace(
         kind=kind,

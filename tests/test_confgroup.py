@@ -118,6 +118,22 @@ class TestGroup:
         with pytest.raises(Degenerate):
             conformal_factor(flip, np.array([0.0, 0.0, 1.0]))
 
+    def test_nan_rotation_angle_is_refused(self):
+        # A NaN residual passed the Lorentz-form gate: an all-NaN element.
+        with pytest.raises(DomainError, match=r"Lorentz form by nan"):
+            moebius_rotation(2, 0, 1, math.nan)
+
+    def test_boost_axis_outside_the_dimension_is_refused(self):
+        # This was a bare IndexError.
+        with pytest.raises(DomainError, match=r"^boost direction = 5 is not an axis 0\.\.2$"):
+            moebius_boost(2, 5, 1.0)
+
+    def test_boost_rapidity_overflowing_cosh_is_refused(self):
+        # This was a bare OverflowError from math.cosh.
+        with pytest.raises(DomainError, match=(
+                r"^boost rapidity = 1000\.0: cosh is not a finite float$")):
+            moebius_boost(2, [1, 0, 0], 1000.0)
+
 
 class TestDifferential:
     @pytest.mark.parametrize("n", [2, 3])
@@ -189,6 +205,11 @@ class TestGrids:
             4 * math.pi / 3, rel=1e-14
         )
         assert sphere_monomial_integral((1, 0, 0)) == 0.0
+
+    def test_nan_weight_is_refused(self):
+        # A NaN weight sum passed the volume gate.
+        with pytest.raises(DomainError, match=r"^weights sum nan differs"):
+            confgroup.SphereGrid(2, np.zeros((2, 3)), np.array([math.nan, 1.0]))
 
     def test_round_metric_pairing(self):
         for n in (2, 3):
@@ -655,6 +676,22 @@ class TestChart:
     def test_inversion_at_origin_degenerate(self):
         with pytest.raises(Degenerate):
             chart_inversion().apply(np.zeros(2))
+
+    def test_nan_rotation_matrix_is_refused(self):
+        # A NaN entry passed the orthogonality gate; apply gave [nan, 1.0].
+        with pytest.raises(DomainError, match="must be orthogonal"):
+            chart_rotation([[math.nan, 0.0], [0.0, 1.0]])
+
+    @pytest.mark.parametrize("s", [math.nan, math.inf])
+    def test_non_finite_dilation_is_refused(self, s):
+        # These built maps whose images were NaN or inf.
+        with pytest.raises(DomainError, match=rf"^dilation scale s = {s!r} must be finite$"):
+            chart_dilation(s)
+
+    def test_non_finite_translation_is_refused(self):
+        with pytest.raises(DomainError, match=(
+                r"^translation vector v = \[nan, 0\.0\] must be finite$")):
+            chart_translation([math.nan, 0.0])
 
     def test_round_factor_matches_metric_pullback(self):
         phi = compose_chart(chart_translation([1.0, 0.5]), chart_dilation(0.6))

@@ -153,6 +153,26 @@ class TestTauTail:
         quad = tau_tail_quadrature(12, 2, x)
         assert abs(tau_tail_exact(12, 2).value(x) - quad) <= 1e-9 * quad
 
+    def test_coefficients_keep_their_exact_values(self):
+        # sha256 of repr((a, p, arctan_coeff, power_coeffs, rational_coeffs))
+        # over even a <= 40 and p = 1..40, recorded from the recursive T_l
+        # expansion that the one-pass build replaced.
+        digest = hashlib.sha256()
+        for a in range(0, 41, 2):
+            for p in range(1, 41):
+                t = tau_tail_exact(a, p)
+                digest.update(repr((t.a, t.p, t.arctan_coeff, t.power_coeffs,
+                                    t.rational_coeffs)).encode())
+        assert digest.hexdigest() == (
+            "75dfbbcfcdce197da5bac3942f6d4e13fa5f32125b58e14375b49aa43e649763")
+
+    def test_large_p_builds(self):
+        # The recursive expansion raised RecursionError here.
+        tail = tau_tail_exact(0, 1100)
+        # int_0^inf (1+tau^2)^-p dtau = (pi/2) C(2p-2, p-1) / 4^(p-1)
+        assert tail.arctan_coeff == Fraction(math.comb(2198, 1099), 4**1099)
+        assert [l for l, _ in tail.rational_coeffs] == list(range(1, 1100))
+
 
 class TestGreenL:
     def test_pinned_antipodal_values(self):
@@ -290,6 +310,32 @@ class TestOverflowingValues:
                 rf"^D2 value at n = {n}, x_norm = {re.escape(repr(x))} "
                 r"leaves the float range$")):
             route(n, x)
+
+
+class TestOdeRows:
+    @pytest.mark.parametrize("kind", ["L", "L2"])
+    @pytest.mark.parametrize("r", [0.0, math.pi, -0.5, math.nan])
+    def test_radius_outside_the_open_interval_is_refused(self, kind, r):
+        # At r = 0 the L2 rows evaluated the right-hand side first and
+        # leaked a bare ZeroDivisionError.
+        with pytest.raises(DomainError, match=rf"^r = {r!r} outside \(0, pi\)$"):
+            greens.ode_rows(5, kind, [0.5, r])
+
+    def test_profile_without_derivatives_is_refused(self):
+        with pytest.raises(DomainError, match=(
+                r"^the D2 profile has no closed-form derivatives$")):
+            greens.ode_rows(5, "D2", [0.5])
+
+    @pytest.mark.parametrize("builder", [green_L_profile, green_L2_profile])
+    def test_terms_value_is_the_profile_value(self, builder):
+        # ode_rows prints the value of terms, green_L and green_L2 that of
+        # evaluate: two copies of one expression.
+        from spherehess.cli import _r_grid
+
+        for n in range(3, 14, 2):
+            prof = builder(n)
+            for r in _r_grid():
+                assert prof.terms(r)[0] == prof.evaluate(r)
 
 
 class TestD2AtLargeN:
@@ -470,11 +516,17 @@ class TestRegularPart:
                 r"error estimate \S+ exceeds 1\.000e-06 \(Richardson gap \S+, "
                 r"fit-vs-Richardson gap \S+\); condition number of the scaled "
                 r"design \d\.\d{3}e\+\d\d$")):
-            regular_part(lambda r: r**-3)
+            regular_part(lambda r: r**-3, ())
 
     def test_window_validation(self):
         with pytest.raises(DomainError):
-            regular_part(lambda r: r, config=RegularPartConfig(window=(0.1, 0.01)))
+            regular_part(lambda r: r, (), config=RegularPartConfig(window=(0.1, 0.01)))
+
+    def test_nan_error_estimate_raises(self):
+        # 1e300 / r^3 is inf at the smallest nodes, and the NaN estimate
+        # passed the gate as a NaN value.
+        with pytest.raises(FitUnstable, match=r"error estimate nan exceeds"):
+            regular_part(lambda r: 1e300 / r**3, (-3,))
 
 
 class TestTraces:
