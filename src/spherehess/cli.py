@@ -398,12 +398,13 @@ def cmd_qsymbol(n: int, seed: int) -> ReportEnvelope:
 def _suite_spectrum(dim: int, seed: int, tols: dict[str, float]) -> list[CheckResult]:
     from . import spectrum
 
+    table3 = spectrum.recursion_table(3, 40)
     return [
         _exact("recursion-equals-closed-form-n4-8",
                all(spectrum.recursion_matches_closed_form(n, 40) for n in range(4, 9))),
-        _exact("five-branch-recursion-n3", spectrum.recursion_matches_closed_form(3, 40)),
-        _exact("opposite-signs-n3",
-               spectrum.opposite_signs_at_q_pm2(spectrum.recursion_table(3, 40))),
+        _exact("five-branch-recursion-n3",
+               table3.entries == spectrum.closed_form_table(3, 40).entries),
+        _exact("opposite-signs-n3", spectrum.opposite_signs_at_q_pm2(table3)),
     ]
 
 

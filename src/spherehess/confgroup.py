@@ -153,7 +153,8 @@ def moebius_boost(n: int, direction, rapidity: float) -> MoebiusElement:
 
     Acts in the Lorentz plane spanned by the unit spatial vector and the
     time axis; on the sphere this is a conformal dilation flowing from the
-    antipode of ``direction`` toward ``direction``.
+    antipode of ``direction`` toward ``direction``, an axis 0..n or a
+    nonzero vector of n + 1 entries.
     """
     v = np.zeros(n + 1)
     if isinstance(direction, (int, np.integer)):
@@ -162,7 +163,11 @@ def moebius_boost(n: int, direction, rapidity: float) -> MoebiusElement:
                               f"0..{n}")
         v[int(direction)] = 1.0
     else:
-        v[:] = np.asarray(direction, dtype=float)
+        given = np.asarray(direction, dtype=float)
+        if given.shape != v.shape:
+            raise DomainError(f"boost direction has shape {given.shape}, expected "
+                              f"{v.shape}")
+        v[:] = given
         nrm = float(np.linalg.norm(v))
         if nrm == 0.0:
             raise DomainError("boost direction must be nonzero")

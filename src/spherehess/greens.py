@@ -55,12 +55,7 @@ from fractions import Fraction
 from typing import Callable
 
 from ._nanmax import nan_max
-from .errors import (
-    DomainError,
-    FitUnstable,
-    ParityError,
-    QuadratureFailure,
-)
+from .errors import DomainError, FitUnstable, ParityError, QuadratureFailure
 from .exact import ExactConst, sphere_volume, sphere_volume_exact
 
 __all__ = [
@@ -164,14 +159,6 @@ def _l2_coefficient(n: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _binom(k: int, r: int) -> int:
-    if r == 0:
-        return 1
-    if k < 0:
-        raise ValueError("negative upper index with positive lower index")
-    return math.comb(k, r)
-
-
 @dataclass(frozen=True)
 class TauTailIntegral:
     """Exact antiderivative data for int_X^inf tau^{-a} (1+tau^2)^{-p} dtau.
@@ -184,9 +171,10 @@ class TauTailIntegral:
 
     The float of each coefficient is cached when the integral is built, in
     ``arctan_float``, ``power_floats`` and ``rational_floats`` (same order
-    as the exact tuples), and the evaluations read only those.  They are
-    derived data: left out of the constructor, of eq (and so of the hash)
-    and of the repr.
+    as the exact tuples), and ``tail``, one flat closure over them and
+    F(inf) that the profiles call: it lets OverflowError escape, so that a
+    profile names its own kind, n and r.  All four are derived data: left
+    out of the constructor, of eq (and so of the hash) and of the repr.
     """
 
     a: int
@@ -195,31 +183,37 @@ class TauTailIntegral:
     power_coeffs: tuple[tuple[int, Fraction], ...]
     rational_coeffs: tuple[tuple[int, Fraction], ...]
     arctan_float: float = field(init=False, repr=False, compare=False)
-    power_floats: tuple[tuple[int, float], ...] = field(
-        init=False, repr=False, compare=False)
-    rational_floats: tuple[tuple[int, float], ...] = field(
-        init=False, repr=False, compare=False)
+    power_floats: tuple[tuple[int, float], ...] = field(init=False, repr=False, compare=False)
+    rational_floats: tuple[tuple[int, float], ...] = field(init=False, repr=False, compare=False)
+    tail: Callable[[float], float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "arctan_float", float(self.arctan_coeff))
-        object.__setattr__(self, "power_floats",
-                           tuple((e, float(c)) for e, c in self.power_coeffs))
-        object.__setattr__(self, "rational_floats",
-                           tuple((l, float(c)) for l, c in self.rational_coeffs))
+        arctan = float(self.arctan_coeff)
+        powers = tuple((e, float(c)) for e, c in self.power_coeffs)
+        rationals = tuple((l, float(c)) for l, c in self.rational_coeffs)
+        at_inf, atan, inf = arctan * (math.pi / 2), math.atan, math.inf
 
-    def antiderivative_at(self, x: float) -> float:
-        out = self.arctan_float * math.atan(x)
-        for e, c in self.power_floats:
-            out += c * x**e
-        for l, c in self.rational_floats:
-            out += c * x / (1.0 + x * x) ** l
-        return out
+        def tail(x: float) -> float:
+            if not 0 < x < inf:
+                raise DomainError(f"tail integral needs finite x > 0, got x = {x!r}")
+            out = arctan * atan(x)
+            for e, c in powers:
+                out += c * x**e
+            for l, c in rationals:
+                out += c * x / (1.0 + x * x) ** l
+            return at_inf - out
+
+        self.__dict__.update(arctan_float=arctan, power_floats=powers,
+                             rational_floats=rationals, tail=tail)
 
     def value(self, x: float) -> float:
-        """The tail integral from x to infinity (finite x > 0)."""
-        if not 0 < x < math.inf:
-            raise DomainError(f"tail integral needs finite x > 0, got x = {x!r}")
-        return self.arctan_float * (math.pi / 2) - self.antiderivative_at(x)
+        """The tail integral from x to infinity (finite x > 0); DomainError
+        names a, p and x where a term leaves the float range."""
+        try:
+            return self.tail(x)
+        except OverflowError as exc:
+            raise DomainError(f"tail of tau^-{self.a} (1+tau^2)^-{self.p} from x = {x!r}: "
+                              f"a term of the antiderivative leaves the float range") from exc
 
 
 @functools.cache
@@ -248,7 +242,7 @@ def tau_tail_exact(a: int, p: int) -> TauTailIntegral:
     powers: dict[int, Fraction] = {}
     rationals: dict[int, Fraction] = {}
     for i in range(1, s + 1):
-        a_i = Fraction((-1) ** (s - i) * _binom(p + s - i - 1, s - i))
+        a_i = Fraction((-1) ** (s - i) * math.comb(p + s - i - 1, s - i))
         powers[1 - 2 * i] = a_i / (1 - 2 * i)
     prods, weights = [], []  # P_l and B_l P_l for l = 1..p
     prod = Fraction(1)
@@ -256,7 +250,7 @@ def tau_tail_exact(a: int, p: int) -> TauTailIntegral:
         if l > 1:
             prod *= Fraction(2 * l - 3, 2 * l - 2)
         prods.append(prod)
-        weights.append(prod * ((-1) ** s * _binom(s + p - l - 1, p - l)))
+        weights.append(prod * ((-1) ** s * (math.comb(s + p - l - 1, p - l) if l < p else 1)))
     arctan_total = sum(weights, Fraction(0))
     tail = Fraction(0)
     for j in range(p - 1, 0, -1):
@@ -352,15 +346,16 @@ class RadialGreen:
         kind: short identifier ("L", "L2", "D2").
         singular_orders: exponents of the negative powers of r present in the
             short-distance expansion (used by the regular-part fit).
-        evaluate: the value at r.
+        evaluate: the value at r, one flat closure that the builder makes
+            with its floats and ``math`` functions bound as locals.
         terms: (value, first, second r-derivative) at r from one shared
             evaluation, or None where no closed-form derivatives are known
             (the "D2" profile).  :func:`ode_rows` reads it.
 
     Profiles are defined on (0, pi); the pure-power "L" profile extends to
-    r = pi, where the others are limits of an indeterminate product.
-    Calling the profile raises DomainError where the value is not finite or
-    its evaluation overflows.
+    r = pi, where the others are limits of an indeterminate product.  Calling
+    the profile runs ``evaluate``, which raises DomainError outside the
+    domain, where the evaluation overflows and where the value is not finite.
     """
 
     dim_n: int
@@ -370,17 +365,7 @@ class RadialGreen:
     terms: Callable[[float], tuple[float, float, float]] | None = None
 
     def __call__(self, r: float) -> float:
-        hi_ok = r <= math.pi if self.kind == "L" else r < math.pi
-        if not (0.0 < r and hi_ok):
-            raise DomainError(f"r = {r} outside the domain of the {self.kind} profile")
-        try:
-            value = self.evaluate(r)
-        except (OverflowError, ZeroDivisionError) as exc:
-            raise DomainError(f"{self.kind} profile at n = {self.dim_n}, r = {r!r} "
-                              f"leaves the float range") from exc
-        if not math.isfinite(value):
-            raise DomainError(f"{self.kind} profile at n = {self.dim_n}, r = {r!r} is {value!r}")
-        return value
+        return self.evaluate(r)
 
 
 def chart_radius(r: float) -> float:
@@ -397,11 +382,19 @@ def green_L_profile(n: int) -> RadialGreen:
     Its ``terms`` gives the value and the closed-form first and second
     derivatives from one sin(r/2) and one cos(r/2).
     """
-    _require_odd(n)
     c = float(sphere_constants(n).c_n)
+    sin, pi, isfinite = math.sin, math.pi, math.isfinite
 
-    def ev(r: float) -> float:
-        return c * math.sin(r / 2) ** (2 - n)
+    def evaluate(r: float) -> float:
+        if not 0.0 < r <= pi:
+            raise DomainError(f"r = {r} outside the domain of the L profile")
+        try:
+            value = c * sin(r / 2) ** (2 - n)
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise DomainError(f"L profile at n = {n}, r = {r!r} leaves the float range") from exc
+        if not isfinite(value):
+            raise DomainError(f"L profile at n = {n}, r = {r!r} is {value!r}")
+        return value
 
     def terms(r: float) -> tuple[float, float, float]:
         u, v = math.sin(r / 2), math.cos(r / 2)
@@ -409,32 +402,32 @@ def green_L_profile(n: int) -> RadialGreen:
                 c * (2 - n) / 2 * u ** (1 - n) * v,
                 c * (2 - n) / 4 * ((1 - n) * u**-n * v**2 - u ** (2 - n)))
 
-    orders = tuple(range(2 - n, 0, 2))
-    return RadialGreen(
-        dim_n=n, kind="L", singular_orders=orders, evaluate=ev, terms=terms
-    )
+    return RadialGreen(dim_n=n, kind="L", singular_orders=tuple(range(2 - n, 0, 2)),
+                       evaluate=evaluate, terms=terms)
 
 
-@functools.cache
+# n -> shared profile, per kind.  Each lambda looks its builder up when it
+# builds, so a replaced module-level builder is the one that runs.
+_shared_L = functools.cache(lambda n: green_L_profile(n))
+_shared_L2 = functools.cache(lambda n: green_L2_profile(n))
+_SHARED = {"L": _shared_L, "L2": _shared_L2, "D2": functools.cache(lambda n: green_D2_profile(n))}
+
+
 def _shared_profile(kind: str, n: int) -> RadialGreen:
-    """The ``kind`` profile of dimension n, built once per (kind, n).
+    """The shared ``kind`` profile of dimension n; public builders return fresh
+    ones.  ``_shared_profile.cache_clear()`` empties the caches."""
+    if kind not in _SHARED:
+        raise DomainError(f"unknown profile kind {kind!r}: expected 'L', 'L2' or 'D2'")
+    return _SHARED[kind](n)
 
-    Only this module's value and trace routes evaluate it; callers of the
-    public builders get fresh objects, so none can reach the shared one.
-    The cache keeps one small profile per (kind, n) asked for.
-    """
-    builders = {"L": green_L_profile, "L2": green_L2_profile,
-                "D2": green_D2_profile}
-    return builders[kind](n)
+
+_shared_profile.cache_clear = lambda: [cache.cache_clear() for cache in _SHARED.values()]
 
 
 def green_L(n: int, r: float) -> float:
-    """Value of the conformal-Laplacian Green profile at geodesic radius r.
-
-    The profile is built on the first call for a given n and cached; later
-    calls only evaluate it.
-    """
-    return _shared_profile("L", n)(r)
+    """Value of the conformal-Laplacian Green profile at geodesic radius r;
+    the profile is built once per n, and each call runs its evaluator."""
+    return _shared_L(n).evaluate(r)
 
 
 def _fit_homogeneous_coefficient(n: int) -> float:
@@ -483,26 +476,32 @@ def green_L2_profile(n: int) -> RadialGreen:
         G(r) = (D_n/(n-2)) [ (1-z)^{1-m} + (1+z)^{-m} I(z) ],  z = cos r,
 
     which satisfies the iterated equation with residual at roundoff level.
-    Its ``terms`` evaluates z, I(z), I'(z) and I''(z) once per radius.
+    ``evaluate`` and ``terms`` take I(z) = 4 T(sqrt((1-z)/(1+z))) from the
+    flat ``tail`` closure T of ``tau_tail_exact(n - 3, 2)``, once per radius.
     """
-    _require_odd(n)
     b = _l2_coefficient(n)
     m = (n - 2) / 2.0
-    i_int = tau_tail_exact(n - 3, 2)
+    tail = tau_tail_exact(n - 3, 2).tail
+    cos, sqrt, pi, isfinite = math.cos, math.sqrt, math.pi, math.isfinite
 
-    def i_of_z(z: float) -> float:
-        x = math.sqrt((1.0 - z) / (1.0 + z))
-        return 4.0 * i_int.value(x)
-
-    def ev(r: float) -> float:
-        z = math.cos(r)
-        return b * ((1 - z) ** (1 - m) + (1 + z) ** (-m) * i_of_z(z))
+    def evaluate(r: float) -> float:
+        if not 0.0 < r < pi:
+            raise DomainError(f"r = {r} outside the domain of the L2 profile")
+        try:
+            z = cos(r)
+            value = b * ((1 - z) ** (1 - m)
+                         + (1 + z) ** (-m) * (4.0 * tail(sqrt((1.0 - z) / (1.0 + z)))))
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise DomainError(f"L2 profile at n = {n}, r = {r!r} leaves the float range") from exc
+        if not isfinite(value):
+            raise DomainError(f"L2 profile at n = {n}, r = {r!r} is {value!r}")
+        return value
 
     def terms(r: float) -> tuple[float, float, float]:
         # G, its z-derivatives g_z and g_zz, and I, I', I'' at z = cos r;
         # dz/dr = -sin r turns them into r-derivatives.
         z = math.cos(r)
-        i_val = i_of_z(z)
+        i_val = 4.0 * tail(math.sqrt((1.0 - z) / (1.0 + z)))
         i_prime = ((1 + z) / (1 - z)) ** m
         i_second = 2 * m * (1 - z) ** (-m - 1) * (1 + z) ** (m - 1)
         g_z = b * (
@@ -520,18 +519,14 @@ def green_L2_profile(n: int) -> RadialGreen:
         return value, -math.sin(r) * g_z, math.sin(r) ** 2 * g_zz - z * g_z
 
     orders = tuple(range(4 - n, 0, 2)) if n >= 5 else ()
-    return RadialGreen(
-        dim_n=n, kind="L2", singular_orders=orders, evaluate=ev, terms=terms
-    )
+    return RadialGreen(dim_n=n, kind="L2", singular_orders=orders, evaluate=evaluate,
+                       terms=terms)
 
 
 def green_L2(n: int, r: float) -> float:
-    """Value of the iterated-operator Green profile at geodesic radius r.
-
-    The profile is built on the first call for a given n and cached; later
-    calls only evaluate it.
-    """
-    return _shared_profile("L2", n)(r)
+    """Value of the iterated-operator Green profile at geodesic radius r;
+    the profile is built once per n, and each call runs its evaluator."""
+    return _shared_L2(n).evaluate(r)
 
 
 def _d2_prefactor(n: int, x: float) -> float:
@@ -557,14 +552,23 @@ def green_D2_profile(n: int) -> RadialGreen:
     ``pipeline-vs-spectral-D2-k2`` check.
     """
     _require_odd(n)
-    j_int = tau_tail_exact(n - 1, 1)
+    tail = tau_tail_exact(n - 1, 1).tail
+    tan, pi, isfinite = math.tan, math.pi, math.isfinite
 
-    def ev(r: float) -> float:
-        x = math.tan(r / 2)
-        return _d2_prefactor(n, x) * 2.0 * j_int.value(x)
+    def evaluate(r: float) -> float:
+        if not 0.0 < r < pi:
+            raise DomainError(f"r = {r} outside the domain of the D2 profile")
+        try:
+            x = tan(r / 2)
+            value = _d2_prefactor(n, x) * 2.0 * tail(x)
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise DomainError(f"D2 profile at n = {n}, r = {r!r} leaves the float range") from exc
+        if not isfinite(value):
+            raise DomainError(f"D2 profile at n = {n}, r = {r!r} is {value!r}")
+        return value
 
-    orders = tuple(range(2 - n, 0, 2))
-    return RadialGreen(dim_n=n, kind="D2", singular_orders=orders, evaluate=ev)
+    return RadialGreen(dim_n=n, kind="D2", singular_orders=tuple(range(2 - n, 0, 2)),
+                       evaluate=evaluate)
 
 
 def green_D2(n: int, x_norm: float) -> float:
@@ -753,29 +757,30 @@ def ode_rows(n: int, kind: str, rs) -> list[tuple[float, float]]:
     """(value, relative ODE residual) of the "L" or "L2" profile at each radius.
 
     L (L-profile) = 0 and L (L2-profile) = L-profile, with
-    (L f)(r) = -f'' - (n-1) cot(r) f' + n(n-2)/4 f.  Both profiles are the
-    shared ones of the value functions; the profile's ``terms`` and the
-    right-hand side are evaluated once per radius.
-    Raises DomainError for a profile without ``terms`` (the "D2" one) and
-    for a radius outside (0, pi), each before anything is evaluated there,
-    and naming the kind, n and r where a value, a derivative or the
-    residual overflows or is not finite, as the profile's own call does.
+    (L f)(r) = -f'' - (n-1) cot(r) f' + n(n-2)/4 f.  The shared profile's
+    ``terms`` and the right-hand side C_n sin^{2-n}(r/2), unchecked so that
+    a failing row names the kind asked for, are evaluated once per radius.
+    Raises DomainError for a kind other than "L", "L2" and "D2", for a
+    profile without ``terms`` (the "D2" one) and for a radius outside
+    (0, pi), each before anything is evaluated there, and naming the kind,
+    n and r where a value, a derivative or the residual overflows, divides
+    by zero or is not finite.
     """
     prof = _shared_profile(kind, n)
     if prof.terms is None:
         raise DomainError(f"the {kind} profile has no closed-form derivatives")
-    rhs_prof = _shared_profile("L", n) if kind == "L2" else None
+    c = float(sphere_constants(n).c_n) if kind == "L2" else None
     rows = []
     for r in rs:
         if not 0.0 < r < math.pi:
             raise DomainError(f"r = {r} outside (0, pi)")
         try:
-            rhs = 0.0 if rhs_prof is None else rhs_prof.evaluate(r)
+            rhs = 0.0 if c is None else c * math.sin(r / 2) ** (2 - n)
             f0, f1, f2 = prof.terms(r)
             val = -f2 - (n - 1) * (math.cos(r) / math.sin(r)) * f1 + n * (n - 2) / 4 * f0
             scale = abs(f2) + abs(n * (n - 2) / 4 * f0) + abs(rhs)
             res = abs(val - rhs) / max(scale, 1e-300)
-        except OverflowError as exc:
+        except (OverflowError, ZeroDivisionError) as exc:
             raise DomainError(f"{kind} profile at n = {n}, r = {r!r} leaves the "
                               f"float range") from exc
         if not all(map(math.isfinite, (f0, f1, f2, rhs, res))):
@@ -994,13 +999,8 @@ def trace_from_pipeline(kind: TraceKind, k: int) -> PipelineTrace:
     prof = _shared_profile(kind.value, n)
     reg = regular_part(prof.evaluate, prof.singular_orders)
     vol = float(sphere_volume_exact(n))
-    return PipelineTrace(
-        kind=kind,
-        k=k,
-        n=n,
-        value=reg.value * vol,
-        error_estimate=reg.error_estimate * vol,
-    )
+    return PipelineTrace(kind=kind, k=k, n=n, value=reg.value * vol,
+                         error_estimate=reg.error_estimate * vol)
 
 
 def spectral_convention_factor(kind: TraceKind, k: int) -> int:

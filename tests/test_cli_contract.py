@@ -15,6 +15,7 @@ arithmetic failures must end in one stderr line, not a traceback.
 """
 
 import argparse
+import functools
 import importlib
 import json
 import math
@@ -58,13 +59,18 @@ def _reject_constant(token: str):
     raise ValueError(f"non-JSON constant {token!r}")
 
 
-def _top_level_imports(*args: str) -> set[str]:
-    """Top-level packages a fresh ``python -X importtime <args>`` imported."""
+@functools.cache
+def _top_level_imports(*args: str) -> frozenset[str]:
+    """Top-level packages a fresh ``python -X importtime <args>`` imported.
+
+    Cached: a command that several import-hygiene tests list runs in one
+    fresh process, and each test asserts its own conditions on the result.
+    """
     proc = _python("-X", "importtime", *args)
     assert proc.returncode == 0, proc.stderr
-    return {line.rsplit("|", 1)[-1].strip().split(".")[0]
-            for line in proc.stderr.splitlines()
-            if line.startswith("import time:")}
+    return frozenset(line.rsplit("|", 1)[-1].strip().split(".")[0]
+                     for line in proc.stderr.splitlines()
+                     if line.startswith("import time:"))
 
 
 class TestImportHygiene:

@@ -134,6 +134,15 @@ class TestGroup:
                 r"^boost rapidity = 1000\.0: cosh is not a finite float$")):
             moebius_boost(2, [1, 0, 0], 1000.0)
 
+    @pytest.mark.parametrize("direction, shape", [
+        ([1, 0], "(2,)"), ([[1, 0, 0]], "(1, 3)"), (1.5, "()")])
+    def test_boost_direction_of_the_wrong_shape_is_refused(self, direction, shape):
+        # [1, 0] was a bare numpy ValueError from the broadcast into v, and
+        # the float 1.5 was broadcast to the direction (1, 1, 1).
+        with pytest.raises(DomainError, match=(
+                rf"^boost direction has shape {re.escape(shape)}, expected \(3,\)$")):
+            moebius_boost(2, direction, 1.0)
+
 
 class TestDifferential:
     @pytest.mark.parametrize("n", [2, 3])

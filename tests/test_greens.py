@@ -173,6 +173,14 @@ class TestTauTail:
         assert tail.arctan_coeff == Fraction(math.comb(2198, 1099), 4**1099)
         assert [l for l, _ in tail.rational_coeffs] == list(range(1, 1100))
 
+    def test_overflowing_term_raises_naming_a_p_and_x(self):
+        # (1 + x^2)^l leaves the float range from l = 442 at x = 2, where the
+        # tail is a tiny positive float; this was a bare OverflowError.
+        with pytest.raises(DomainError, match=(
+                r"^tail of tau\^-0 \(1\+tau\^2\)\^-500 from x = 2\.0: a term of the "
+                r"antiderivative leaves the float range$")):
+            tau_tail_exact(0, 500).value(2.0)
+
 
 class TestGreenL:
     def test_pinned_antipodal_values(self):
@@ -320,6 +328,17 @@ class TestOdeRows:
         # leaked a bare ZeroDivisionError.
         with pytest.raises(DomainError, match=rf"^r = {r!r} outside \(0, pi\)$"):
             greens.ode_rows(5, kind, [0.5, r])
+
+    def test_unknown_kind_is_refused_before_anything_is_built(self, monkeypatch):
+        # This was a bare KeyError from the builder table.
+        def refuse(n):
+            raise AssertionError(f"built a profile at n = {n}")
+
+        for name in ("green_L_profile", "green_L2_profile", "green_D2_profile"):
+            monkeypatch.setattr(greens, name, refuse)
+        with pytest.raises(DomainError, match=(
+                r"^unknown profile kind 'X': expected 'L', 'L2' or 'D2'$")):
+            greens.ode_rows(5, "X", [0.5])
 
     def test_profile_without_derivatives_is_refused(self):
         with pytest.raises(DomainError, match=(
@@ -645,14 +664,75 @@ class TestCachedBuilders:
             assert inspect.isfunction(builder)
             assert builder(5) is not builder(5)
 
-    @pytest.mark.parametrize("n", [3, 5, 7, 9])
+    @pytest.mark.parametrize("n", range(3, 14, 2))
     def test_values_equal_fresh_profiles_bitwise(self, n):
         from spherehess.cli import _r_grid
 
         prof_l, prof_l2 = green_L_profile(n), green_L2_profile(n)
+        prof_d2, shared_d2 = green_D2_profile(n), greens._shared_profile("D2", n)
         for r in _r_grid():
-            assert green_L(n, r) == prof_l(r)
-            assert green_L2(n, r) == prof_l2(r)
+            assert green_L(n, r).hex() == prof_l(r).hex()
+            assert green_L2(n, r).hex() == prof_l2(r).hex()
+            assert shared_d2(r).hex() == prof_d2(r).hex()
+
+
+class TestValueRouteEdges:
+    """Type and message, or float.hex, of the value routes at the edges of
+    their domain and of the float range, recorded before each profile ran
+    one flat evaluator.  The shared profile (the route of green_L, green_L2
+    and the trace pipeline) and a fresh public one both give them."""
+
+    PI_UP, PI_DOWN = math.nextafter(math.pi, 4), math.nextafter(math.pi, 0)
+
+    @staticmethod
+    def routes(kind, n):
+        builder = {"L": green_L_profile, "L2": green_L2_profile, "D2": green_D2_profile}[kind]
+        shared = {"L": lambda r: green_L(n, r), "L2": lambda r: green_L2(n, r),
+                  "D2": lambda r: greens._shared_profile("D2", n)(r)}[kind]
+        return [shared, builder(n)]
+
+    @pytest.mark.parametrize("kind", ["L", "L2", "D2"])
+    @pytest.mark.parametrize("r", [0.0, -0.0, -1.0, PI_UP, 4.0, math.nan, math.inf,
+                                   -math.inf])
+    def test_outside_the_domain(self, kind, r):
+        for route in self.routes(kind, 5):
+            with pytest.raises(DomainError, match=(
+                    rf"^r = {re.escape(str(r))} outside the domain of the {kind} profile$")):
+                route(r)
+
+    @pytest.mark.parametrize("kind, n, r, expected", [
+        # r = pi closes the domain of L only
+        ("L", 5, math.pi, "0x1.9f02f6222c720p-11"),
+        ("L2", 5, math.pi, "r = 3.141592653589793 outside the domain of the L2 profile"),
+        ("D2", 5, math.pi, "r = 3.141592653589793 outside the domain of the D2 profile"),
+        # just inside each bound
+        ("L", 5, 5e-324, "L profile at n = 5, r = 5e-324 leaves the float range"),
+        ("L2", 5, 5e-324, "L2 profile at n = 5, r = 5e-324 leaves the float range"),
+        ("D2", 5, 5e-324, "tail integral needs finite x > 0, got x = 0.0"),
+        ("L", 5, PI_DOWN, "0x1.9f02f6222c720p-11"),
+        ("L2", 5, PI_DOWN, "L2 profile at n = 5, r = 3.1415926535897927 leaves the float range"),
+        ("D2", 5, PI_DOWN, "0x0.0p+0"),
+        # cos r rounds to 1
+        ("L2", 5, 1e-8, "L2 profile at n = 5, r = 1e-08 leaves the float range"),
+        ("L2", 3, 1e-9, "tail integral needs finite x > 0, got x = 0.0"),
+        # large n at small r: a power overflows, or the value is not finite
+        ("L", 301, 1e-3, "L profile at n = 301, r = 0.001 leaves the float range"),
+        ("L2", 301, 1e-3, "L2 profile at n = 301, r = 0.001 leaves the float range"),
+        ("D2", 301, 1e-3, "D2 profile at n = 301, r = 0.001 leaves the float range"),
+        ("L", 301, 0.3, "L profile at n = 301, r = 0.3 is inf"),
+        ("L2", 301, 3, "L2 profile at n = 301, r = 3 is -inf"),
+        ("D2", 301, 0.3, "D2 profile at n = 301, r = 0.3 is inf"),
+        ("D2", 401, 2.5, "D2 profile at n = 401, r = 2.5 is -inf"),
+        # vol(S^{n-1}) is not a normal float
+        ("D2", 501, 0.3, "D2 profile at n = 501, r = 0.3 leaves the float range"),
+    ])
+    def test_edge_keeps_its_outcome(self, kind, n, r, expected):
+        for route in self.routes(kind, n):
+            if expected.startswith("0x"):
+                assert route(r).hex() == expected
+            else:
+                with pytest.raises(DomainError, match=f"^{re.escape(expected)}$"):
+                    route(r)
 
 
 class TestPinnedBits:
