@@ -348,20 +348,26 @@ def _r_grid() -> list[float]:
     return [round(0.3 + 0.1 * i, 10) for i in range(28)]
 
 
-def cmd_greens(n: int, profile: str, tol_ode: float, tol_quad: float) -> ReportEnvelope:
+# Tolerances that several check rows share; every other row has its own.
+_TOL_ODE = 1e-8    # ODE residuals of the L and L^2 profiles
+_TOL_QUAD = 1e-10  # exact tail vs its quadrature twin
+_TOL_CONF = 1e-6   # pairing invariance and Ahlfors covariance
+
+
+def cmd_greens(n: int, profile: str) -> ReportEnvelope:
     from . import greens
 
     params = {"dim": str(n), "profile": profile,
-              "tol_ode": repr(tol_ode), "tol_quad": repr(tol_quad)}
+              "tol_ode": repr(_TOL_ODE), "tol_quad": repr(_TOL_QUAD)}
     rs = _r_grid()
     if profile in ("L", "L2"):
         found = greens.ode_rows(n, profile, rs)
         rows = [(f"{r:.2f}", repr(val), _fmt_res(res)) for r, (val, res) in zip(rs, found)]
         result = ResultTable(("r", "value", "ode_residual"), tuple(rows))
-        checks = [check_against("ode-residual-max", _worst(res for _, res in found), tol_ode)]
+        checks = [check_against("ode-residual-max", _worst(res for _, res in found), _TOL_ODE)]
         if profile == "L2":
             checks.append(check_against("tau-quadrature-vs-closed-form",
-                                        greens.tau_tail_gap(n - 3, 2), tol_quad))
+                                        greens.tau_tail_gap(n - 3, 2), _TOL_QUAD))
     elif profile == "D2":
         xs = [greens.chart_radius(r) for r in rs]
         found = [greens.d2_route_gap(n, x) for x in xs]
@@ -370,7 +376,7 @@ def cmd_greens(n: int, profile: str, tol_ode: float, tol_quad: float) -> ReportE
         result = ResultTable(("r", "x", "value", "route_residual"), tuple(rows))
         checks = [check_against("dual-route-max", _worst(res for _, res in found), 1e-9),
                   check_against("tau-quadrature-vs-closed-form",
-                                greens.tau_tail_gap(n - 1, 1), tol_quad)]
+                                greens.tau_tail_gap(n - 1, 1), _TOL_QUAD)]
     else:
         raise ValueError(f"unknown profile {profile!r}")
     return ReportEnvelope("greens", params, result, tuple(checks))
@@ -395,7 +401,7 @@ def cmd_qsymbol(n: int, seed: int) -> ReportEnvelope:
 # ---------------------------------------------------------------------------
 
 
-def _suite_spectrum(dim: int, seed: int, tols: dict[str, float]) -> list[CheckResult]:
+def _suite_spectrum(dim: int, seed: int) -> list[CheckResult]:
     from . import spectrum
 
     table3 = spectrum.recursion_table(3, 40)
@@ -408,23 +414,20 @@ def _suite_spectrum(dim: int, seed: int, tols: dict[str, float]) -> list[CheckRe
     ]
 
 
-def _suite_greens(dim: int, seed: int, tols: dict[str, float]) -> list[CheckResult]:
+def _suite_greens(dim: int, seed: int) -> list[CheckResult]:
     from . import greens
 
     checks = []
     rs = _r_grid()
     for n in (3, 5, 7):
         checks += [
-            check_against(f"ode-residual-L-n{n}", greens.ode_residual_L(n, rs),
-                          tols["tol_ode"]),
-            check_against(f"ode-residual-L2-n{n}", greens.ode_residual_L2(n, rs),
-                          tols["tol_ode"]),
+            check_against(f"ode-residual-L-n{n}", greens.ode_residual_L(n, rs), _TOL_ODE),
+            check_against(f"ode-residual-L2-n{n}", greens.ode_residual_L2(n, rs), _TOL_ODE),
             check_against(f"homogeneous-coefficient-n{n}",
                           greens.homogeneous_coefficient_gap(n), 1e-9),
             check_against(f"dual-route-D2-n{n}", _worst(
                 greens.d2_route_gap(n, greens.chart_radius(r))[1] for r in rs), 1e-9),
-            check_against(f"tau-quad-L2-n{n}", greens.tau_tail_gap(n - 3, 2),
-                          tols["tol_quad"]),
+            check_against(f"tau-quad-L2-n{n}", greens.tau_tail_gap(n - 3, 2), _TOL_QUAD),
         ]
     checks.append(_exact("frozen-trace-values", greens.frozen_traces_match(2)))
     checks += [check_against(f"pipeline-vs-spectral-{kind.value}-k{k}",
@@ -433,7 +436,7 @@ def _suite_greens(dim: int, seed: int, tols: dict[str, float]) -> list[CheckResu
     return checks
 
 
-def _suite_symbols(dim: int, seed: int, tols: dict[str, float]) -> list[CheckResult]:
+def _suite_symbols(dim: int, seed: int) -> list[CheckResult]:
     from . import symbols
 
     checks = [
@@ -448,19 +451,18 @@ def _suite_symbols(dim: int, seed: int, tols: dict[str, float]) -> list[CheckRes
     ]
 
 
-def _suite_qcurv(dim: int, seed: int, tols: dict[str, float]) -> list[CheckResult]:
+def _suite_qcurv(dim: int, seed: int) -> list[CheckResult]:
     from .qcurv import q_symbol_identity_holds
 
     return [_exact("q-symbol-identity-n468", q_symbol_identity_holds(seed, (4, 6, 8), 25))]
 
 
-def _suite_confgroup(n: int, seed: int, tols: dict[str, float]) -> list[CheckResult]:
+def _suite_confgroup(n: int, seed: int) -> list[CheckResult]:
     import numpy as np
 
     from . import confgroup as cg
 
     rng = np.random.default_rng(seed)
-    tol_conf = tols["tol_conf"]
     elements = [cg.random_moebius(rng, n, 1.0) for _ in range(4)]
     points = rng.normal(size=(10, n + 1))
     points /= np.linalg.norm(points, axis=1, keepdims=True)
@@ -494,29 +496,26 @@ def _suite_confgroup(n: int, seed: int, tols: dict[str, float]) -> list[CheckRes
         check_against("lorentz-form", lorentz, 1e-12),
         check_against("conformality", conf, 1e-7),
         check_against("cocycle", cocycle, 1e-7),
-        check_against("pairing-invariance", _worst(pair_res), tol_conf),
-        check_against("ahlfors-covariance", _worst(cov_res), tol_conf),
+        check_against("pairing-invariance", _worst(pair_res), _TOL_CONF),
+        check_against("ahlfors-covariance", _worst(cov_res), _TOL_CONF),
         check_against("kernel-fields", kernel, 1e-8),
     ]
 
 
-# Each verify suite and the options it reads besides --seed: a tolerance it
-# does not read is a usage error, and only a suite that reads "dim" reports it.
 _SUITES = {
-    "spectrum": (_suite_spectrum, ()),
-    "greens": (_suite_greens, ("tol_ode", "tol_quad")),
-    "symbols": (_suite_symbols, ()),
-    "qcurv": (_suite_qcurv, ()),
-    "confgroup": (_suite_confgroup, ("dim", "tol_conf")),
+    "spectrum": _suite_spectrum,
+    "greens": _suite_greens,
+    "symbols": _suite_symbols,
+    "qcurv": _suite_qcurv,
+    "confgroup": _suite_confgroup,
 }
 
 
-def cmd_verify(suite: str, dim: int, seed: int, tols: dict[str, float]) -> ReportEnvelope:
-    run, reads = _SUITES[suite]
+def cmd_verify(suite: str, dim: int, seed: int) -> ReportEnvelope:
     params = {"suite": suite, "seed": str(seed)}
-    if "dim" in reads:
+    if suite == "confgroup":  # the only suite that reads --dim
         params["dim"] = str(dim)
-    checks = run(dim, seed, tols)
+    checks = _SUITES[suite](dim, seed)
     notes = tuple(
         f"{c.name}: {c.status} (residual {_fmt_res(c.residual)})" for c in checks
     )
@@ -528,13 +527,6 @@ def cmd_verify(suite: str, dim: int, seed: int, tols: dict[str, float]) -> Repor
 # ---------------------------------------------------------------------------
 
 
-_TOLERANCE_DEFAULTS = {"tol_ode": 1e-8, "tol_quad": 1e-10, "tol_conf": 1e-6}
-
-
-def _flag(name: str) -> str:
-    return "--" + name.replace("_", "-")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spherehess",
@@ -543,17 +535,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_options(p: argparse.ArgumentParser, seed: bool = False,
-                    tolerances: bool = False) -> None:
+    def add_options(p: argparse.ArgumentParser, seed: bool = False) -> None:
         p.add_argument("--format", choices=("table", "csv", "json"),
                        default="table")
         if seed:
             p.add_argument("--seed", type=int, default=0)
-        if tolerances:
-            # No argparse default: _dispatch tells a given tolerance from
-            # an absent one and fills in _TOLERANCE_DEFAULTS.
-            for name in _TOLERANCE_DEFAULTS:
-                p.add_argument(_flag(name), type=float)
 
     p = sub.add_parser("spectrum", help="Hessian eigenvalue table")
     p.add_argument("--dim", type=int, required=True)
@@ -568,13 +554,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kmax", type=int, default=2)
     add_options(p)
 
-    # greens reads --tol-ode and --tol-quad.  It also accepts and validates
-    # --tol-conf, which it does not read: that usage error is part of the
-    # tested contract of the command.
     p = sub.add_parser("greens", help="radial Green's function profiles")
     p.add_argument("--dim", type=int, default=3)
     p.add_argument("--profile", choices=("L", "L2", "D2"), default="L")
-    add_options(p, tolerances=True)
+    add_options(p)
 
     p = sub.add_parser("qsymbol", help="curvature Hessian symbol identity")
     p.add_argument("--dim", type=int, required=True)
@@ -583,26 +566,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a named property suite")
     p.add_argument("--suite", choices=sorted(_SUITES), required=True)
     p.add_argument("--dim", type=int, default=2)
-    add_options(p, seed=True, tolerances=True)
+    add_options(p, seed=True)
 
     return parser
 
 
 def _dispatch(args: argparse.Namespace, parser: argparse.ArgumentParser) -> ReportEnvelope:
-    # --seed and the --tol-* options exist only on the subcommands that
-    # take them.
-    given = {name: getattr(args, name) for name in _TOLERANCE_DEFAULTS
-             if getattr(args, name, None) is not None}
-    if args.command == "verify":
-        for name in given:
-            if name not in _SUITES[args.suite][1]:
-                parser.error(f"{_flag(name)} is not read by --suite {args.suite}")
+    # --seed exists only on the subcommands that take it.
     if "seed" in args and args.seed < 0:
         parser.error("--seed must be >= 0")
-    for name, tol in given.items():
-        if not (math.isfinite(tol) and tol >= 0):
-            parser.error(f"{_flag(name)} must be finite and >= 0")
-    tols = {**_TOLERANCE_DEFAULTS, **given}
     if args.command == "spectrum":
         if args.dim < 2:
             parser.error("--dim must be >= 2")
@@ -620,7 +592,7 @@ def _dispatch(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Repo
     if args.command == "greens":
         if args.dim < 3 or args.dim % 2 == 0:
             parser.error("--dim must be odd and >= 3")
-        return cmd_greens(args.dim, args.profile, tols["tol_ode"], tols["tol_quad"])
+        return cmd_greens(args.dim, args.profile)
     if args.command == "qsymbol":
         if args.dim < 4 or args.dim % 2 == 1:
             parser.error("--dim must be even and >= 4")
@@ -628,7 +600,7 @@ def _dispatch(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Repo
     if args.command == "verify":
         if args.suite == "confgroup" and args.dim not in (2, 3):
             parser.error("--dim must be 2 or 3 for the confgroup suite")
-        return cmd_verify(args.suite, args.dim, args.seed, tols)
+        return cmd_verify(args.suite, args.dim, args.seed)
     parser.error(f"unknown command {args.command!r}")
     raise AssertionError("unreachable")
 

@@ -169,12 +169,11 @@ class TauTailIntegral:
                  + sum_l rational_coeffs[l] tau (1+tau^2)^{-l},
     and the tail value is F(inf) - F(X) with F(inf) = arctan_coeff * pi/2.
 
-    The float of each coefficient is cached when the integral is built, in
-    ``arctan_float``, ``power_floats`` and ``rational_floats`` (same order
-    as the exact tuples), and ``tail``, one flat closure over them and
-    F(inf) that the profiles call: it lets OverflowError escape, so that a
-    profile names its own kind, n and r.  All four are derived data: left
-    out of the constructor, of eq (and so of the hash) and of the repr.
+    ``tail`` is one flat closure over the coefficients' floats, converted
+    once when the integral is built, and F(inf); the profiles call it.  It
+    lets OverflowError escape, so that a profile names its own kind, n and
+    r.  It is derived data: left out of the constructor, of eq (and so of
+    the hash) and of the repr.
     """
 
     a: int
@@ -182,9 +181,6 @@ class TauTailIntegral:
     arctan_coeff: Fraction
     power_coeffs: tuple[tuple[int, Fraction], ...]
     rational_coeffs: tuple[tuple[int, Fraction], ...]
-    arctan_float: float = field(init=False, repr=False, compare=False)
-    power_floats: tuple[tuple[int, float], ...] = field(init=False, repr=False, compare=False)
-    rational_floats: tuple[tuple[int, float], ...] = field(init=False, repr=False, compare=False)
     tail: Callable[[float], float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -203,8 +199,7 @@ class TauTailIntegral:
                 out += c * x / (1.0 + x * x) ** l
             return at_inf - out
 
-        self.__dict__.update(arctan_float=arctan, power_floats=powers,
-                             rational_floats=rationals, tail=tail)
+        self.__dict__["tail"] = tail
 
     def value(self, x: float) -> float:
         """The tail integral from x to infinity (finite x > 0); DomainError
@@ -438,6 +433,10 @@ def _fit_homogeneous_coefficient(n: int) -> float:
     with the softened r^{-(n-4)} leading singularity.  Exact value is
     D_n / (n-2), which :func:`green_L2_profile` uses; this numeric route is
     the independent check of :func:`homogeneous_coefficient_gap`.
+
+    Domain: odd 3 <= n <= 97.  The fit samples the tail down to r = 1e-3,
+    x = tan(r/2) = 5e-4, where the antiderivative's term x^{-(n-4)} leaves
+    the float range from n = 99 on; the tail then raises DomainError.
     """
     import numpy as np
 
@@ -462,7 +461,12 @@ def _fit_homogeneous_coefficient(n: int) -> float:
 
 
 def homogeneous_coefficient_gap(n: int) -> float:
-    """|fit / exact - 1| for the fitted and the exact D_n/(n-2)."""
+    """|fit / exact - 1| for the fitted and the exact D_n/(n-2).
+
+    Domain: odd 3 <= n <= 97.  From n = 99 on, x^{-(n-4)} at the fit's
+    smallest sample x = 5e-4 leaves the float range, and the tail's
+    DomainError propagates (see :func:`_fit_homogeneous_coefficient`).
+    """
     return abs(_fit_homogeneous_coefficient(n) / _l2_coefficient(n) - 1.0)
 
 

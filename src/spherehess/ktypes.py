@@ -49,10 +49,6 @@ class DominantWeight:
         if any(not isinstance(e, int) for e in self.entries):
             raise DomainError("weight entries must be integers")
 
-    @property
-    def rank(self) -> int:
-        return len(self.entries)
-
 
 def _weight(entries: tuple[int, ...], group_rank: int) -> DominantWeight:
     return DominantWeight(entries=tuple(entries), group_rank=group_rank)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 import shlex
 from fractions import Fraction
 from pathlib import Path
@@ -57,6 +58,35 @@ def _readme_commands() -> list[list[str]]:
     block = README.read_text().split("## Command line", 1)[1].split("```", 2)[1]
     return [shlex.split(line, comments=True)[1:] for line in block.splitlines()
             if line.startswith("spherehess ")]
+
+
+def _expand(name: str) -> list[str]:
+    """A check name of the "Checks" table with its ``n*`` and ``{a,b}``
+    placeholders written out."""
+    if "n*" in name:
+        return [x for n in (3, 5, 7) for x in _expand(name.replace("n*", f"n{n}", 1))]
+    if "{" in name:
+        head, rest = name.split("{", 1)
+        options, tail = rest.split("}", 1)
+        return [x for option in options.split(",") for x in _expand(head + option + tail)]
+    return [name]
+
+
+def _readme_checks() -> set[tuple[str, float]]:
+    """Each (check name, tolerance) pair of the README's "Checks" table."""
+    section = README.read_text().split("## Checks", 1)[1].split("\n## ", 1)[0]
+    pairs = set()
+    for line in section.splitlines():
+        cells = [c.strip() for c in re.split(r"(?<!\\)\|", line)]
+        if len(cells) != 7 or not cells[2].startswith("`"):
+            continue  # not a row, or the header
+        names = [x for name in re.findall(r"`([^`]+)`", cells[2]) for x in _expand(name)]
+        tolerances = [float(t) for t in cells[4].split("; ")]
+        if len(tolerances) == 1:
+            tolerances *= len(names)
+        assert len(tolerances) == len(names), line
+        pairs.update(zip(names, tolerances))
+    return pairs
 
 
 def _run(capsys, *argv):
@@ -167,12 +197,15 @@ class TestExitCodes:
             console_main(["frobnicate"])
         assert exc.value.code == 2
 
-    def test_failing_tolerance_is_one(self, capsys):
-        code, out, _ = _run(
-            capsys, "greens", "--dim", "3", "--profile", "L", "--tol-ode", "1e-20"
-        )
+    def test_failing_tolerance_is_one(self, capsys, monkeypatch):
+        from spherehess import greens
+
+        monkeypatch.setattr(greens, "tau_tail_gap", lambda a, p: 2.5e-10)
+        code, out, _ = _run(capsys, "greens", "--dim", "5", "--profile", "L2")
         assert code == 1
-        assert "FAIL" in out
+        assert ("  [FAIL] tau-quadrature-vs-closed-form  residual=2.500e-10"
+                "  tolerance=1.000e-10") in out.splitlines()
+        assert out.endswith("status: FAIL\n")
 
     @pytest.mark.parametrize(
         "suite", ["spectrum", "greens", "symbols", "qcurv"]
@@ -206,17 +239,6 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "--seed must be >= 0" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", ["--tol-ode", "--tol-quad", "--tol-conf"])
-    @pytest.mark.parametrize("value", ["nan", "-0.001", "inf"])
-    def test_invalid_tolerance_is_two(self, capsys, flag, value):
-        with pytest.raises(SystemExit) as exc:
-            console_main(["greens", "--dim", "5", "--profile", "L2",
-                          flag, value, "--format", "json"])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert f"{flag} must be finite and >= 0" in captured.err
-
 
 class TestReadmeCommands:
     """The CLI is the only front end, so its documented examples must run."""
@@ -229,6 +251,27 @@ class TestReadmeCommands:
         code, out, err = _run(capsys, *argv)
         assert code == 0, err
         assert "Traceback" not in out + err
+
+
+class TestChecksTable:
+    """The README's "Checks" table lists what the commands print."""
+
+    COMMANDS = [
+        ["spectrum", "--dim", "2"], ["spectrum", "--dim", "3"], ["spectrum", "--dim", "4"],
+        ["signs"], ["traces"],
+        *[["greens", "--profile", p] for p in ("L", "L2", "D2")],
+        ["qsymbol", "--dim", "4"],
+        *[["verify", "--suite", s]
+          for s in ("spectrum", "greens", "symbols", "qcurv", "confgroup")],
+    ]
+
+    def test_printed_tolerances_are_the_tables(self, capsys):
+        printed = set()
+        for argv in self.COMMANDS:
+            code, out, _ = _run(capsys, *argv, "--format", "json")
+            assert code == 0, argv
+            printed.update((c["name"], c["tolerance"]) for c in json.loads(out)["checks"])
+        assert printed == _readme_checks()
 
 
 class TestSymbolsSuite:

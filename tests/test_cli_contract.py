@@ -338,22 +338,20 @@ class TestArithmeticFailures:
                                    "range")
 
 
-class TestOptionSurface:
-    """Each subcommand takes only the options it reads.
+_TOL_FLAGS = ("--tol-ode", "--tol-quad", "--tol-conf")
 
-    greens also takes --tol-conf, which it validates but does not read:
-    its usage error there is part of the tested contract.
-    """
+
+class TestOptionSurface:
+    """Each subcommand takes only the options it reads, and no check's
+    tolerance is an option."""
 
     EXPECTED = {
         "spectrum": {"--dim", "--jmax", "--format"},
         "signs": {"--nmax", "--format"},
         "traces": {"--kmax", "--format"},
-        "greens": {"--dim", "--profile", "--format",
-                   "--tol-ode", "--tol-quad", "--tol-conf"},
+        "greens": {"--dim", "--profile", "--format"},
         "qsymbol": {"--dim", "--format", "--seed"},
-        "verify": {"--suite", "--dim", "--format", "--seed",
-                   "--tol-ode", "--tol-quad", "--tol-conf"},
+        "verify": {"--suite", "--dim", "--format", "--seed"},
     }
 
     def test_each_subcommand_has_exactly_its_options(self):
@@ -372,8 +370,12 @@ class TestOptionSurface:
         ["signs", "--tol-conf", "1e-3"],
         ["greens", "--seed", "1"],
         ["qsymbol", "--dim", "6", "--tol-quad", "1e-3"],
+        *[["greens", "--profile", "L2", flag, "1e-3"] for flag in _TOL_FLAGS],
+        *[["verify", "--suite", suite, flag, "1e-3"]
+          for suite, flag in zip(("greens", "greens", "confgroup"), _TOL_FLAGS)],
     ], ids=["spectrum-seed", "traces-tol-ode", "signs-tol-conf", "greens-seed",
-            "qsymbol-tol-quad"])
+            "qsymbol-tol-quad", *[f"greens{flag[1:]}" for flag in _TOL_FLAGS],
+            *[f"verify{flag[1:]}" for flag in _TOL_FLAGS]])
     def test_option_the_command_does_not_read_is_two(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             console_main(argv)
@@ -382,19 +384,21 @@ class TestOptionSurface:
         assert captured.out == ""
         assert f"unrecognized arguments: {argv[-2]}" in captured.err
 
-    @pytest.mark.parametrize("suite, flag", [
-        *[(suite, flag) for suite in ("spectrum", "symbols", "qcurv")
-          for flag in ("--tol-ode", "--tol-quad", "--tol-conf")],
-        ("greens", "--tol-conf"),
-        ("confgroup", "--tol-ode"),
-        ("confgroup", "--tol-quad"),
-    ])
-    def test_tolerance_the_suite_does_not_read_is_two(self, capsys, suite, flag):
+    @pytest.mark.parametrize("argv, message", [
+        (["spectrum", "--dim", "1"], "--dim must be >= 2"),
+        (["spectrum", "--dim", "4", "--jmax", "-1"], "--jmax must be >= 0"),
+        (["signs", "--nmax", "2"], "--nmax must be >= 3"),
+        (["traces", "--kmax", "0"], "--kmax must be >= 1"),
+        (["qsymbol", "--dim", "5"], "--dim must be even and >= 4"),
+        (["qsymbol", "--dim", "2"], "--dim must be even and >= 4"),
+        (["verify", "--suite", "confgroup", "--dim", "4"],
+         "--dim must be 2 or 3 for the confgroup suite"),
+    ], ids=["spectrum-dim", "spectrum-jmax", "signs-nmax", "traces-kmax",
+            "qsymbol-dim-odd", "qsymbol-dim-small", "confgroup-dim"])
+    def test_value_out_of_range_is_two(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
-            console_main(["verify", "--suite", suite, flag, "1e-3",
-                          "--seed", "1", "--format", "json"])
+            console_main(argv)
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.splitlines()[-1] == (
-            f"spherehess: error: {flag} is not read by --suite {suite}")
+        assert captured.err.splitlines()[-1] == f"spherehess: error: {message}"

@@ -227,6 +227,13 @@ class TestGreenL2:
     def test_fitted_homogeneous_coefficient_matches_exact(self, n):
         assert homogeneous_coefficient_gap(n) <= 1e-9
 
+    def test_fitted_homogeneous_coefficient_domain_ends_at_97(self):
+        # the fit's smallest sample x = 5e-4 puts x^-(n-4) past the float
+        # range from n = 99 on
+        assert homogeneous_coefficient_gap(97) <= 1e-9
+        with pytest.raises(DomainError, match="leaves the float range"):
+            homogeneous_coefficient_gap(99)
+
 
 class TestGreenD2:
     @pytest.mark.parametrize("n", [3, 5, 7])
@@ -632,15 +639,20 @@ class TestCachedBuilders:
     @pytest.mark.parametrize("a, p", [(0, 1), (4, 2), (10, 2), (12, 1)])
     def test_tail_floats_are_the_coefficient_floats(self, a, p):
         tail = tau_tail_exact(a, p)
-        assert tail.arctan_float == float(tail.arctan_coeff)
-        for floats, exact in ((tail.power_floats, tail.power_coeffs),
-                              (tail.rational_floats, tail.rational_coeffs)):
-            assert floats == tuple((e, float(c)) for e, c in exact)
+        arctan = float(tail.arctan_coeff)
+        for x in (0.25, 1.0, 3.0):
+            # F(inf) - F(x) in the closure's order, from each coefficient's float
+            out = arctan * math.atan(x)
+            for e, c in tail.power_coeffs:
+                out += float(c) * x**e
+            for l, c in tail.rational_coeffs:
+                out += float(c) * x / (1.0 + x * x) ** l
+            assert tail.tail(x) == arctan * (math.pi / 2) - out
         # derived data: not part of the constructor, eq, hash or repr
         twin = greens.TauTailIntegral(a, p, tail.arctan_coeff, tail.power_coeffs,
                                       tail.rational_coeffs)
         assert twin == tail and hash(twin) == hash(tail)
-        assert "float" not in repr(tail)
+        assert "tail=" not in repr(tail)
 
     def test_values_build_each_profile_once(self, monkeypatch):
         builds = []
