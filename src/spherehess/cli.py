@@ -565,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a named property suite")
     p.add_argument("--suite", choices=sorted(_SUITES), required=True)
-    p.add_argument("--dim", type=int, default=2)
+    p.add_argument("--dim", type=int)  # confgroup only, default 2
     add_options(p, seed=True)
 
     return parser
@@ -598,9 +598,13 @@ def _dispatch(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Repo
             parser.error("--dim must be even and >= 4")
         return cmd_qsymbol(args.dim, args.seed)
     if args.command == "verify":
-        if args.suite == "confgroup" and args.dim not in (2, 3):
+        if args.suite != "confgroup" and args.dim is not None:
+            parser.error(f"unrecognized arguments: --dim {args.dim} "
+                         "(only --suite confgroup reads it)")
+        dim = 2 if args.dim is None else args.dim
+        if dim not in (2, 3):
             parser.error("--dim must be 2 or 3 for the confgroup suite")
-        return cmd_verify(args.suite, args.dim, args.seed)
+        return cmd_verify(args.suite, dim, args.seed)
     parser.error(f"unknown command {args.command!r}")
     raise AssertionError("unreachable")
 

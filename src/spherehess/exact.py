@@ -68,19 +68,22 @@ class ExactConst:
     """A constant coeff * 2**two_exp * pi**pi_exp with rational coeff.
 
     two_exp is a Fraction with denominator 1 or 2, so exact square roots of 2
-    (needed by half-integer powers of 2) stay symbolic.
+    (needed by half-integer powers of 2) stay symbolic; any other two_exp
+    raises ValueError.
     """
 
     coeff: Fraction
     pi_exp: int = 0
     two_exp: Fraction = Fraction(0)
 
+    def __post_init__(self) -> None:
+        if Fraction(self.two_exp).denominator not in (1, 2):
+            raise ValueError(f"two_exp must be a half-integer, got {self.two_exp}")
+
     def _canonical(self) -> tuple[Fraction, Fraction, int]:
         if self.coeff == 0:
             return Fraction(0), Fraction(0), 0
         t = Fraction(self.two_exp)
-        if t.denominator not in (1, 2):
-            raise ValueError("two_exp must be a half-integer")
         whole = t.numerator // t.denominator
         rem = t - whole
         coeff = self.coeff * (Fraction(2) ** whole)

@@ -11,7 +11,9 @@ stepping from mode ``beta`` to an adjacent mode ``gamma``,
 relation over the whole mode lattice pins the full table up to one overall
 scale (two scales on the 3-sphere, whose mode lattice carries a sign), and
 the closed form is a product of two rising factorials.  This module builds
-the table both ways and classifies the resulting quadratic form.
+the table both ways and classifies the resulting quadratic form.  The
+recursion is solved along the lattice: one sweep each way along the j = 0
+row of q-modes, then one exact product per step up each j-column.
 """
 
 from __future__ import annotations
@@ -89,22 +91,11 @@ def _stepped(t: KType, direction: StepDirection) -> KType:
 
 
 def kappa_step(t: KType, direction: StepDirection) -> int:
-    """kappa increment of a unit step: n+2j+4 along j, n+2q-2 along q.
+    """kappa increment of a unit step, the difference of two kappa values.
 
-    Computed as the difference of two kappa evaluations and checked against
-    the closed-form increment.
+    It equals n+2j+4 along j and n+2q-2 along q; the tests check both.
     """
-    target = _stepped(t, direction)
-    diff = kappa(target) - kappa(t)
-    if direction is StepDirection.J_UP:
-        closed = t.dim_n + 2 * t.j + 4
-    else:
-        closed = t.dim_n + 2 * t.q - 2
-    if diff != closed:
-        raise InconsistentSystem(
-            f"kappa step mismatch at {t}: difference {diff}, closed {closed}"
-        )
-    return diff
+    return kappa(_stepped(t, direction)) - kappa(t)
 
 
 def transition_coeff(beta: KType, gamma: KType, nu: Fraction) -> Fraction:
@@ -145,73 +136,70 @@ def _solve_lattice(n: int, j_max: int, seeds: dict[int, Fraction]) -> SpectrumTa
 
     Every edge joins ``beta`` to ``gamma`` one unit step up in j or q, with
     ``d = kappa(gamma) - kappa(beta)``; since 2 nu = n both factors are
-    integers.  ``seeds`` maps q to the value at (j=0, q).  An edge with one
-    zero factor forces a zero at the endpoint whose factor is nonzero.  A
-    single worklist sweep from the seeds and the forced zeros fills every
-    reachable mode along the nondegenerate edges; every edge relation is then
+    integers.  ``seeds`` maps q to the value at (j=0, q).  The lattice is
+    the j = 0 row of q-edges plus one j-column per q, and d depends on the
+    step only (n + 2q - 2 along q, n + 2j + 4 along j), so every row has the
+    j = 0 row's degenerate edges.  A q-edge with one zero factor forces a
+    zero at the endpoint whose factor is nonzero; the seeds and those zeros
+    go on the j = 0 row, and one pass up and one pass down along its
+    nondegenerate q-edges fill every mode they reach.  No j-edge is
+    degenerate: its factors 2j + 4 and 2n + 2j + 4 are positive, so each
+    column is its j = 0 value times one exact product per step, and a
+    forced zero stays zero up its column.  Every edge relation is then
     re-checked exactly.
 
-    The sweep carries each value as a pair of ints (numerator, denominator)
-    in lowest terms with a positive denominator, and the re-check is the
+    Values are carried as pairs of ints (numerator, denominator) in lowest
+    terms with a positive denominator, and the re-check is the
     cross-multiplied relation num_gamma lo den_beta == num_beta hi den_gamma,
     the same relation in Q because both denominators are positive.  Only the
     returned entries are ``Fraction``s.
 
     Raises:
-        InconsistentSystem: a mode is reached from no seed or forced zero
-            ("unreached modes"), or a value breaks an edge relation ("edge
-            relation violated").
+        InconsistentSystem: a j = 0 mode, and with it its column, is reached
+            from no seed or forced zero ("unreached modes"), or a value
+            breaks an edge relation ("edge relation violated").
     """
     if j_max < 0:
         raise DomainError("j_max must be >= 0")
-    nodes = {
-        (j, q): KType(dim_n=n, j=j, q=q)
-        for j in range(j_max + 1)
-        for q in q_range(n)
-    }
-    # (beta, gamma, lo, hi) with the relation mu_gamma * lo == mu_beta * hi.
-    edges = []
+    qs = q_range(n)
+    seeded = {q: (v.numerator, v.denominator) for q, v in seeds.items()}
+    row = [seeded.get(q) for q in qs]
+    # q-edge i joins q = qs[i] to qs[i + 1] and has d = n + 2q - 2.
+    factors = [(2 * q - 2, 2 * n + 2 * q - 2) for q in qs[:-1]]
+    for i, (lo, hi) in enumerate(factors):
+        if lo == 0 and row[i] is None:
+            row[i] = (0, 1)
+        elif hi == 0 and row[i + 1] is None:
+            row[i + 1] = (0, 1)
+    for i, (lo, hi) in enumerate(factors):
+        if lo and hi and row[i] is not None and row[i + 1] is None:
+            row[i + 1] = _lowest_terms(row[i][0] * hi, row[i][1] * lo)
+    for i, (lo, hi) in reversed(list(enumerate(factors))):
+        if lo and hi and row[i + 1] is not None and row[i] is None:
+            row[i] = _lowest_terms(row[i + 1][0] * lo, row[i + 1][1] * hi)
+    missing = [KType(dim_n=n, j=0, q=q) for q, v in zip(qs, row) if v is None]
+    if missing:
+        raise InconsistentSystem(f"unreached modes: {missing} with their j-columns")
+
+    values = {}
+    for q, (num, den) in zip(qs, row):
+        values[0, q] = num, den
+        # the j-edge up from j has d = n + 2j + 4: mu_{j+1} = mu_j (n+j+2)/(j+2)
+        for j in range(j_max):
+            num, den = _lowest_terms(num * (n + j + 2), den * (j + 2))
+            values[j + 1, q] = num, den
+    nodes = {(j, q): KType(dim_n=n, j=j, q=q) for j in range(j_max + 1) for q in qs}
     for (j, q), beta in nodes.items():
+        num_b, den_b = values[j, q]
         for key in ((j + 1, q), (j, q + 1)):
             if key in nodes:
                 d = kappa(nodes[key]) - kappa(beta)
-                edges.append(((j, q), key, d - n, d + n))
-
-    values = {(0, q): (v.numerator, v.denominator) for q, v in seeds.items()}
-    # neighbours[node] lists (other, a, b) with mu_other = mu_node * a / b,
-    # b > 0 and a / b in lowest terms.
-    neighbours: dict[tuple[int, int], list[tuple[tuple[int, int], int, int]]] = {
-        key: [] for key in nodes
-    }
-    for beta, gamma, lo, hi in edges:
-        if lo == 0 and hi != 0:
-            values.setdefault(beta, (0, 1))
-        elif hi == 0 and lo != 0:
-            values.setdefault(gamma, (0, 1))
-        elif lo != 0 and hi != 0:
-            neighbours[beta].append((gamma, *_lowest_terms(hi, lo)))
-            neighbours[gamma].append((beta, *_lowest_terms(lo, hi)))
-
-    pending = list(values)
-    while pending:
-        node = pending.pop()
-        num, den = values[node]
-        for other, a, b in neighbours[node]:
-            if other not in values:
-                values[other] = _lowest_terms(num * a, den * b)
-                pending.append(other)
-
-    missing = [t for key, t in nodes.items() if key not in values]
-    if missing:
-        raise InconsistentSystem(f"unreached modes: {missing}")
-    for beta, gamma, lo, hi in edges:
-        num_b, den_b = values[beta]
-        num_g, den_g = values[gamma]
-        if num_g * lo * den_b != num_b * hi * den_g:
-            raise InconsistentSystem(
-                f"edge relation violated between (j={beta[0]}, q={beta[1]}) "
-                f"and (j={gamma[0]}, q={gamma[1]})"
-            )
+                num_g, den_g = values[key]
+                if num_g * (d - n) * den_b != num_b * (d + n) * den_g:
+                    raise InconsistentSystem(
+                        f"edge relation violated between (j={j}, q={q}) "
+                        f"and (j={key[0]}, q={key[1]})"
+                    )
     return SpectrumTable(
         dim_n=n, entries={t: Fraction(*values[key]) for key, t in nodes.items()}
     )

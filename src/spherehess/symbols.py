@@ -172,24 +172,13 @@ def gamma_prefactor_exact(n: int, mode: PrefactorMode) -> ExactConst:
 def gamma_prefactor(n: int, mode: PrefactorMode) -> tuple[float, int]:
     """Renormalized prefactor at s = 0 as (value, exact sign).
 
-    The sign comes from exact pole-counting of the negative-half-integer
-    Gamma factor: sign Gamma(-n/2) = (-1)^{(n+1)/2} for odd n, and
-    (-1)^{n/2} from the finite even-n limit; every other factor is positive.
-    It is checked against the sign of the exact rational coefficient, not
-    of the float, which underflows to -0.0 from n = 198.
+    The sign is that of the exact rational coefficient, not of the float,
+    which underflows to -0.0 from n = 198.  It follows the pole-counting
+    rule sign Gamma(-n/2) = (-1)^{(n+1)/2} for odd n and (-1)^{n/2} for
+    even n, since every other factor is positive; the tests check the rule.
     """
-    _check_mode_parity(n, mode)
-    if mode is PrefactorMode.DET_DERIVATIVE_AT_ZERO:
-        sign = (-1) ** ((n + 1) // 2)
-    else:
-        sign = (-1) ** (n // 2)
     exact = gamma_prefactor_exact(n, mode)
-    if sign * exact.coeff <= 0:
-        raise DomainError(
-            f"pole-counting sign {sign} disagrees with the exact prefactor "
-            f"at n = {n}"
-        )
-    return float(exact), sign
+    return float(exact), 1 if exact.coeff > 0 else -1
 
 
 def _check_oracle_range(n: int) -> None:
@@ -394,10 +383,11 @@ def extremal_classification(functional: Functional, n: int) -> ExtremalStatement
     """Local-extremum statement for the functional on the n-sphere.
 
     The sign of the Hessian scale c is chained from exact ingredients:
-    the pole-counted prefactor sign, the bracket definiteness at s = 0,
-    and (for determinants) the minus sign linking det to the
-    zeta-derivative.  c > 0 makes the functional a local minimum, so
-    -sign(c) * F is the locally maximized combination.
+    the sign of the exact prefactor coefficient (it follows the
+    pole-counting rule stated at :func:`gamma_prefactor`), the bracket
+    definiteness at s = 0, and (for determinants) the minus sign linking
+    det to the zeta-derivative.  c > 0 makes the functional a local
+    minimum, so -sign(c) * F is the locally maximized combination.
     """
     if n < 3:
         raise DomainError(f"n must be >= 3, got {n}")

@@ -339,6 +339,7 @@ class TestArithmeticFailures:
 
 
 _TOL_FLAGS = ("--tol-ode", "--tol-quad", "--tol-conf")
+_DIMLESS_SUITES = ("spectrum", "greens", "symbols", "qcurv")
 
 
 class TestOptionSurface:
@@ -373,16 +374,20 @@ class TestOptionSurface:
         *[["greens", "--profile", "L2", flag, "1e-3"] for flag in _TOL_FLAGS],
         *[["verify", "--suite", suite, flag, "1e-3"]
           for suite, flag in zip(("greens", "greens", "confgroup"), _TOL_FLAGS)],
+        *[["verify", "--suite", suite, "--dim", "9"] for suite in _DIMLESS_SUITES],
     ], ids=["spectrum-seed", "traces-tol-ode", "signs-tol-conf", "greens-seed",
             "qsymbol-tol-quad", *[f"greens{flag[1:]}" for flag in _TOL_FLAGS],
-            *[f"verify{flag[1:]}" for flag in _TOL_FLAGS]])
+            *[f"verify{flag[1:]}" for flag in _TOL_FLAGS],
+            *[f"verify-{suite}-dim" for suite in _DIMLESS_SUITES]])
     def test_option_the_command_does_not_read_is_two(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             console_main(argv)
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"unrecognized arguments: {argv[-2]}" in captured.err
+        [line] = [x for x in captured.err.splitlines() if x.startswith("spherehess:")]
+        assert line.startswith(
+            f"spherehess: error: unrecognized arguments: {argv[-2]} {argv[-1]}")
 
     @pytest.mark.parametrize("argv, message", [
         (["spectrum", "--dim", "1"], "--dim must be >= 2"),

@@ -76,6 +76,37 @@ class TestExactConst:
         prod = a * b
         assert prod.coeff == 2 and prod.pi_exp == 2 and prod.two_exp == 1
 
+    def test_half_powers_of_two_combine(self):
+        root2 = ExactConst(Fraction(1), two_exp=Fraction(1, 2))
+        assert root2 * root2 == ExactConst(Fraction(2))
+        assert hash(root2 * root2) == hash(ExactConst(Fraction(2)))
+        assert ExactConst(Fraction(1), two_exp=Fraction(3, 2)) == 2 * root2
+        assert root2 != ExactConst(Fraction(1))
+
+    def test_every_zero_is_equal(self):
+        zeros = [ExactConst(Fraction(0)), ExactConst(Fraction(0), 3),
+                 ExactConst(Fraction(0), -2, Fraction(5, 2))]
+        for a in zeros:
+            for b in zeros:
+                assert a == b and hash(a) == hash(b)
+
+    def test_negation_and_scalar_arithmetic(self):
+        c = ExactConst(Fraction(3, 4), 1, Fraction(1, 2))
+        assert -c == ExactConst(Fraction(-3, 4), 1, Fraction(1, 2))
+        assert c * 2 == 2 * c == ExactConst(Fraction(3, 2), 1, Fraction(1, 2))
+        assert c * Fraction(1, 3) == ExactConst(Fraction(1, 4), 1, Fraction(1, 2))
+        assert c / 3 == ExactConst(Fraction(1, 4), 1, Fraction(1, 2))
+        assert c / Fraction(3, 2) == ExactConst(Fraction(1, 2), 1, Fraction(1, 2))
+        assert c != Fraction(3, 4)
+
+    def test_repr(self):
+        assert repr(ExactConst(Fraction(3, 4), 2, Fraction(-1, 2))) == "3/4 * 2^(-1/2) * pi^2"
+        assert repr(ExactConst(Fraction(5))) == "5"
+
+    def test_two_exp_must_be_a_half_integer(self):
+        with pytest.raises(ValueError, match="half-integer"):
+            ExactConst(Fraction(1), two_exp=Fraction(1, 4))
+
 
 class TestSphereVolume:
     @pytest.mark.parametrize(

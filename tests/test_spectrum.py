@@ -24,6 +24,10 @@ from spherehess.spectrum import (
 )
 
 
+_NONZERO = st.builds(Fraction, st.integers(-10**9, 10**9).filter(bool),
+                     st.integers(1, 10**9))
+
+
 def _all_q(n):
     return (-2, -1, 0, 1, 2) if n == 3 else (0, 1, 2)
 
@@ -123,8 +127,27 @@ class TestRecursion:
             _solve_lattice(5, 3, {0: Fraction(1), 2: Fraction(1)})
 
     def test_no_seed_leaves_modes_unreached(self):
-        with pytest.raises(InconsistentSystem, match="unreached modes"):
+        # (0, 2) is cut off from the forced zeros by the degenerate edge
+        # from q = 1; the message names the j = 0 mode of its column
+        with pytest.raises(InconsistentSystem,
+                           match=r"unreached modes: \[KType\(dim_n=5, j=0, q=2\)\]"):
             _solve_lattice(5, 3, {})
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(3, 16), st.integers(0, 60), _NONZERO, _NONZERO)
+    def test_sweep_is_the_seeded_closed_form(self, n, j_max, plus, minus):
+        # j_max = 0 leaves no column to fill; on S^3 the seed at (0, -2)
+        # scales the q < 0 branch and the one at (0, 2) the rest
+        closed = closed_form_table(n, j_max).entries
+        if n == 3:
+            table = spectrum_generate3(j_max, plus, minus)
+        else:
+            table = spectrum_generate(n, j_max, plus)
+        scale_plus = plus / closed[KType(n, 0, 2)]
+        scale_minus = minus / closed[KType(n, 0, -2)] if n == 3 else None
+        assert table.entries == {
+            t: (scale_minus if t.q < 0 else scale_plus) * v for t, v in closed.items()
+        }
 
     def test_value_requires_tabulated_mode(self):
         table = spectrum_generate(4, 2, Fraction(1))

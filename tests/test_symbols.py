@@ -82,6 +82,17 @@ class TestGammaPrefactor:
             oracle = gamma_prefactor_oracle(n, mode)
             assert abs(value - oracle) <= 1e-12 * abs(oracle)
 
+    def test_sign_follows_pole_counting(self):
+        # sign Gamma(-n/2) = (-1)^((n+1)/2) for odd n, the finite even-n limit
+        # (-1)^(n/2); every other factor is positive
+        for n in range(3, 401):
+            if n % 2:
+                mode, rule = PrefactorMode.DET_DERIVATIVE_AT_ZERO, (-1) ** ((n + 1) // 2)
+            else:
+                mode, rule = PrefactorMode.ZETA0_LIMIT_AT_ZERO, (-1) ** (n // 2)
+            assert gamma_prefactor(n, mode)[1] == rule
+            assert rule * gamma_prefactor_exact(n, mode).coeff > 0
+
     def test_parity_gates(self):
         with pytest.raises(ParityError):
             gamma_prefactor(4, PrefactorMode.DET_DERIVATIVE_AT_ZERO)
