@@ -25,7 +25,9 @@ module loads no layer and not numpy.  ``spectrum``, ``signs``, ``traces``,
 load numpy: the exact checks run in ``Fraction`` arithmetic, and
 ``qsymbol`` and the qcurv suite draw from ``random.Random(seed)``.  Only the
 greens suite (its least-squares fits) and the confgroup suite (its Möbius
-grids and ``default_rng(seed)`` draws) load it.
+grids and ``default_rng(seed)`` draws) load it.  No command imports the
+standard library's ``dataclass`` module: the records come from
+``spherehess._record``, and ``inspect`` arrives only with numpy.
 """
 
 from __future__ import annotations
@@ -34,12 +36,12 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from . import __version__
 from ._nanmax import nan_max as _worst
+from ._record import dataclass
 from .errors import ParityError, SphereHessError
 
 __all__ = [
@@ -612,6 +614,12 @@ def _dispatch(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Repo
 def console_main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # The exact entries of large tables (spectrum --dim 900) have more digits
+    # than CPython's int-to-str guard allows (4300 from 3.10.7 on): the
+    # command prints every digit, and library callers keep the guard.
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if digits:
+        sys.set_int_max_str_digits(0)
     try:
         env = _dispatch(args, parser)
         report = render_report(env, args.format)
@@ -624,6 +632,9 @@ def console_main(argv: Sequence[str] | None = None) -> int:
         sys.stderr.write(
             f"spherehess: computation failed: {type(exc).__name__}: {exc}\n")
         return 1
+    finally:
+        if digits:
+            sys.set_int_max_str_digits(digits)
     sys.stdout.write(report)
     return 0 if env.all_pass else 1
 

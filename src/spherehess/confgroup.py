@@ -26,13 +26,13 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
 
 from ._nanmax import nan_max
+from ._record import dataclass
 from .errors import Degenerate, DomainError
 from .exact import sphere_volume
 

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+
+from ._record import dataclass
 
 __all__ = ["rising", "gamma_half_integer", "ExactConst", "sphere_volume_exact",
            "sphere_volume"]

@@ -50,11 +50,11 @@ import enum
 import functools
 import math
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
 from ._nanmax import nan_max
+from ._record import dataclass, field
 from .errors import DomainError, FitUnstable, ParityError, QuadratureFailure
 from .exact import ExactConst, sphere_volume, sphere_volume_exact
 

@@ -10,9 +10,9 @@ such weights, which this module enumerates both directly and by brute force.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
+from ._record import dataclass
 from .errors import DomainError, RankMismatch, UnsupportedSigma
 
 __all__ = [

@@ -32,9 +32,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import dataclass
 from .errors import (
     DomainError,
     ParityError,

@@ -19,10 +19,10 @@ row of q-modes, then one exact product per step up each j-column.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+from ._record import dataclass
 from .errors import (
     DomainError,
     InconsistentSystem,

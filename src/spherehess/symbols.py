@@ -23,10 +23,10 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
+from ._record import dataclass
 from .errors import DomainError, ParityError, ZeroCovector
 from .exact import ExactConst, gamma_half_integer
 

@@ -1,9 +1,9 @@
 """Command-line interface: golden outputs, exit codes, determinism."""
 
-import dataclasses
 import json
 import re
 import shlex
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -233,6 +233,37 @@ class TestExitCodes:
         assert code == 0
         assert json.loads(out)["status"] == "PASS"
 
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    def test_spectrum_prints_every_digit_of_a_large_table(self, capsys, fmt):
+        from spherehess.spectrum import recursion_table
+
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        code, out, err = _run(capsys, "spectrum", "--dim", "1200", "--jmax", "0",
+                              "--format", fmt)
+        assert (code, err) == (0, "")
+        # The command lifts CPython's int-to-str guard only while it runs.
+        assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+        table = recursion_table(1200, 0)
+        if limit:
+            sys.set_int_max_str_digits(0)
+        try:
+            cells = {q: str(table.value(0, q)) for q in (0, 1, 2)}
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
+        assert len(cells[2]) > 4300
+        if fmt == "json":
+            rows = json.loads(out)["results"]["rows"]
+        elif fmt == "csv":
+            rows = [line.split(",") for line in out.splitlines()[1:]
+                    if not line.startswith("#")]
+        else:
+            lines = out.splitlines()
+            body = lines[lines.index("results:") + 2:lines.index("checks:")]
+            rows = [line.split() for line in body]
+        assert [(int(r[2]), r[4], r[5], r[6]) for r in rows] == [
+            (q, cells[q], cells[q], "true") for q in (0, 1, 2)]
+
     def test_negative_seed_is_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             console_main(["verify", "--suite", "qcurv", "--seed", "-1"])
@@ -282,7 +313,8 @@ class TestSymbolsSuite:
 
         def perturbed(n, s):
             coeffs = bracket_d2(n, s)
-            return dataclasses.replace(coeffs, b=coeffs.b + Fraction(1, 1000))
+            return symbols.QuadFormCoeffs(coeffs.a, coeffs.b + Fraction(1, 1000),
+                                          coeffs.extra_factor)
 
         monkeypatch.setattr(symbols, "bracket_D2", perturbed)
         code, out, _ = _run(capsys, "verify", "--suite", "symbols", "--format", "json")
