@@ -27,7 +27,7 @@ from __future__ import annotations
 import enum
 import math
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -250,8 +250,8 @@ def differential(a: MoebiusElement, y: np.ndarray) -> np.ndarray:
 
 
 def differential_many(a: MoebiusElement, ys: np.ndarray) -> np.ndarray:
-    """The Jacobians of :func:`differential` at many nodes."""
-    return _moebius_frame(a, np.asarray(ys, dtype=float))[1]
+    """The Jacobians of :func:`differential` at many nodes, as (N, d, d)."""
+    return _node_first(_moebius_frame(a, np.asarray(ys, dtype=float))[1])
 
 
 def _moebius_frame(
@@ -260,16 +260,18 @@ def _moebius_frame(
     """phi(y) = w_s / w_t, the Jacobian d phi(y) and w_t from one Lorentz
     product, with the expressions of :func:`act_many`.
 
-    d phi = S / w_t - phi (x) m_row / w_t for M = [[S, b], [m, d]].
+    d phi = (S - phi (x) m_row) / w_t for M = [[S, b], [m, d]], entry by
+    entry.  The Jacobian comes node-last, as the (d, d, N) stack that
+    :func:`_pullback_matrices` reads.
     """
     n = a.n
     s_block = a.matrix[: n + 1, : n + 1]
     m_row = a.matrix[n + 1, : n + 1]
     w_s, w_t = _homogeneous(a, ys)
     phi = w_s / w_t[:, None]
-    jac = phi[:, :, None] * m_row[None, None, :]
-    np.subtract(s_block[None, :, :], jac, out=jac)
-    jac /= w_t[:, None, None]
+    jac = phi.T[:, None, :] * m_row[None, :, None]
+    np.subtract(s_block[:, :, None], jac, out=jac)
+    jac /= w_t
     return phi, jac, w_t
 
 
@@ -399,16 +401,18 @@ def sphere_grid(n: int, order: int = 40) -> SphereGrid:
         cos1, sin1 = np.cos(theta1), np.sin(theta1)
         u2 = gl_nodes
         s2 = np.sqrt(1 - gl_nodes**2)
-        # node = (sin t1 sin t2 cos p, sin t1 sin t2 sin p, sin t1 cos t2, cos t1)
-        a = sin1[:, None, None] * s2[None, :, None] * cos_phi[None, None, :]
-        b = sin1[:, None, None] * s2[None, :, None] * sin_phi[None, None, :]
-        c = sin1[:, None, None] * u2[None, :, None] * np.ones(n_phi)[None, None, :]
-        d = cos1[:, None, None] * np.ones((1, order, n_phi))
-        nodes = np.stack([a.ravel(), b.ravel(), c.ravel(), d.ravel()], axis=1)
-        weights = (
-            w1[:, None, None] * gl_weights[None, :, None] * w_phi
-            * np.ones(n_phi)[None, None, :]
-        ).ravel()
+        # node = (sin t1 sin t2 cos p, sin t1 sin t2 sin p, sin t1 cos t2, cos t1),
+        # each column written in place; a factor of one is exact, so it is left out.
+        nodes = np.empty((m * order * n_phi, 4))
+        cols = nodes.reshape(m, order, n_phi, 4)
+        s12 = sin1[:, None, None] * s2[None, :, None]
+        np.multiply(s12, cos_phi, out=cols[..., 0])
+        np.multiply(s12, sin_phi, out=cols[..., 1])
+        cols[..., 2] = sin1[:, None, None] * u2[None, :, None]
+        cols[..., 3] = cos1[:, None, None]
+        weights = np.empty(m * order * n_phi)
+        weights.reshape(m, order, n_phi)[...] = (
+            w1[:, None, None] * gl_weights[None, :, None] * w_phi)
         return SphereGrid(n=3, nodes=nodes, weights=weights)
     raise DomainError("grids implemented for n in {2, 3}")
 
@@ -460,8 +464,8 @@ class RepWeight:
 
 # The stacked ``@`` and einsum work on C-contiguous (N, d, d) arrays, whose
 # per-node bits do not depend on N.  The elementwise work in between runs
-# node-last, on (d, d, N) arrays, where every entry is one contiguous vector;
-# its loops write each term into one buffer reused across the loop.
+# node-last, on (..., d, d, N) arrays, where every entry is one contiguous
+# vector; its loops write each term into one buffer reused across the loop.
 
 
 def _node_last(stack: np.ndarray) -> np.ndarray:
@@ -469,14 +473,28 @@ def _node_last(stack: np.ndarray) -> np.ndarray:
 
 
 def _node_first(stack: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(stack.transpose(2, 0, 1))
+    """(..., d, d, N) to C-contiguous (..., N, d, d)."""
+    return np.ascontiguousarray(stack.swapaxes(-1, -2).swapaxes(-2, -3))
+
+
+def _product_into(term: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b broadcast to ``term``'s shape, written into ``term``.
+
+    ``a`` is copied in and multiplied in place by ``b``: the same products
+    as ``np.multiply(a, b, out=term)``, which numpy runs slower when an
+    operand is broadcast.
+    """
+    term[...] = a
+    term *= b
+    return term
 
 
 def _tangent_projectors(ys: np.ndarray) -> np.ndarray:
     """P = Id - y y^T at each node, as a C-contiguous (N, d, d) stack."""
     yt = np.ascontiguousarray(ys.T)
     dim = len(yt)
-    return _node_first(np.eye(dim)[:, :, None] - yt[:, None, :] * yt[None, :, :])
+    out = _product_into(np.empty((dim, dim, len(ys))), yt[:, None, :], yt)
+    return _node_first(np.subtract(np.eye(dim)[:, :, None], out, out=out))
 
 
 def _compress(proj: np.ndarray, mats: np.ndarray) -> np.ndarray:
@@ -519,27 +537,47 @@ def polynomial_tensor_field(
     n: int, constant: np.ndarray, linear: Sequence[np.ndarray] = (),
     quadratic: Sequence[tuple[int, int, np.ndarray]] = (),
 ) -> TensorField:
-    """Field with ambient matrix C + sum_a y_a L_a + sum y_a y_b Q_{ab}."""
+    """Field with ambient matrix C + sum_a y_a L_a + sum y_a y_b Q_{ab}.
+
+    The matrices are symmetrised exactly, so entry (j, i) of each node's
+    matrix has the bits of entry (i, j): ``raw`` evaluates the upper
+    triangle only, node-last, and mirrors it into the (N, d, d) stack.
+    """
     dim = n + 1
-    constant = 0.5 * (np.asarray(constant, float) + np.asarray(constant, float).T)
-    linear = [0.5 * (np.asarray(m, float) + np.asarray(m, float).T) for m in linear]
-    quadratic = [(a, b, 0.5 * (np.asarray(m, float) + np.asarray(m, float).T))
-                 for a, b, m in quadratic]
-    if constant.shape != (dim, dim) or any(m.shape != (dim, dim) for m in linear):
+
+    def sym(m) -> np.ndarray:
+        m = np.asarray(m, float)
+        return 0.5 * (m + m.T)
+
+    constant = sym(constant)
+    linear = [sym(m) for m in linear]
+    quadratic = [(a, b, sym(m)) for a, b, m in quadratic]
+    if any(m.shape != (dim, dim)
+           for m in [constant, *linear, *(m for _, _, m in quadratic)]):
         raise DomainError(f"matrices must be {dim} x {dim}")
+    upper = np.triu_indices(dim)
+    # Row of the packed upper triangle holding entry (i, j), i <= j or not.
+    mirror = np.empty((dim, dim), dtype=np.intp)
+    mirror[upper] = mirror.T[upper] = np.arange(len(upper[0]))
+    mirror = mirror.ravel()
+    constant = constant[upper]
+    linear = [m[upper] for m in linear]
+    quadratic = [(a, b, m[upper]) for a, b, m in quadratic]
 
     def raw(ys: np.ndarray) -> np.ndarray:
         _require_width(n, ys)
         yt = np.ascontiguousarray(ys.T)
-        out = np.repeat(constant[:, :, None], len(ys), axis=2)
+        out = np.repeat(constant[:, None], len(ys), axis=1)
         term = np.empty_like(out)
-        for a, mat in enumerate(linear):
-            out += np.multiply(yt[a], mat[:, :, None], out=term)
+        for a, vec in enumerate(linear):
+            out += _product_into(term, yt[a], vec[:, None])
         monomial = np.empty(len(ys))
-        for a, b, mat in quadratic:
+        for a, b, vec in quadratic:
             np.multiply(yt[a], yt[b], out=monomial)
-            out += np.multiply(monomial, mat[:, :, None], out=term)
-        return _node_first(out)
+            out += _product_into(term, monomial, vec[:, None])
+        # The row gather is node-last and the transposed copy C-contiguous,
+        # as the stacked ``@`` needs.
+        return np.ascontiguousarray(out[mirror].T).reshape(len(ys), dim, dim)
 
     return TensorField(n=n, raw=raw)
 
@@ -567,29 +605,35 @@ def random_band_limited_field(rng: np.random.Generator, n: int) -> TensorField:
 
 
 def _pullback_matrices(jac: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """J^T V J at each node, equal bit for bit to
-    ``np.einsum("nji,njk,nkl->nil", jac, values, jac)``.
+    """J^T V J at each node, node-last: ``jac`` is a (d, d, N) stack and
+    ``values`` a (..., d, d, N) stack of fields pulled back by the same J.
 
-    That einsum sums the terms (J_ji V_jk) J_kl from zero, j outer and k
-    inner; this kernel adds the same terms in the same order, node-last.
+    Each field's matrices equal bit for bit, once made node-first,
+    ``np.einsum("nji,njk,nkl->nil", jac, values, jac)`` on the node-first
+    stacks.  That einsum sums the terms (J_ji V_jk) J_kl from zero, j outer
+    and k inner; this kernel adds the same terms in the same order.
     """
-    jt, vt = _node_last(jac), _node_last(values)
-    dim = len(jt)
-    out = np.zeros_like(jt)
-    row = np.empty_like(jt[0, :, None, :])
-    term = np.empty_like(jt)
+    dim = len(jac)
+    out = np.zeros(values.shape)
+    row = np.empty(values.shape[:-2] + (1, values.shape[-1]))
+    term = np.empty_like(out)
     for j in range(dim):
         for k in range(dim):
-            np.multiply(jt[j, :, None, :], vt[j, k], out=row)
-            out += np.multiply(row, jt[k, None, :, :], out=term)
-    return _node_first(out)
+            np.multiply(jac[j, :, None, :], values[..., j, k, None, None, :], out=row)
+            out += _product_into(term, row, jac[k])
+    return out
 
 
 def _weighted_pullback(
-    jac: np.ndarray, omega: np.ndarray, expo: float, values: np.ndarray
+    jac: np.ndarray, omega: np.ndarray, expos: Sequence[float], values: np.ndarray
 ) -> np.ndarray:
-    """Omega^expo J^T V J at each node: u_nu's matrices from phi's frame."""
-    return omega[:, None, None] ** expo * _pullback_matrices(jac, values)
+    """Omega^expo J^T V J at each node, u_nu's matrices from phi's frame, for
+    an (F, d, d, N) stack of F fields and their F exponents; the result is
+    the C-contiguous (F, N, d, d) stack."""
+    out = _pullback_matrices(jac, values)
+    for pulled, expo in zip(out, expos):
+        pulled *= omega**expo
+    return _node_first(out)
 
 
 def pullback_field(a: MoebiusElement, fld: TensorField) -> TensorField:
@@ -600,7 +644,7 @@ def pullback_field(a: MoebiusElement, fld: TensorField) -> TensorField:
     def raw(ys: np.ndarray) -> np.ndarray:
         _require_width(fld.n, ys)
         phi, jac, _ = _moebius_frame(a, ys)
-        return _pullback_matrices(jac, fld.evaluate(phi))
+        return _node_first(_pullback_matrices(jac, _node_last(fld.evaluate(phi))))
 
     return TensorField(n=fld.n, raw=raw)
 
@@ -614,7 +658,9 @@ def u_action(w: RepWeight, a: MoebiusElement, fld: TensorField) -> TensorField:
     def raw(ys: np.ndarray) -> np.ndarray:
         _require_width(fld.n, ys)
         phi, jac, w_t = _moebius_frame(a, ys)
-        return _weighted_pullback(jac, _omega(w_t), expo, fld.evaluate(phi))
+        omega = _omega(w_t)
+        return _weighted_pullback(jac, omega, [expo],
+                                  _node_last(fld.evaluate(phi))[None])[0]
 
     return TensorField(n=fld.n, raw=raw)
 
@@ -622,25 +668,31 @@ def u_action(w: RepWeight, a: MoebiusElement, fld: TensorField) -> TensorField:
 # Most grid nodes per block in :func:`pairing` and :func:`_pairing_terms`.
 # A block's (N, d, d) intermediates stay in cache, and no such array of a
 # whole grid is ever built.  The per-node bits do not depend on the block
-# size, so it is set by measurement: of 512, 1,024, 2,048 and 4,096 nodes,
-# 1,024 ran ``verify --suite confgroup --dim 3`` fastest on a 2-vCPU host,
-# and 4,096 raised its peak memory by about 3 MB.
+# size, so it is set by measurement.  ``verify --suite confgroup --dim 3``,
+# one BLAS thread on one core of a 2-vCPU Xeon, median of 5 runs: 512 nodes
+# 0.59 s and 46.7 MB peak, 1,024 nodes 0.53 s and 47.6 MB, 2,048 nodes
+# 0.52 s and 49.5 MB.
 _BLOCK = 1024
 
 
-def _blocks(nodes: np.ndarray) -> list[np.ndarray]:
-    """Near-equal blocks of at most ``_BLOCK`` nodes.
+def _blocks(nodes: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
+    """Near-equal blocks of at most ``_BLOCK`` nodes, as (slice, nodes) pairs.
 
     No block has a single node unless the grid does: numpy multiplies a
     single row by the Lorentz matrix as a matrix-vector product, whose last
     bits differ from those of the matrix product.
     """
-    return np.array_split(nodes, -(-len(nodes) // _BLOCK))
+    start = 0
+    for ys in np.array_split(nodes, -(-len(nodes) // _BLOCK)):
+        yield slice(start, start + len(ys)), ys
+        start += len(ys)
 
 
-def _density(proj: np.ndarray, h_raw: np.ndarray, k_raw: np.ndarray) -> np.ndarray:
-    """The pointwise Frobenius pairing of two compressed fields."""
-    return np.einsum("nij,nij->n", _compress(proj, h_raw), _compress(proj, k_raw))
+def _density(
+    proj: np.ndarray, h_raw: np.ndarray, k_raw: np.ndarray, out: np.ndarray
+) -> None:
+    """Write the pointwise Frobenius pairing of two compressed fields."""
+    np.einsum("nij,nij->n", _compress(proj, h_raw), _compress(proj, k_raw), out=out)
 
 
 def _require_grid_dim(h: TensorField, k: TensorField, grid: SphereGrid) -> None:
@@ -652,16 +704,17 @@ def _require_grid_dim(h: TensorField, k: TensorField, grid: SphereGrid) -> None:
 def pairing(h: TensorField, k: TensorField, grid: SphereGrid) -> float:
     """Integral over S^n of the pointwise Frobenius pairing <h, k>.
 
-    Both fields are evaluated over the same blocks, compressed with the
-    block's one set of tangent projectors, and the pointwise density of all
-    blocks is integrated once, so the value is bit for bit that of one
-    whole-grid evaluation.  DomainError unless h, k and the grid share n.
+    Both fields are evaluated over the same blocks and compressed with the
+    block's one set of tangent projectors.  Each node's density has the
+    bits of a whole-grid evaluation, whatever the block size, and the grid
+    integrates the densities of all blocks once.  DomainError unless h, k
+    and the grid share n.
     """
     _require_grid_dim(h, k, grid)
-    return grid.integrate(np.concatenate([
-        _density(_tangent_projectors(ys), h.raw(ys), k.raw(ys))
-        for ys in _blocks(grid.nodes)
-    ]))
+    density = np.empty(len(grid.nodes))
+    for block, ys in _blocks(grid.nodes):
+        _density(_tangent_projectors(ys), h.raw(ys), k.raw(ys), out=density[block])
+    return grid.integrate(density)
 
 
 def _pairing_terms(
@@ -670,11 +723,13 @@ def _pairing_terms(
     """<h, k> and <u_{-n/2}(phi) h, u_{n/2}(phi) k> on the grid, in one pass.
 
     Each block builds once the tangent projectors P(y), the Moebius frame
-    (one Lorentz product giving phi, its Jacobian J and Omega = 1 / w_t,
-    with the Degenerate checks of :func:`u_action` in its order) and
-    P(phi), and feeds them to both fields and both densities.  The kernels
-    are those of :func:`pairing` and :func:`u_action`, applied to the same
-    operands in the same order, so the two values are bit for bit
+    (one Lorentz product giving phi, its node-last Jacobian J and
+    Omega = 1 / w_t, with the Degenerate checks of :func:`u_action` in its
+    order) and P(phi), and feeds them to both fields and both densities.
+    Both fields are pulled back in one pass against J and scaled by their
+    powers of Omega node-last, before one copy back to node-first.  The
+    kernels are those of :func:`pairing` and :func:`u_action`, applied to
+    the same operands in the same order, so the two values are bit for bit
     ``pairing(h, k, grid)`` and ``pairing(u_action(-n/2) h, u_action(n/2) k,
     grid)``.
     """
@@ -682,21 +737,22 @@ def _pairing_terms(
     n = grid.n
     if a.n != n:
         raise DomainError(f"dimension mismatch: element on S^{a.n}, grid on S^{n}")
-    expo_h = RepWeight.of(n, Fraction(-n, 2)).pullback_exponent
-    expo_k = RepWeight.of(n, Fraction(n, 2)).pullback_exponent
-    base, moved = [], []
-    for ys in _blocks(grid.nodes):
+    expos = [RepWeight.of(n, nu).pullback_exponent
+             for nu in (Fraction(-n, 2), Fraction(n, 2))]
+    base = np.empty(len(grid.nodes))
+    moved = np.empty(len(grid.nodes))
+    for block, ys in _blocks(grid.nodes):
         proj = _tangent_projectors(ys)
-        base.append(_density(proj, h.raw(ys), k.raw(ys)))
+        _density(proj, h.raw(ys), k.raw(ys), out=base[block])
         phi, jac, w_t = _moebius_frame(a, ys)
         omega = _omega(w_t)
         proj_phi = _tangent_projectors(phi)
-        moved.append(_density(
-            proj,
-            _weighted_pullback(jac, omega, expo_h, _compress(proj_phi, h.raw(phi))),
-            _weighted_pullback(jac, omega, expo_k, _compress(proj_phi, k.raw(phi))),
-        ))
-    return grid.integrate(np.concatenate(base)), grid.integrate(np.concatenate(moved))
+        values = np.empty((2, *jac.shape))
+        for fld, value in zip((h, k), values):
+            value[...] = _compress(proj_phi, fld.raw(phi)).transpose(1, 2, 0)
+        hw, kw = _weighted_pullback(jac, omega, expos, values)
+        _density(proj, hw, kw, out=moved[block])
+    return grid.integrate(base), grid.integrate(moved)
 
 
 def check_pairing_invariance(

@@ -435,13 +435,24 @@ class TestSameBits:
             moebius_boost(n, seed % (n + 1), 0.9),
             compose(moebius_rotation(n, 0, n, 0.3), random_moebius(rng, n, 0.5)),
         ]
+        other = random_band_limited_field(rng, n)
         for a in elements:
             jac = differential_many(a, ys)
-            values = fld.evaluate(act_many(a, ys))
-            want = np.einsum("nji,njk,nkl->nil", jac, values, jac)
-            got = confgroup._pullback_matrices(jac, values)
-            assert got.flags.c_contiguous
-            assert np.array_equal(got, want)
+            jac_last = confgroup._moebius_frame(a, ys)[1]
+            assert np.array_equal(jac_last.transpose(2, 0, 1), jac)
+            phi = act_many(a, ys)
+            wants, lasts = [], []
+            for f in (fld, other):
+                values = f.evaluate(phi)
+                wants.append(np.einsum("nji,njk,nkl->nil", jac, values, jac))
+                lasts.append(confgroup._node_last(values))
+            got = confgroup._pullback_matrices(jac_last, lasts[0])
+            assert got.shape == (n + 1, n + 1, len(ys))
+            assert np.array_equal(got.transpose(2, 0, 1), wants[0])
+            # Two fields pulled back in one pass: each has its own einsum's bits.
+            both = confgroup._pullback_matrices(jac_last, np.stack(lasts))
+            for got, want in zip(both, wants):
+                assert np.array_equal(got.transpose(2, 0, 1), want)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_projectors_are_the_broadcast_formula(self, n):
@@ -475,6 +486,61 @@ class TestSameBits:
         got = fld.raw(ys)
         assert got.flags.c_contiguous
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_polynomial_raw_is_bitwise_symmetric(self, n):
+        # raw evaluates the upper triangle and mirrors it; a stack that is
+        # not C-contiguous can send the stacked ``@`` down another path.
+        rng = np.random.default_rng(35 + n)
+        ys = rng.normal(size=(257, n + 1))
+        for _ in range(4):
+            got = random_band_limited_field(rng, n).raw(ys)
+            assert got.shape == (len(ys), n + 1, n + 1)
+            assert got.flags.c_contiguous
+            assert got.tobytes() == np.ascontiguousarray(got.transpose(0, 2, 1)).tobytes()
+
+    def test_polynomial_field_refuses_a_quadratic_matrix_of_another_size(self):
+        with pytest.raises(DomainError, match=r"^matrices must be 3 x 3$"):
+            polynomial_tensor_field(2, np.eye(3), quadratic=[(0, 1, np.eye(4))])
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_differential_many_is_the_node_first_formula(self, n):
+        rng = np.random.default_rng(45 + n)
+        ys = rng.normal(size=(515, n + 1))
+        ys /= np.linalg.norm(ys, axis=1, keepdims=True)
+        for a in (random_moebius(rng, n, 1.0), moebius_boost(n, n, 0.8)):
+            w = np.concatenate([ys, np.ones((len(ys), 1))], axis=1) @ a.matrix.T
+            w_s, w_t = w[:, : n + 1], w[:, n + 1]
+            phi = w_s / w_t[:, None]
+            want = phi[:, :, None] * a.matrix[n + 1, : n + 1][None, None, :]
+            np.subtract(a.matrix[: n + 1, : n + 1][None, :, :], want, out=want)
+            want /= w_t[:, None, None]
+            got = differential_many(a, ys)
+            assert got.flags.c_contiguous
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("order", [3, 40])
+    def test_s3_grid_is_the_broadcast_and_stack_formula(self, order):
+        gl_nodes, gl_weights = np.polynomial.legendre.leggauss(order)
+        n_phi = 2 * order + 1
+        phi = 2 * np.pi * np.arange(n_phi) / n_phi
+        w_phi = 2 * np.pi / n_phi
+        cos_phi, sin_phi = np.cos(phi), np.sin(phi)
+        theta1 = np.arange(1, order + 1) * np.pi / (order + 1)
+        w1 = np.pi / (order + 1) * np.sin(theta1) ** 2
+        cos1, sin1 = np.cos(theta1), np.sin(theta1)
+        s2 = np.sqrt(1 - gl_nodes**2)
+        a = sin1[:, None, None] * s2[None, :, None] * cos_phi[None, None, :]
+        b = sin1[:, None, None] * s2[None, :, None] * sin_phi[None, None, :]
+        c = sin1[:, None, None] * gl_nodes[None, :, None] * np.ones(n_phi)[None, None, :]
+        d = cos1[:, None, None] * np.ones((1, order, n_phi))
+        nodes = np.stack([a.ravel(), b.ravel(), c.ravel(), d.ravel()], axis=1)
+        weights = (w1[:, None, None] * gl_weights[None, :, None] * w_phi
+                   * np.ones(n_phi)[None, None, :]).ravel()
+        g = sphere_grid(3, order)
+        assert g.nodes.flags.c_contiguous and g.nodes.shape == nodes.shape
+        assert g.nodes.tobytes() == nodes.tobytes()
+        assert g.weights.tobytes() == weights.tobytes()
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_pairing_is_the_whole_grid_pairing(self, n):
