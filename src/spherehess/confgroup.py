@@ -363,7 +363,10 @@ class SphereGrid:
             )
 
     def integrate(self, values: np.ndarray) -> float:
-        return float(np.dot(np.asarray(values, dtype=float), self.weights))
+        """sum_i values_i w_i by numpy's pairwise sum, which runs on one
+        thread: a BLAS dot threads large grids, so its order of summation,
+        and the last bits of the value, follow the BLAS thread count."""
+        return float(np.sum(np.asarray(values, dtype=float) * self.weights))
 
 
 def sphere_grid(n: int, order: int = 40) -> SphereGrid:
@@ -706,9 +709,10 @@ def pairing(h: TensorField, k: TensorField, grid: SphereGrid) -> float:
 
     Both fields are evaluated over the same blocks and compressed with the
     block's one set of tangent projectors.  Each node's density has the
-    bits of a whole-grid evaluation, whatever the block size, and the grid
-    integrates the densities of all blocks once.  DomainError unless h, k
-    and the grid share n.
+    bits of a whole-grid evaluation, whatever the block size, and
+    :meth:`SphereGrid.integrate` sums the densities of all blocks once, in
+    an order no BLAS thread count changes.  DomainError unless h, k and the
+    grid share n.
     """
     _require_grid_dim(h, k, grid)
     density = np.empty(len(grid.nodes))

@@ -3,7 +3,10 @@ conformal Killing operator."""
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -709,10 +712,34 @@ class TestSameBits:
         with pytest.raises(DomainError, match=r"non-empty \(P, 2\) array"):
             kernel_field_residual(2, np.ones(shape))
 
+    def test_integrate_does_not_depend_on_the_blas_thread_count(self):
+        # A BLAS dot threads a sum over the 129,600 S^3 nodes, so its last
+        # bits followed OPENBLAS_NUM_THREADS; the pairwise sum runs on one.
+        script = (
+            "import numpy as np\n"
+            "from spherehess.confgroup import sphere_grid\n"
+            "g = sphere_grid(3, 40)\n"
+            "y = g.nodes\n"
+            "for v in (np.cos(3 * y[:, 0]) + y[:, 1] ** 2, np.exp(y[:, 2] - y[:, 3])):\n"
+            "    print(g.integrate(v).hex())\n"
+        )
+        src = str(Path(confgroup.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(
+                           [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+            run = subprocess.run([sys.executable, "-c", script], env=env,
+                                 capture_output=True, text=True, check=True)
+            outputs.append(run.stdout)
+        assert len(outputs[0].split()) == 2
+        assert outputs[0] == outputs[1]
+
     @pytest.mark.parametrize("case", sorted(_VERIFY_CONFGROUP_JSON))
     def test_verify_confgroup_output_is_unchanged(self, capsys, case):
         # JSON prints every residual's repr; recorded with numpy 2.4.6 and
-        # OpenBLAS on x86-64 before the chart kernels were batched.
+        # OpenBLAS on x86-64 once grids integrated by a pairwise sum, which
+        # gives the same bits under any BLAS thread count.
         code = console_main(["verify", "--suite", "confgroup", *case.split(),
                              "--format", "json"])
         assert code == 0
