@@ -315,6 +315,10 @@ class TestTensorAction:
         moved = np.einsum("ji,njk,kl->nil", rmat, want, rmat)
         assert np.max(np.abs(got - moved)) < 1e-12
 
+    def test_polynomial_field_refuses_a_quadratic_matrix_of_another_size(self):
+        with pytest.raises(DomainError, match=r"^matrices must be 3 x 3$"):
+            polynomial_tensor_field(2, np.eye(3), quadratic=[(0, 1, np.eye(4))])
+
     def test_rep_weight_validation(self):
         with pytest.raises(DomainError):
             RepWeight(n=2, rho=Fraction(3, 2), nu=Fraction(0))
@@ -501,10 +505,6 @@ class TestSameBits:
             assert got.shape == (len(ys), n + 1, n + 1)
             assert got.flags.c_contiguous
             assert got.tobytes() == np.ascontiguousarray(got.transpose(0, 2, 1)).tobytes()
-
-    def test_polynomial_field_refuses_a_quadratic_matrix_of_another_size(self):
-        with pytest.raises(DomainError, match=r"^matrices must be 3 x 3$"):
-            polynomial_tensor_field(2, np.eye(3), quadratic=[(0, 1, np.eye(4))])
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_differential_many_is_the_node_first_formula(self, n):
