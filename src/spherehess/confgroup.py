@@ -24,7 +24,6 @@ w_t the normalizing coordinate.  On top of the action this module builds:
 
 from __future__ import annotations
 
-import enum
 import math
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
@@ -68,13 +67,10 @@ __all__ = [
     "pairing",
     "check_pairing_invariance",
     "chart_lambda",
-    "ChartPrimitive",
-    "ChartMap",
     "chart_translation",
     "chart_dilation",
     "chart_rotation",
     "chart_inversion",
-    "compose_chart",
     "random_chart_map",
     "ahlfors_chart",
     "inverse_stereographic",
@@ -363,10 +359,14 @@ class SphereGrid:
             )
 
     def integrate(self, values: np.ndarray) -> float:
-        """sum_i values_i w_i by numpy's pairwise sum, which runs on one
-        thread: a BLAS dot threads large grids, so its order of summation,
-        and the last bits of the value, follow the BLAS thread count."""
-        return float(np.sum(np.asarray(values, dtype=float) * self.weights))
+        """sum_i values_i w_i, by :func:`_weighted_sum` on a copy of values."""
+        return _weighted_sum(np.array(values, dtype=float), self.weights)
+
+
+def _weighted_sum(values: np.ndarray, weights: np.ndarray) -> float:
+    """sum_i values_i w_i, weighting ``values`` in place; numpy's pairwise
+    sum runs on one thread, so no BLAS thread count reorders it."""
+    return float(np.sum(np.multiply(values, weights, out=values)))
 
 
 def sphere_grid(n: int, order: int = 40) -> SphereGrid:
@@ -710,15 +710,15 @@ def pairing(h: TensorField, k: TensorField, grid: SphereGrid) -> float:
     Both fields are evaluated over the same blocks and compressed with the
     block's one set of tangent projectors.  Each node's density has the
     bits of a whole-grid evaluation, whatever the block size, and
-    :meth:`SphereGrid.integrate` sums the densities of all blocks once, in
-    an order no BLAS thread count changes.  DomainError unless h, k and the
-    grid share n.
+    :func:`_weighted_sum` weights the densities of all blocks in place and
+    sums them once, in an order no BLAS thread count changes.  DomainError
+    unless h, k and the grid share n.
     """
     _require_grid_dim(h, k, grid)
     density = np.empty(len(grid.nodes))
     for block, ys in _blocks(grid.nodes):
         _density(_tangent_projectors(ys), h.raw(ys), k.raw(ys), out=density[block])
-    return grid.integrate(density)
+    return _weighted_sum(density, grid.weights)
 
 
 def _pairing_terms(
@@ -756,7 +756,7 @@ def _pairing_terms(
             value[...] = _compress(proj_phi, fld.raw(phi)).transpose(1, 2, 0)
         hw, kw = _weighted_pullback(jac, omega, expos, values)
         _density(proj, hw, kw, out=moved[block])
-    return grid.integrate(base), grid.integrate(moved)
+    return _weighted_sum(base, grid.weights), _weighted_sum(moved, grid.weights)
 
 
 def check_pairing_invariance(
@@ -809,135 +809,89 @@ def chart_lambda(x: np.ndarray) -> float:
     return float(_lambdas(_one_point(x))[0])
 
 
-class _PrimitiveKind(enum.Enum):
-    TRANSLATION = "TRANSLATION"
-    DILATION = "DILATION"
-    ROTATION = "ROTATION"
-    INVERSION = "INVERSION"
-
-
-@dataclass(frozen=True)
-class ChartPrimitive:
-    """One conformal building block of R^n: x -> phi(x) with exact Jacobian."""
-
-    kind: _PrimitiveKind
-    vector: np.ndarray | None = None
-    scale: float = 1.0
-    rotation: np.ndarray | None = None
-
-    def _frames(self, xs: np.ndarray):
-        """(phi(x), J(x), mu(x)) at the rows of an (M, n) array.
-
-        J is one (n, n) matrix for every row, and mu one float, except for
-        an inversion, whose J is (M, n, n) and mu (M,).
-        """
-        dim = xs.shape[1]
-        if self.kind is _PrimitiveKind.TRANSLATION:
-            return xs + self.vector, np.eye(dim), 1.0
-        if self.kind is _PrimitiveKind.DILATION:
-            return self.scale * xs, self.scale * np.eye(dim), abs(self.scale)
-        if self.kind is _PrimitiveKind.ROTATION:
-            return ((self.rotation @ xs[:, :, None])[:, :, 0],
-                    np.array(self.rotation, dtype=float), 1.0)
-        r2 = _row_dots(xs, xs)
-        if np.any(r2 == 0.0):
-            raise Degenerate("inversion applied at the origin")
-        r2_mat = r2[:, None, None]
-        outer = xs[:, :, None] * xs[:, None, :]
-        return xs / r2[:, None], (np.eye(dim) - 2.0 * outer / r2_mat) / r2_mat, 1.0 / r2
-
-
-def _chart_frames(phi: ChartMap, xs: np.ndarray):
-    """(phi(x), J(x), mu(x)) at the rows of an (M, n) array, in one walk.
-
-    Returns an (M, n) array, an (M, n, n) stack (a broadcast view when no
-    inversion makes J depend on the point) and an (M,) array.
-    """
-    jac = np.eye(xs.shape[1])
-    mu = 1.0
-    for p in phi.primitives:
-        image, step_jac, step_mu = p._frames(xs)
-        jac = step_jac @ jac
-        mu = mu * step_mu
-        xs = image
-    count, dim = xs.shape
-    return (xs, np.broadcast_to(jac, (count, dim, dim)),
-            np.broadcast_to(mu, (count,)))
-
-
-@dataclass(frozen=True)
-class ChartMap:
-    """Composition of chart primitives (applied left to right).
-
-    The one-point methods raise DomainError naming the shape where the point
-    is not an (n,) array, and, as :func:`check_ahlfors_covariance` does,
-    where its width does not fit a translation or a rotation.
-    """
-
-    primitives: tuple[ChartPrimitive, ...]
-
-    def _frames_at(self, x: np.ndarray):
-        return _chart_frames(self, _chart_points(self, _one_point(x)))
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return self._frames_at(x)[0][0]
-
-    def jacobian(self, x: np.ndarray) -> np.ndarray:
-        return np.array(self._frames_at(x)[1][0])
-
-    def mu(self, x: np.ndarray) -> float:
-        """Flat conformal scale: J^T J = mu^2 Id."""
-        return float(self._frames_at(x)[2][0])
-
-    def conformal_factor_round(self, x: np.ndarray) -> float:
-        """Omega with phi^*(lambda^2 delta) = Omega^2 lambda^2 delta."""
-        xs = _chart_points(self, _one_point(x))
-        images, _, mu = _chart_frames(self, xs)
-        return float((mu * _lambdas(images) / _lambdas(xs))[0])
-
-
-def chart_translation(v) -> ChartMap:
+def chart_translation(v) -> MoebiusElement:
+    """x -> x + v, a parabolic element."""
     v = np.asarray(v, float)
     if not np.all(np.isfinite(v)):
         raise DomainError(f"translation vector v = {v.tolist()!r} must be finite")
-    return ChartMap((ChartPrimitive(_PrimitiveKind.TRANSLATION, vector=v),))
+    n, h = len(v), 0.5 * float(v @ v)
+    m = np.eye(n + 2)
+    m[:n, n:] = v[:, None]
+    m[n:, :n] = -v, v
+    m[n:, n:] = [[1.0 - h, -h], [h, 1.0 + h]]
+    return MoebiusElement(n=n, matrix=m)
 
 
-def chart_dilation(s: float) -> ChartMap:
+def chart_dilation(n: int, s: float) -> MoebiusElement:
+    """x -> s x, a boost along the pole axis (with -Id on the chart for s < 0)."""
     if s == 0:
         raise DomainError("dilation scale must be nonzero")
     if not math.isfinite(s):
         raise DomainError(f"dilation scale s = {s!r} must be finite")
-    return ChartMap((ChartPrimitive(_PrimitiveKind.DILATION, scale=float(s)),))
+    c, d = 0.5 * (1.0 / abs(s) + abs(s)), 0.5 * (1.0 / abs(s) - abs(s))
+    m = np.eye(n + 2)
+    m[:n, :n] *= math.copysign(1.0, s)
+    m[n:, n:] = [[c, d], [d, c]]
+    return MoebiusElement(n=n, matrix=m)
 
 
-def chart_rotation(q) -> ChartMap:
+def chart_rotation(q) -> MoebiusElement:
+    """x -> q x for an orthogonal (n, n) matrix q."""
     q = np.asarray(q, dtype=float)
-    if not np.max(np.abs(q.T @ q - np.eye(len(q)))) <= 1e-12:
-        raise DomainError("rotation matrix must be orthogonal")
-    return ChartMap((ChartPrimitive(_PrimitiveKind.ROTATION, rotation=q),))
+    n = len(q)
+    m = np.eye(n + 2)
+    m[:n, :n] = q
+    return MoebiusElement(n=n, matrix=m)
 
 
-def chart_inversion() -> ChartMap:
-    return ChartMap((ChartPrimitive(_PrimitiveKind.INVERSION),))
+def chart_inversion(n: int) -> MoebiusElement:
+    """x -> x / |x|^2, the reflection of the pole axis."""
+    m = np.eye(n + 2)
+    m[n, n] = -1.0
+    return MoebiusElement(n=n, matrix=m)
 
 
-def compose_chart(*maps: ChartMap) -> ChartMap:
-    """Apply the given maps in order (left first)."""
-    prims: list[ChartPrimitive] = []
-    for m in maps:
-        prims.extend(m.primitives)
-    return ChartMap(tuple(prims))
-
-
-def random_chart_map(rng: np.random.Generator, n: int, max_log_scale: float = 1.0) -> ChartMap:
+def random_chart_map(rng: np.random.Generator, n: int,
+                     max_log_scale: float = 1.0) -> MoebiusElement:
     """Dilation conjugated by rotations and translations (a chart Moebius map)."""
     gauss = rng.normal(size=(n, n))
     q, r = np.linalg.qr(gauss)
     q = q @ np.diag(np.sign(np.diag(r)))
     s = math.exp(float(rng.uniform(-max_log_scale, max_log_scale)))
     v = rng.normal(size=n) * 0.4
-    return compose_chart(chart_translation(v), chart_rotation(q), chart_dilation(s))
+    return compose(chart_dilation(n, s), compose(chart_rotation(q), chart_translation(v)))
+
+
+def _chart_frame(a: MoebiusElement, xs: np.ndarray):
+    """(phi(x), J(x), Omega(x)) at the rows of an (M, n) array, as (M, n),
+    (M, n, n) and (M,) arrays from one Lorentz product over the stack.
+
+    Index 0..n-1 of the element is the chart, n the pole axis and n+1 time;
+    x has homogeneous coordinates p = (2x, 1 - |x|^2, 1 + |x|^2), which is
+    (1 + |x|^2) (inverse_stereographic(x), 1).  With row n of M replaced by
+    rows n + (n+1), P = M p = 2 C x + s + |x|^2 t holds the image's
+    numerators, its denominator D and the time coordinate (C the chart
+    columns, s and t the sum and difference of the last two; the x-free s
+    rounds alike at every stencil point).  phi = P_{0..n-1} / D, Degenerate
+    where D is 0 to rounding; J = d phi by the quotient rule with
+    dP/dx_k = 2 (C e_k + x_k t); Omega = (1 + |x|^2) / P_{n+1}, the sphere's
+    conformal factor: phi^*(lambda^2 delta) = Omega^2 lambda^2 delta.
+    """
+    n = a.n
+    rows = a.matrix.copy()
+    rows[n] += rows[n + 1]
+    cols, s, t = rows[:, :n], rows[:, n] + rows[:, n + 1], rows[:, n + 1] - rows[:, n]
+    r2 = _row_dots(xs, xs)
+    w = (2.0 * xs) @ cols.T + s + r2[:, None] * t
+    size = (2.0 * np.abs(xs)) @ np.abs(cols[n]) + abs(s[n]) + r2 * abs(t[n])
+    if np.any(np.abs(w[:, n]) <= 1e-14 * size):
+        raise Degenerate("the chart map sends a point to infinity")
+    image = w[:, :n] / w[:, n, None]
+    jac = (t[:n] - image * t[n])[:, :, None] * xs[:, None, :]
+    jac += cols[:n]
+    jac -= image[:, :, None] * cols[n]
+    jac *= (2.0 / w[:, n])[:, None, None]
+    return image, jac, (1.0 + r2) / w[:, n + 1]
 
 
 # Step of the finite-difference Jacobian behind the Ahlfors operator.
@@ -1082,25 +1036,9 @@ def kernel_field_residual(n: int, points: np.ndarray) -> float:
                    for fld in sphere_conformal_fields(n))
 
 
-def _chart_points(phi: ChartMap, points) -> np.ndarray:
-    """``points`` as a float (P, n) array, DomainError unless it fits phi."""
-    xs = np.asarray(points, dtype=float)
-    if xs.ndim != 2 or 0 in xs.shape:
-        raise DomainError(
-            f"points must be a non-empty (P, n) array, got shape {xs.shape}")
-    dim = xs.shape[1]
-    for p in phi.primitives:
-        for part, want in ((p.vector, (dim,)), (p.rotation, (dim, dim))):
-            if part is not None and part.shape != want:
-                raise DomainError(
-                    f"points of shape {xs.shape} do not fit the chart map's "
-                    f"{p.kind.value.lower()} of shape {part.shape}")
-    return xs
-
-
 def check_ahlfors_covariance(
     vec_field: Callable[[np.ndarray], np.ndarray],
-    phi: ChartMap,
+    phi: MoebiusElement,
     points: np.ndarray,
 ) -> float:
     """Max residual of Omega^{-2} phi^*(S X) = S(phi^* X) over the points.
@@ -1108,24 +1046,26 @@ def check_ahlfors_covariance(
     phi^*(two-tensor T)(x) = J^T T(phi x) J and
     (phi^* X)(x) = J^{-1} X(phi x), J the chart Jacobian at x.
 
-    ``points`` is a non-empty (P, n) array; DomainError otherwise, or when
-    its width does not fit phi's translations and rotations.  All points
-    are done at once: one chart walk gives phi, J and mu at every stencil
-    point of every x, and one stacked solve gives phi^* X there.
-    ``vec_field`` is called once per stencil point, 2 P (4n+1) times: first
-    at the stencils of all the images phi(x), then at phi of every stencil
-    point of every x.  Each residual has the bits of the one-point formulas,
-    and a NaN residual at any point makes the maximum NaN.
+    ``points`` is a non-empty (P, phi.n) array; DomainError otherwise.  One
+    Lorentz product gives phi, J and Omega at every stencil point of every
+    x, and one stacked solve gives phi^* X there.  ``vec_field`` is called
+    2 P (4n+1) times: at the stencils of all the images phi(x), then at phi
+    of every stencil point of every x.  Given that frame, each residual has
+    the bits of the one-point formulas, and a NaN residual at any point
+    makes the maximum NaN.
     """
-    xs = _chart_points(phi, points)
+    xs = np.asarray(points, dtype=float)
+    if xs.ndim != 2 or 0 in xs.shape:
+        raise DomainError(f"points must be a non-empty (P, n) array, got shape {xs.shape}")
+    if xs.shape[1] != phi.n:
+        raise DomainError(f"points of shape {xs.shape} do not fit a chart map of R^{phi.n}")
     count, dim = xs.shape
     width = 4 * dim + 1
-    images, jac, mu = _chart_frames(phi, _stencil(xs).reshape(-1, dim))
+    images, jac, omega = _chart_frame(phi, _stencil(xs).reshape(-1, dim))
     ys, jac_x = images[::width], jac[::width]
     s_image = _ahlfors_at(vec_field, ys)
     pulled = np.linalg.solve(jac, _field_values(vec_field, images)[:, :, None])
     s_pulled = _ahlfors_from_stencil(xs, pulled.reshape(count, width, dim))
-    omega = mu[::width] * _lambdas(ys) / _lambdas(xs)
     lhs = jac_x.transpose(0, 2, 1) @ s_image @ jac_x
-    lhs /= _float_powers(omega, 2)[:, None, None]
+    lhs /= _float_powers(omega[::width], 2)[:, None, None]
     return float(np.max(np.abs(lhs - s_pulled)))

@@ -23,7 +23,6 @@ from spherehess.confgroup import (
     chart_translation,
     cocycle_residual,
     compose,
-    compose_chart,
     conformality_residual,
     moebius_boost,
     pairing,
@@ -307,11 +306,8 @@ def test_criterion_09_moebius_and_conformal_killing_suite():
         def vec_field(x, lin=lin, const=const):
             return const + lin @ x + 0.3 * x * float(x @ x)
 
-        phi = compose_chart(
-            chart_translation(np.full(n, 0.7)),
-            chart_inversion(),
-            chart_dilation(1.3),
-        )
+        phi = compose(chart_dilation(n, 1.3),
+                      compose(chart_inversion(n), chart_translation(np.full(n, 0.7))))
         points = rng.normal(size=(50, n)) * 0.8
         assert check_ahlfors_covariance(vec_field, phi, points) <= 1e-6
 

@@ -199,7 +199,7 @@ _PUBLIC = {
     "qcurv": """SymbolValue ahlfors_symbol lin_obstruction_symbol
         lin_ricci_symbol lin_scalar_symbol lin_schouten_symbol project_tt
         q_hessian_expected q_hessian_symbol""",
-    "confgroup": """ChartMap MoebiusElement RepWeight SphereGrid TensorField act
+    "confgroup": """MoebiusElement RepWeight SphereGrid TensorField act
         ahlfors_chart check_ahlfors_covariance check_pairing_invariance compose
         conformal_factor moebius_boost moebius_rotation pairing
         sphere_conformal_fields sphere_grid u_action""",
