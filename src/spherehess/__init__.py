@@ -34,9 +34,8 @@ __version__ = "1.0.0"
 _EXPORTS = {
     "errors": (
         "Degenerate", "DomainError", "FitUnstable", "InconsistentSystem",
-        "InvalidStep", "NotAdjacent", "ParityError", "PreconditionViolation",
-        "QuadratureFailure", "RankMismatch", "SphereHessError",
-        "UnsupportedSigma", "ZeroCovector",
+        "ParityError", "PreconditionViolation", "QuadratureFailure",
+        "RankMismatch", "SphereHessError", "UnsupportedSigma", "ZeroCovector",
     ),
     "exact": ("ExactConst", "gamma_half_integer", "rising", "sphere_volume"),
     "ktypes": (
@@ -44,18 +43,18 @@ _EXPORTS = {
         "bundle_weights", "is_dominant",
     ),
     "spectrum": (
-        "Classification", "HessianKind", "SpectrumTable", "StepDirection",
-        "classify_hessian", "closed_form_table", "kappa", "kappa_inner_product",
-        "kappa_step", "recursion_matches_closed_form", "spectrum_generate",
-        "spectrum_generate3", "t0_eigenvalue", "transition_coeff",
+        "Classification", "HessianKind", "SpectrumTable", "classify_hessian",
+        "closed_form_table", "kappa", "kappa_inner_product",
+        "recursion_matches_closed_form", "spectrum_generate",
+        "spectrum_generate3", "t0_eigenvalue",
     ),
     "greens": (
-        "RadialGreen", "RegularPartConfig", "RegularPartResult",
-        "TauTailIntegral", "TraceKind", "chart_radius", "green_D2", "green_L",
-        "green_L2", "kv_trace_D2", "kv_trace_L2", "ode_residual_L",
-        "ode_residual_L2", "regular_part", "spectral_convention_factor",
-        "spectral_trace_reference", "tau_tail_exact", "tau_tail_quadrature",
-        "trace_from_pipeline", "trace_sign_expected",
+        "RadialGreen", "RegularPartResult", "TauTailIntegral", "TraceKind",
+        "chart_radius", "green_D2", "green_L", "green_L2", "kv_trace_D2",
+        "kv_trace_L2", "ode_residual_L", "ode_residual_L2", "regular_part",
+        "spectral_convention_factor", "spectral_trace_reference",
+        "tau_tail_exact", "tau_tail_quadrature", "trace_from_pipeline",
+        "trace_sign_expected",
     ),
     "symbols": (
         "ExtremalStatement", "FormDefiniteness", "Functional", "PointData",

@@ -2,14 +2,13 @@
 
 The standard module loads ``inspect``, ``ast``, ``dis`` and ``tokenize``
 (about 8 ms of a cold start), so the package's records come from here:
-fields in annotation order, with defaults or a ``default_factory``;
-``init=False``, ``repr=False`` and ``compare=False``; ``__post_init__``;
-frozen instances whose assignment and deletion raise AttributeError.  An
+fields in annotation order, each with an optional default;
+``__post_init__``; frozen instances whose assignment and deletion raise
+AttributeError.  Every field is in the constructor, eq, hash and repr.  An
 ``__eq__``, ``__hash__`` or ``__repr__`` written in the class body stays.
 As the standard decorator does, each class compiles its ``__init__``,
 ``__eq__`` and ``__hash__`` from one source string, so a constructor runs
-no loop over its fields.  An ``init=False`` field is left to
-``__post_init__``.  ``__dataclass_fields__`` lets the standard
+no loop over its fields.  ``__dataclass_fields__`` lets the standard
 ``replace()`` copy a record with changed fields.
 """
 
@@ -17,14 +16,15 @@ _MISSING = object()
 
 
 class field:
-    """A field's options; ``name`` is set when its class is decorated."""
+    """A field's default; ``name`` is set when its class is decorated."""
 
-    _field_type = None  # what replace() reads: neither a ClassVar nor an InitVar
+    # What replace() reads besides name and default: a field that is neither
+    # a ClassVar nor an InitVar, and is passed to the constructor.
+    _field_type = None
+    init = True
 
-    def __init__(self, *, default=_MISSING, default_factory=_MISSING, init=True,
-                 repr=True, compare=True):
-        self.default, self.default_factory = default, default_factory
-        self.init, self.repr, self.compare = init, repr, compare
+    def __init__(self, *, default=_MISSING):
+        self.default = default
 
 
 def dataclass(cls=None, /, *, frozen=False):
@@ -52,9 +52,7 @@ def _record(cls, frozen):
     body = cls.__dict__
     fields = {}
     for name in body.get("__annotations__", {}):
-        f = body.get(name, _MISSING)
-        if not isinstance(f, field):
-            f = field(default=f)
+        f = field(default=body.get(name, _MISSING))
         f.name = name
         fields[name] = f
         if f.default is _MISSING:
@@ -62,27 +60,20 @@ def _record(cls, frozen):
                 delattr(cls, name)
         else:
             setattr(cls, name, f.default)
-    ns = {"_MISSING": _MISSING, "_set": object.__setattr__}
+    ns = {"_set": object.__setattr__}
     params, lines = ["self"], []
     for name, f in fields.items():
-        if not f.init:
-            continue
         if f.default is not _MISSING:
             ns[f"_d_{name}"] = f.default
             params.append(f"{name}=_d_{name}")
-        elif f.default_factory is not _MISSING:
-            ns[f"_f_{name}"] = f.default_factory
-            params.append(f"{name}=_MISSING")
-            lines.append(f"  if {name} is _MISSING: {name} = _f_{name}()")
         else:
             params.append(name)
         lines.append(f"  _set(self, {name!r}, {name})" if frozen
                      else f"  self.{name} = {name}")
     if "__post_init__" in body:
         lines.append("  self.__post_init__()")
-    compared = [n for n, f in fields.items() if f.compare]
-    mine = "".join(f"self.{n}," for n in compared)
-    theirs = "".join(f"other.{n}," for n in compared)
+    mine = "".join(f"self.{n}," for n in fields)
+    theirs = "".join(f"other.{n}," for n in fields)
     exec("\n".join([f"def __init__({', '.join(params)}):", *lines, "  pass",
                     "def __eq__(self, other):",
                     "  if other.__class__ is self.__class__:",
@@ -91,7 +82,7 @@ def _record(cls, frozen):
                     "def __hash__(self):",
                     f"  return hash(({mine}))"]), ns)
     methods = {"__init__": ns["__init__"],
-               "__repr__": _repr([n for n, f in fields.items() if f.repr]),
+               "__repr__": _repr(list(fields)),
                "__eq__": ns["__eq__"],
                "__hash__": ns["__hash__"] if frozen else None}
     for method, fn in methods.items():

@@ -94,7 +94,13 @@ def _lorentz_metric(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MoebiusElement:
-    """An (n+2) x (n+2) matrix preserving diag(1, ..., 1, -1)."""
+    """An (n+2) x (n+2) matrix preserving diag(1, ..., 1, -1).
+
+    The gate refuses a matrix whose :func:`lorentz_form_residual` exceeds
+    1e-12 max(1, max|M|)^2: the rounding of M^T J M grows with the square
+    of the entries, so exact constructions with large entries pass, and up
+    to max|M| = 1 the bound is 1e-12.  A non-finite matrix is refused.
+    """
 
     n: int
     matrix: np.ndarray
@@ -107,9 +113,11 @@ class MoebiusElement:
             )
         object.__setattr__(self, "matrix", m)
         res = lorentz_form_residual(self)
-        if not res <= 1e-12:
+        scale = max(1.0, float(np.max(np.abs(m))))
+        bound = 1e-12 * scale * scale  # inf, not OverflowError, past 1e154
+        if not res <= bound < math.inf:
             raise DomainError(
-                f"matrix violates the Lorentz form by {res:.3e} (> 1e-12)"
+                f"matrix violates the Lorentz form by {res:.3e} (> {bound:.3g})"
             )
 
 
@@ -220,7 +228,11 @@ def random_moebius(
 
 
 def act(a: MoebiusElement, y: np.ndarray) -> np.ndarray:
-    """A . y = spatial part of M (y, 1) over its last coordinate."""
+    """A . y = spatial part of M (y, 1) over its last coordinate.
+
+    The last bits may differ from the matching row of :func:`act_many`:
+    numpy runs a one-row product as a matrix-vector product.
+    """
     return act_many(a, np.asarray(y, dtype=float)[None, :])[0]
 
 
@@ -241,7 +253,11 @@ def _homogeneous(a: MoebiusElement, ys: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 def differential(a: MoebiusElement, y: np.ndarray) -> np.ndarray:
-    """Exact ambient Jacobian of the action at y (restricts to T_y S^n)."""
+    """Exact ambient Jacobian of the action at y (restricts to T_y S^n).
+
+    The last bits may differ from the matching row of
+    :func:`differential_many`, as for :func:`act`.
+    """
     return differential_many(a, np.asarray(y, dtype=float)[None, :])[0]
 
 
@@ -300,7 +316,11 @@ def frame_at(y: np.ndarray) -> np.ndarray:
 
 
 def conformal_factor(a: MoebiusElement, y: np.ndarray) -> float:
-    """Omega with (d phi)^T (d phi) = Omega^2 Id on T_y S^n; equals 1 / w_t."""
+    """Omega with (d phi)^T (d phi) = Omega^2 Id on T_y S^n; equals 1 / w_t.
+
+    The last bits may differ from the matching row of
+    :func:`conformal_factor_many`, as for :func:`act`.
+    """
     return float(conformal_factor_many(a, np.asarray(y, dtype=float)[None, :])[0])
 
 
@@ -523,9 +543,6 @@ class TensorField:
         ys = np.asarray(ys, dtype=float)
         _require_width(self.n, ys)
         return _compress(_tangent_projectors(ys), self.raw(ys))
-
-    def sample(self, grid: SphereGrid) -> np.ndarray:
-        return self.evaluate(grid.nodes)
 
 
 def _require_width(n: int, ys: np.ndarray) -> None:

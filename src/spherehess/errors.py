@@ -1,10 +1,9 @@
 """Shared exception types."""
 
 __all__ = [
-    "SphereHessError", "RankMismatch", "UnsupportedSigma", "InvalidStep",
-    "NotAdjacent", "InconsistentSystem", "DomainError", "QuadratureFailure",
-    "FitUnstable", "ParityError", "ZeroCovector", "PreconditionViolation",
-    "Degenerate",
+    "SphereHessError", "RankMismatch", "UnsupportedSigma", "InconsistentSystem",
+    "DomainError", "QuadratureFailure", "FitUnstable", "ParityError",
+    "ZeroCovector", "PreconditionViolation", "Degenerate",
 ]
 
 
@@ -20,14 +19,6 @@ class UnsupportedSigma(SphereHessError):
     """Bundle weight outside the supported closed-form families."""
 
 
-class InvalidStep(SphereHessError):
-    """Unknown lattice step kind."""
-
-
-class NotAdjacent(SphereHessError):
-    """K-types are not one lattice step apart."""
-
-
 class InconsistentSystem(SphereHessError):
     """Spectrum recursion produced contradictory values on some edge."""
 
@@ -41,7 +32,7 @@ class QuadratureFailure(SphereHessError):
 
 
 class FitUnstable(SphereHessError):
-    """Regular-part extraction error estimate exceeds the configured bound."""
+    """Regular-part extraction error estimate exceeds its fixed bound."""
 
 
 class ParityError(SphereHessError):

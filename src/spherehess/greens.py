@@ -54,7 +54,7 @@ from fractions import Fraction
 from typing import Callable
 
 from ._nanmax import nan_max
-from ._record import dataclass, field
+from ._record import dataclass
 from .errors import DomainError, FitUnstable, ParityError, QuadratureFailure
 from .exact import ExactConst, sphere_volume, sphere_volume_exact
 
@@ -83,7 +83,6 @@ __all__ = [
     "ode_rows",
     "ode_residual_L",
     "ode_residual_L2",
-    "RegularPartConfig",
     "RegularPartResult",
     "regular_part",
     "TraceKind",
@@ -172,8 +171,8 @@ class TauTailIntegral:
     ``tail`` is one flat closure over the coefficients' floats, converted
     once when the integral is built, and F(inf); the profiles call it.  It
     lets OverflowError escape, so that a profile names its own kind, n and
-    r.  It is derived data: left out of the constructor, of eq (and so of
-    the hash) and of the repr.
+    r.  It is derived data, set by ``__post_init__`` and not a field: the
+    constructor, eq, hash and repr see the coefficients only.
     """
 
     a: int
@@ -181,7 +180,6 @@ class TauTailIntegral:
     arctan_coeff: Fraction
     power_coeffs: tuple[tuple[int, Fraction], ...]
     rational_coeffs: tuple[tuple[int, Fraction], ...]
-    tail: Callable[[float], float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         arctan = float(self.arctan_coeff)
@@ -817,20 +815,14 @@ def ode_residual_L2(n: int, rs) -> float:
 # ---------------------------------------------------------------------------
 
 
-# The regular-part fit: geometric nodes over the window, polynomial degrees
-# besides the singular powers, Richardson levels, and the largest error
-# estimate accepted.
+# The regular-part fit: the radius window, geometric nodes over it,
+# polynomial degrees besides the singular powers, Richardson levels, and the
+# largest error estimate accepted.
+_FIT_WINDOW = (1e-3, 1e-1)
 _FIT_NODES = 24
 _FIT_POLY_DEGREE = 6
 _RICHARDSON_LEVELS = 2
 _MAX_FIT_ERROR = 1e-6
-
-
-@dataclass(frozen=True)
-class RegularPartConfig:
-    """Fit window of the regular-part extraction."""
-
-    window: tuple[float, float] = (1e-3, 1e-1)
 
 
 @dataclass(frozen=True)
@@ -839,7 +831,7 @@ class RegularPartResult:
 
     value: float
     error_estimate: float
-    singular_coeffs: dict[int, float] = field(default_factory=dict)
+    singular_coeffs: dict[int, float]
 
 
 def _scaled_lstsq(rs, vals, exponents):
@@ -860,21 +852,20 @@ def _scaled_lstsq(rs, vals, exponents):
 def regular_part(
     fun: Callable[[float], float],
     singular_orders: tuple[int, ...],
-    config: RegularPartConfig | None = None,
 ) -> RegularPartResult:
     """Extract the constant term of fun(r) = sum c_s r^s + c_0 + O(r).
 
-    Least-squares fit on 24 geometric nodes over the window with basis
-    {r^s : s in singular_orders} plus polynomial degrees 0..6; the fitted
-    negative powers are subtracted and the remainder is Richardson
-    extrapolated (two levels, eliminating r and r^2) at the smallest nodes.
+    Least-squares fit on 24 geometric nodes over the fixed window
+    [1e-3, 1e-1] with basis {r^s : s in singular_orders} plus polynomial
+    degrees 0..6; the fitted negative powers are subtracted and the
+    remainder is Richardson extrapolated (two levels, eliminating r and
+    r^2) at the smallest nodes.
 
     Args:
         fun: the profile as a function of r, such as a
             :class:`RadialGreen`'s ``evaluate``.
         singular_orders: the Laurent exponents s < 0 of the expansion,
             such as the profile's ``singular_orders``; () for none.
-        config: RegularPartConfig; the default window is [1e-3, 1e-1].
 
     Raises:
         FitUnstable: if the combined error estimate exceeds 1e-6 or is not
@@ -886,10 +877,7 @@ def regular_part(
     """
     import numpy as np
 
-    cfg = config or RegularPartConfig()
-    lo, hi = cfg.window
-    if not 0 < lo < hi:
-        raise DomainError("window must satisfy 0 < lo < hi")
+    lo, hi = _FIT_WINDOW
     rs = np.geomspace(lo, hi, _FIT_NODES)
     vals = np.array([fun(float(r)) for r in rs])
 

@@ -23,21 +23,13 @@ from fractions import Fraction
 from math import gcd
 
 from ._record import dataclass
-from .errors import (
-    DomainError,
-    InconsistentSystem,
-    InvalidStep,
-    NotAdjacent,
-)
+from .errors import DomainError, InconsistentSystem
 from .exact import rising
 from .ktypes import KType, q_range
 
 __all__ = [
-    "StepDirection",
     "kappa",
     "kappa_inner_product",
-    "kappa_step",
-    "transition_coeff",
     "SpectrumTable",
     "spectrum_generate",
     "spectrum_generate3",
@@ -69,46 +61,6 @@ def kappa_inner_product(t: KType) -> int:
     beta = t.weight.entries
     two_rho = tuple(n - 1 - 2 * i for i in range(len(beta)))
     return sum(b * (b + r) for b, r in zip(beta, two_rho))
-
-
-class StepDirection(enum.Enum):
-    J_UP = "J_UP"
-    Q_UP = "Q_UP"
-
-
-def _stepped(t: KType, direction: StepDirection) -> KType:
-    if direction is StepDirection.J_UP:
-        target = (t.j + 1, t.q)
-    else:
-        target = (t.j, t.q + 1)
-    try:
-        return KType(dim_n=t.dim_n, j=target[0], q=target[1])
-    except DomainError as exc:
-        raise InvalidStep(
-            f"stepping {direction.value} from (j={t.j}, q={t.q}) leaves the "
-            f"admissible range for dim_n={t.dim_n}"
-        ) from exc
-
-
-def kappa_step(t: KType, direction: StepDirection) -> int:
-    """kappa increment of a unit step, the difference of two kappa values.
-
-    It equals n+2j+4 along j and n+2q-2 along q; the tests check both.
-    """
-    return kappa(_stepped(t, direction)) - kappa(t)
-
-
-def transition_coeff(beta: KType, gamma: KType, nu: Fraction) -> Fraction:
-    """The coefficient (kappa_gamma - kappa_beta + 2 nu) / 2 of an edge.
-
-    ``gamma`` must differ from ``beta`` by exactly one unit step in j or q.
-    """
-    if gamma.dim_n != beta.dim_n:
-        raise NotAdjacent("modes live on spheres of different dimension")
-    dj, dq = gamma.j - beta.j, gamma.q - beta.q
-    if sorted((abs(dj), abs(dq))) != [0, 1]:
-        raise NotAdjacent(f"modes (j={beta.j},q={beta.q}) and (j={gamma.j},q={gamma.q}) are not adjacent")
-    return Fraction(kappa(gamma) - kappa(beta), 2) + Fraction(nu)
 
 
 @dataclass

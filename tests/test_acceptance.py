@@ -45,10 +45,8 @@ from spherehess.greens import (
 from spherehess.ktypes import KType, bundle_ktypes_bruteforce, bundle_weights, pad_weight
 from spherehess.qcurv import project_tt, q_hessian_expected, q_hessian_symbol
 from spherehess.spectrum import (
-    StepDirection,
     kappa,
     kappa_inner_product,
-    kappa_step,
     spectrum_generate,
     t0_eigenvalue,
 )
@@ -107,9 +105,9 @@ def test_criterion_03_casimir_number_closed_form_vs_weight_oracle_and_steps():
             for q in q_range:
                 mode = KType(dim_n=n, j=j, q=q)
                 assert kappa(mode) == kappa_inner_product(mode)
-                assert kappa_step(mode, StepDirection.J_UP) == n + 2 * j + 4
+                assert kappa(KType(dim_n=n, j=j + 1, q=q)) - kappa(mode) == n + 2 * j + 4
                 if q < 2:
-                    assert kappa_step(mode, StepDirection.Q_UP) == n + 2 * q - 2
+                    assert kappa(KType(dim_n=n, j=j, q=q + 1)) - kappa(mode) == n + 2 * q - 2
 
 
 def test_criterion_04_bruteforce_branching_reproduces_both_families():

@@ -177,21 +177,20 @@ class TestImportHygiene:
 # The package's public names by the submodule that defines them.
 _PUBLIC = {
     "errors": """Degenerate DomainError FitUnstable InconsistentSystem
-        InvalidStep NotAdjacent ParityError PreconditionViolation
-        QuadratureFailure RankMismatch SphereHessError UnsupportedSigma
-        ZeroCovector""",
+        ParityError PreconditionViolation QuadratureFailure RankMismatch
+        SphereHessError UnsupportedSigma ZeroCovector""",
     "exact": "ExactConst gamma_half_integer rising sphere_volume",
     "ktypes": """DominantWeight KType branches bundle_ktypes_bruteforce
         bundle_weights is_dominant""",
-    "spectrum": """Classification HessianKind SpectrumTable StepDirection
-        classify_hessian closed_form_table kappa kappa_inner_product kappa_step
+    "spectrum": """Classification HessianKind SpectrumTable classify_hessian
+        closed_form_table kappa kappa_inner_product
         recursion_matches_closed_form spectrum_generate spectrum_generate3
-        t0_eigenvalue transition_coeff""",
-    "greens": """RadialGreen RegularPartConfig RegularPartResult TauTailIntegral
-        TraceKind chart_radius green_D2 green_L green_L2 kv_trace_D2
-        kv_trace_L2 ode_residual_L ode_residual_L2 regular_part
-        spectral_convention_factor spectral_trace_reference tau_tail_exact
-        tau_tail_quadrature trace_from_pipeline trace_sign_expected""",
+        t0_eigenvalue""",
+    "greens": """RadialGreen RegularPartResult TauTailIntegral TraceKind
+        chart_radius green_D2 green_L green_L2 kv_trace_D2 kv_trace_L2
+        ode_residual_L ode_residual_L2 regular_part spectral_convention_factor
+        spectral_trace_reference tau_tail_exact tau_tail_quadrature
+        trace_from_pipeline trace_sign_expected""",
     "symbols": """ExtremalStatement FormDefiniteness Functional PointData
         PrefactorMode QuadFormCoeffs bracket_D2 bracket_L bracket_definiteness
         evaluate_form extremal_classification gamma_prefactor
@@ -225,6 +224,20 @@ class TestOneDefinitionPerCheck:
                     if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                     and node.value.id in aliases and node.attr.startswith("_")]
         assert private == []
+
+    def test_every_error_class_is_raised_somewhere(self):
+        # An error class whose last raise site is removed goes with it.
+        import ast
+        from spherehess import errors
+
+        called = set()
+        for path in Path(spherehess.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    called.add(func.attr if isinstance(func, ast.Attribute)
+                               else getattr(func, "id", None))
+        assert set(errors.__all__) - {"SphereHessError"} <= called
 
 
 class TestLazyExports:

@@ -124,6 +124,24 @@ class TestGroup:
         with pytest.raises(DomainError, match=r"Lorentz form by nan"):
             moebius_rotation(2, 0, 1, math.nan)
 
+    def test_lorentz_gate_scales_with_the_entries(self):
+        # The rounding of M^T J M grows with max|M|^2; an absolute 1e-12
+        # refused most of these exact constructions.
+        rng = np.random.default_rng(0)
+        dirs = rng.normal(size=(50, 3))
+        built = [chart_translation(100 * v / np.linalg.norm(v)) for v in dirs]
+        built += [chart_dilation(3, s) for s in rng.uniform(900, 1100, 50)]
+        built += [moebius_boost(3, d, 5.0) for d in rng.normal(size=(50, 4))]
+        for a in built:
+            m = a.matrix.copy()
+            m[np.unravel_index(np.argmax(np.abs(m)), m.shape)] *= 1 + 1e-9
+            with pytest.raises(DomainError, match="violates the Lorentz form"):
+                confgroup.MoebiusElement(3, m)
+        # Residual and bound both overflow to inf here.
+        with np.errstate(over="ignore"), pytest.raises(
+                DomainError, match=r"by inf \(> inf\)"):
+            confgroup.MoebiusElement(2, np.diag([1e200, 1.0, 1.0, 1.0]))
+
     def test_boost_axis_outside_the_dimension_is_refused(self):
         # This was a bare IndexError.
         with pytest.raises(DomainError, match=r"^boost direction = 5 is not an axis 0\.\.2$"):
@@ -294,8 +312,8 @@ class TestTensorAction:
         fld = random_band_limited_field(rng, n)
         a = random_moebius(rng, n, 0.7)
         b = random_moebius(rng, n, 0.7)
-        combined = u_action(w, compose(a, b), fld).sample(g)
-        nested = u_action(w, b, u_action(w, a, fld)).sample(g)
+        combined = u_action(w, compose(a, b), fld).evaluate(g.nodes)
+        nested = u_action(w, b, u_action(w, a, fld)).evaluate(g.nodes)
         scale = np.max(np.abs(combined)) + 1e-30
         assert np.max(np.abs(combined - nested)) / scale < 1e-12
 
@@ -324,7 +342,7 @@ class TestTensorAction:
 
 
 def _whole_grid_pairing(h, k, g):
-    return g.integrate(np.einsum("nij,nij->n", h.sample(g), k.sample(g)))
+    return g.integrate(np.einsum("nij,nij->n", h.evaluate(g.nodes), k.evaluate(g.nodes)))
 
 
 # The one-point chart code kept as the oracle of the batched kernels: a

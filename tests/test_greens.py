@@ -17,7 +17,6 @@ from spherehess.errors import DomainError, FitUnstable, ParityError, QuadratureF
 from spherehess.greens import (
     _fit_homogeneous_coefficient,
     _spectral_trace_exact,
-    RegularPartConfig,
     TraceKind,
     chart_radius,
     d2_route_gap,
@@ -507,21 +506,21 @@ class TestSharedScaledFit:
         def f(r):
             return 3.7 * r**-3 - 1.2 * r**-1 + 0.625 + 0.4 * r**2
 
-        cfg = RegularPartConfig(window=(3e-2, 0.5))
-        shared = regular_part(f, singular_orders=(-3, -1), config=cfg)
+        monkeypatch.setattr(greens, "_FIT_WINDOW", (3e-2, 0.5))
+        shared = regular_part(f, singular_orders=(-3, -1))
         monkeypatch.setattr(greens, "_scaled_lstsq", self._regular_part_fit)
-        assert shared == regular_part(f, singular_orders=(-3, -1), config=cfg)
+        assert shared == regular_part(f, singular_orders=(-3, -1))
 
 
 class TestRegularPart:
-    def test_synthetic_extraction(self):
+    def test_synthetic_extraction(self, monkeypatch):
         def f(r):
             return 3.7 * r**-3 - 1.2 * r**-1 + 0.625 + 0.4 * r**2
 
         # Window large enough that the r^-3 term does not exhaust double
         # precision at the smallest nodes.
-        cfg = RegularPartConfig(window=(3e-2, 0.5))
-        res = regular_part(f, singular_orders=(-3, -1), config=cfg)
+        monkeypatch.setattr(greens, "_FIT_WINDOW", (3e-2, 0.5))
+        res = regular_part(f, singular_orders=(-3, -1))
         assert res.value == pytest.approx(0.625, abs=1e-8)
         assert res.singular_coeffs[-3] == pytest.approx(3.7, rel=1e-6)
         assert res.singular_coeffs[-1] == pytest.approx(-1.2, rel=1e-6)
@@ -543,10 +542,6 @@ class TestRegularPart:
                 r"fit-vs-Richardson gap \S+\); condition number of the scaled "
                 r"design \d\.\d{3}e\+\d\d$")):
             regular_part(lambda r: r**-3, ())
-
-    def test_window_validation(self):
-        with pytest.raises(DomainError):
-            regular_part(lambda r: r, (), config=RegularPartConfig(window=(0.1, 0.01)))
 
     def test_nan_error_estimate_raises(self):
         # 1e300 / r^3 is inf at the smallest nodes, and the NaN estimate

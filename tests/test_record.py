@@ -1,6 +1,6 @@
 """The package's value records behave as the standard frozen dataclasses did.
 
-One sample of each of the 23 record classes pins its ``repr`` (error
+One sample of each of the 22 record classes pins its ``repr`` (error
 messages print them, e.g. the unreached modes of ``InconsistentSystem``),
 equality and inequality, hashing and immutability.  A sample that holds a
 dict, a list or an array is unhashable, as it was before.
@@ -24,7 +24,6 @@ from spherehess.exact import ExactConst
 from spherehess.greens import (
     PipelineTrace,
     RadialGreen,
-    RegularPartConfig,
     RegularPartResult,
     SphereConstants,
     TauTailIntegral,
@@ -97,11 +96,8 @@ CASES = {
                     lambda: RadialGreen(5, "L2", (3,), abs),
                     "RadialGreen(dim_n=5, kind='L', singular_orders=(3,), "
                     "evaluate=<built-in function abs>, terms=None)"),
-    "RegularPartConfig": (lambda: RegularPartConfig(),
-                          lambda: RegularPartConfig((1e-4, 1e-1)),
-                          "RegularPartConfig(window=(0.001, 0.1))"),
-    "RegularPartResult": (lambda: RegularPartResult(1.0, 0.5),
-                          lambda: RegularPartResult(2.0, 0.5),
+    "RegularPartResult": (lambda: RegularPartResult(1.0, 0.5, {}),
+                          lambda: RegularPartResult(2.0, 0.5, {}),
                           "RegularPartResult(value=1.0, error_estimate=0.5, "
                           "singular_coeffs={})"),
     "PipelineTrace": (lambda: PipelineTrace(TraceKind.L2, 1, 3, 0.25, 1e-9),
@@ -179,16 +175,10 @@ def test_hash_is_the_field_tuple_hash():
     assert hash(DominantWeight((2, 0), 5)) == hash(((2, 0), 5))
 
 
-def test_default_factory_gives_each_instance_its_own_dict():
-    a, b = RegularPartResult(1.0, 0.5), RegularPartResult(1.0, 0.5)
-    assert a.singular_coeffs == {} and a.singular_coeffs is not b.singular_coeffs
-    given = {-3: 1.0}
-    assert RegularPartResult(1.0, 0.5, given).singular_coeffs is given
-
-
 def test_derived_field_stays_out_of_init_eq_and_repr():
     tail = _tail(1)
     assert tail.tail(1.0) == tail.value(1.0)
+    assert "tail" not in TauTailIntegral.__dataclass_fields__
     with pytest.raises(TypeError):
         TauTailIntegral(2, 1, F(-1), (), (), tail=abs)
     assert _tail(1) == tail and "tail=" not in repr(tail)

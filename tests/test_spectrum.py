@@ -5,22 +5,19 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spherehess.errors import DomainError, InconsistentSystem, InvalidStep, NotAdjacent
+from spherehess.errors import DomainError, InconsistentSystem
 from spherehess.ktypes import KType
 from spherehess.spectrum import (
     _solve_lattice,
     HessianKind,
-    StepDirection,
     classify_hessian,
     closed_form_table,
     kappa,
     kappa_inner_product,
-    kappa_step,
     recursion_matches_closed_form,
     spectrum_generate,
     spectrum_generate3,
     t0_eigenvalue,
-    transition_coeff,
 )
 
 
@@ -44,32 +41,14 @@ class TestKappa:
         assert kappa(KType(4, 1, 2)) == 6 * 3 + 2 * 3
 
     def test_step_identities(self):
+        # The edge increments that _solve_lattice hardcodes.
         for n in (3, 4, 7):
             for j in range(5):
                 for q in _all_q(n):
                     t = KType(n, j, q)
-                    assert kappa_step(t, StepDirection.J_UP) == n + 2 * j + 4
+                    assert kappa(KType(n, j + 1, q)) - kappa(t) == n + 2 * j + 4
                     if q < 2:
-                        assert kappa_step(t, StepDirection.Q_UP) == n + 2 * q - 2
-
-    def test_invalid_step_off_lattice(self):
-        with pytest.raises(InvalidStep):
-            kappa_step(KType(4, 0, 2), StepDirection.Q_UP)
-
-
-class TestTransitionCoeff:
-    def test_adjacent_value(self):
-        beta = KType(4, 0, 2)
-        gamma = KType(4, 1, 2)
-        nu = Fraction(4, 2)
-        d = kappa(gamma) - kappa(beta)
-        assert transition_coeff(beta, gamma, nu) == Fraction(d + 2 * nu, 2)
-
-    def test_not_adjacent(self):
-        with pytest.raises(NotAdjacent):
-            transition_coeff(KType(4, 0, 0), KType(4, 1, 1), Fraction(2))
-        with pytest.raises(NotAdjacent):
-            transition_coeff(KType(4, 0, 0), KType(4, 0, 0), Fraction(2))
+                        assert kappa(KType(n, j, q + 1)) - kappa(t) == n + 2 * q - 2
 
 
 class TestRecursion:
