@@ -57,15 +57,15 @@ _EXPORTS = {
         "trace_sign_expected",
     ),
     "symbols": (
-        "ExtremalStatement", "FormDefiniteness", "Functional", "PointData",
-        "PrefactorMode", "QuadFormCoeffs", "bracket_D2", "bracket_L",
-        "bracket_definiteness", "evaluate_form", "extremal_classification",
-        "gamma_prefactor", "gamma_prefactor_exact", "zeta0_prefactor_richardson",
+        "ExtremalStatement", "FormDefiniteness", "Functional", "PrefactorMode",
+        "QuadFormCoeffs", "bracket_D2", "bracket_L", "bracket_definiteness",
+        "extremal_classification", "gamma_prefactor", "gamma_prefactor_exact",
+        "zeta0_prefactor_richardson",
     ),
     "qcurv": (
-        "SymbolValue", "ahlfors_symbol", "lin_obstruction_symbol",
-        "lin_ricci_symbol", "lin_scalar_symbol", "lin_schouten_symbol",
-        "project_tt", "q_hessian_expected", "q_hessian_symbol",
+        "ahlfors_symbol", "lin_obstruction_symbol", "lin_ricci_symbol",
+        "lin_scalar_symbol", "lin_schouten_symbol", "project_tt",
+        "q_hessian_expected", "q_hessian_symbol",
     ),
     "confgroup": (
         "MoebiusElement", "RepWeight", "SphereGrid", "TensorField", "act",

@@ -25,7 +25,8 @@ module loads no layer and not numpy.  ``spectrum``, ``signs``, ``traces``,
 load numpy: the exact checks run in ``Fraction`` arithmetic, and
 ``qsymbol`` and the qcurv suite draw from ``random.Random(seed)``.  Only the
 greens suite (its least-squares fits) and the confgroup suite (its Möbius
-grids and ``default_rng(seed)`` draws) load it.  No command imports the
+grids and ``default_rng(seed)`` draws) load it, through ``greens`` and
+``confgroup``; this module imports no numpy.  No command imports the
 standard library's ``dataclass`` module: the records come from
 ``spherehess._record``, and ``inspect`` arrives only with numpy.
 """
@@ -459,49 +460,22 @@ def _suite_qcurv(dim: int, seed: int) -> list[CheckResult]:
     return [_exact("q-symbol-identity-n468", q_symbol_identity_holds(seed, (4, 6, 8), 25))]
 
 
+_CONFGROUP_TOLERANCES = {
+    "lorentz-form": 1e-12,
+    "conformality": 1e-7,
+    "cocycle": 1e-7,
+    "pairing-invariance": _TOL_CONF,
+    "ahlfors-covariance": _TOL_CONF,
+    "kernel-fields": 1e-8,
+}
+
+
 def _suite_confgroup(n: int, seed: int) -> list[CheckResult]:
-    import numpy as np
+    from .confgroup import group_residuals
 
-    from . import confgroup as cg
-
-    rng = np.random.default_rng(seed)
-    elements = [cg.random_moebius(rng, n, 1.0) for _ in range(4)]
-    points = rng.normal(size=(10, n + 1))
-    points /= np.linalg.norm(points, axis=1, keepdims=True)
-
-    lorentz = _worst(cg.lorentz_form_residual(a) for a in elements)
-    conf = _worst(cg.conformality_residual(a, y) for a in elements for y in points)
-    cocycle = _worst(
-        cg.cocycle_residual(a, b, y)
-        for a, b in zip(elements[:2], elements[2:]) for y in points
-    )
-    grid = cg.sphere_grid(n, 40)
-    pair_res = []
-    for _ in range(2):
-        h = cg.random_band_limited_field(rng, n)
-        k = cg.random_band_limited_field(rng, n)
-        a = cg.random_moebius(rng, n, 1.0)
-        pair_res.append(cg.check_pairing_invariance(h, k, a, grid))
-    cov_res = []
-    for _ in range(2):
-        const = rng.normal(size=n)
-        lin = rng.normal(size=(n, n))
-
-        def vec_field(x, const=const, lin=lin):
-            return const + lin @ x + 0.3 * x * float(x @ x)
-
-        phi = cg.random_chart_map(rng, n, max_log_scale=1.0)
-        pts = rng.normal(size=(50, n)) * 0.7
-        cov_res.append(cg.check_ahlfors_covariance(vec_field, phi, pts))
-    kernel = cg.kernel_field_residual(n, rng.normal(size=(10, n)) * 0.8)
-    return [
-        check_against("lorentz-form", lorentz, 1e-12),
-        check_against("conformality", conf, 1e-7),
-        check_against("cocycle", cocycle, 1e-7),
-        check_against("pairing-invariance", _worst(pair_res), _TOL_CONF),
-        check_against("ahlfors-covariance", _worst(cov_res), _TOL_CONF),
-        check_against("kernel-fields", kernel, 1e-8),
-    ]
+    residuals = group_residuals(n, seed)
+    return [check_against(name, _worst(residuals[name]), tol)
+            for name, tol in _CONFGROUP_TOLERANCES.items()]
 
 
 _SUITES = {

@@ -39,7 +39,6 @@ __all__ = [
     "MoebiusElement",
     "moebius_identity",
     "moebius_rotation",
-    "moebius_rotation_matrix",
     "moebius_boost",
     "compose",
     "inverse",
@@ -78,6 +77,7 @@ __all__ = [
     "sphere_conformal_fields",
     "kernel_field_residual",
     "check_ahlfors_covariance",
+    "group_residuals",
 ]
 
 
@@ -122,9 +122,11 @@ class MoebiusElement:
 
 
 def lorentz_form_residual(a: MoebiusElement) -> float:
-    """Max-entry residual of M^T J M - J."""
+    """Max-entry residual of M^T J M - J; inf or nan, without a warning,
+    where an entry is huge or not finite."""
     j = _lorentz_metric(a.n)
-    return float(np.max(np.abs(a.matrix.T @ j @ a.matrix - j)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.max(np.abs(a.matrix.T @ j @ a.matrix - j)))
 
 
 def moebius_identity(n: int) -> MoebiusElement:
@@ -141,14 +143,6 @@ def moebius_rotation(n: int, axis_i: int, axis_j: int, angle: float) -> MoebiusE
     m[axis_j, axis_j] = c
     m[axis_i, axis_j] = -s
     m[axis_j, axis_i] = s
-    return MoebiusElement(n=n, matrix=m)
-
-
-def moebius_rotation_matrix(n: int, rot: np.ndarray) -> MoebiusElement:
-    """Embed an orthogonal (n+1) x (n+1) matrix as a sphere isometry."""
-    rot = np.asarray(rot, dtype=float)
-    m = np.eye(n + 2)
-    m[: n + 1, : n + 1] = rot
     return MoebiusElement(n=n, matrix=m)
 
 
@@ -204,17 +198,24 @@ def inverse(a: MoebiusElement) -> MoebiusElement:
     return MoebiusElement(n=a.n, matrix=j @ a.matrix.T @ j)
 
 
+def _random_orthogonal(rng: np.random.Generator, m: int) -> np.ndarray:
+    """An m x m orthogonal matrix: Q of the QR of a Gaussian draw, with the
+    column signs that make R's diagonal positive."""
+    q, r = np.linalg.qr(rng.normal(size=(m, m)))
+    return q @ np.diag(np.sign(np.diag(r)))
+
+
 def random_moebius(
     rng: np.random.Generator, n: int, max_rapidity: float = 1.0
 ) -> MoebiusElement:
     """Rotation * boost * rotation with rapidity drawn up to the bound."""
     def random_rotation() -> MoebiusElement:
-        gauss = rng.normal(size=(n + 1, n + 1))
-        q, r = np.linalg.qr(gauss)
-        q = q @ np.diag(np.sign(np.diag(r)))
+        q = _random_orthogonal(rng, n + 1)
         if np.linalg.det(q) < 0:
             q[:, 0] = -q[:, 0]
-        return moebius_rotation_matrix(n, q)
+        m = np.eye(n + 2)
+        m[: n + 1, : n + 1] = q
+        return MoebiusElement(n=n, matrix=m)
 
     rap = float(rng.uniform(0.1, max_rapidity))
     direction = rng.normal(size=n + 1)
@@ -465,19 +466,18 @@ def sphere_monomial_integral(exponents: Sequence[int]) -> float:
 
 @dataclass(frozen=True)
 class RepWeight:
-    """Conformal weight data (rho = n/2 always; nu the free parameter)."""
+    """Conformal weight data on S^n: the free parameter nu, a Fraction."""
 
     n: int
-    rho: Fraction
     nu: Fraction
 
     def __post_init__(self) -> None:
-        if self.rho != Fraction(self.n, 2):
-            raise DomainError("rho must equal n/2")
+        object.__setattr__(self, "nu", Fraction(self.nu))
 
-    @classmethod
-    def of(cls, n: int, nu) -> "RepWeight":
-        return cls(n=n, rho=Fraction(n, 2), nu=Fraction(nu))
+    @property
+    def rho(self) -> Fraction:
+        """n/2, the one value the sphere allows."""
+        return Fraction(self.n, 2)
 
     @property
     def pullback_exponent(self) -> float:
@@ -758,7 +758,7 @@ def _pairing_terms(
     n = grid.n
     if a.n != n:
         raise DomainError(f"dimension mismatch: element on S^{a.n}, grid on S^{n}")
-    expos = [RepWeight.of(n, nu).pullback_exponent
+    expos = [RepWeight(n, nu).pullback_exponent
              for nu in (Fraction(-n, 2), Fraction(n, 2))]
     base = np.empty(len(grid.nodes))
     moved = np.empty(len(grid.nodes))
@@ -871,9 +871,7 @@ def chart_inversion(n: int) -> MoebiusElement:
 def random_chart_map(rng: np.random.Generator, n: int,
                      max_log_scale: float = 1.0) -> MoebiusElement:
     """Dilation conjugated by rotations and translations (a chart Moebius map)."""
-    gauss = rng.normal(size=(n, n))
-    q, r = np.linalg.qr(gauss)
-    q = q @ np.diag(np.sign(np.diag(r)))
+    q = _random_orthogonal(rng, n)
     s = math.exp(float(rng.uniform(-max_log_scale, max_log_scale)))
     v = rng.normal(size=n) * 0.4
     return compose(chart_dilation(n, s), compose(chart_rotation(q), chart_translation(v)))
@@ -1086,3 +1084,53 @@ def check_ahlfors_covariance(
     lhs = jac_x.transpose(0, 2, 1) @ s_image @ jac_x
     lhs /= _float_powers(omega[::width], 2)[:, None, None]
     return float(np.max(np.abs(lhs - s_pulled)))
+
+
+def group_residuals(n: int, seed: int) -> dict[str, list[float]]:
+    """The residuals of each group check on S^n (n = 2, 3) over draws from
+    ``numpy.random.default_rng(seed)``, keyed by check name.
+
+    Four elements of :func:`random_moebius` and ten sphere points give the
+    "lorentz-form", "conformality" and "cocycle" residuals; two pairs of
+    band-limited fields, each with a fresh element, the
+    "pairing-invariance" residuals on ``sphere_grid(n, 40)``; two vector
+    fields c + L x + 0.3 x |x|^2, each with a :func:`random_chart_map`, the
+    "ahlfors-covariance" residuals at 50 chart points; ten chart points the
+    one "kernel-fields" residual.  The draws come in that order.
+    """
+    rng = np.random.default_rng(seed)
+    elements = [random_moebius(rng, n, 1.0) for _ in range(4)]
+    points = rng.normal(size=(10, n + 1))
+    points /= np.linalg.norm(points, axis=1, keepdims=True)
+
+    lorentz = [lorentz_form_residual(a) for a in elements]
+    conf = [conformality_residual(a, y) for a in elements for y in points]
+    cocycle = [cocycle_residual(a, b, y)
+               for a, b in zip(elements[:2], elements[2:]) for y in points]
+    grid = sphere_grid(n, 40)
+    pair_res = []
+    for _ in range(2):
+        h = random_band_limited_field(rng, n)
+        k = random_band_limited_field(rng, n)
+        a = random_moebius(rng, n, 1.0)
+        pair_res.append(check_pairing_invariance(h, k, a, grid))
+    cov_res = []
+    for _ in range(2):
+        const = rng.normal(size=n)
+        lin = rng.normal(size=(n, n))
+
+        def vec_field(x, const=const, lin=lin):
+            return const + lin @ x + 0.3 * x * float(x @ x)
+
+        phi = random_chart_map(rng, n, max_log_scale=1.0)
+        pts = rng.normal(size=(50, n)) * 0.7
+        cov_res.append(check_ahlfors_covariance(vec_field, phi, pts))
+    kernel = kernel_field_residual(n, rng.normal(size=(10, n)) * 0.8)
+    return {
+        "lorentz-form": lorentz,
+        "conformality": conf,
+        "cocycle": cocycle,
+        "pairing-invariance": pair_res,
+        "ahlfors-covariance": cov_res,
+        "kernel-fields": [kernel],
+    }

@@ -77,8 +77,6 @@ __all__ = [
     "d2_route_gap",
     "green_D2_closed3",
     "chart_radius",
-    "zform_operator",
-    "homogeneous_mode_residual",
     "homogeneous_coefficient_gap",
     "ode_rows",
     "ode_residual_L",
@@ -729,30 +727,6 @@ def green_D2_closed3(r: float) -> float:
 # ---------------------------------------------------------------------------
 # Radial operator application and residuals.
 # ---------------------------------------------------------------------------
-
-
-def zform_operator(n: int, y: float, y1: float, y2: float, z: float) -> float:
-    """(1-z^2) y'' - n z y' - n(n-2)/4 y at z, from supplied derivatives."""
-    return (1 - z * z) * y2 - n * z * y1 - n * (n - 2) / 4 * y
-
-
-def homogeneous_mode_residual(n: int, sigma: int, z: float) -> float:
-    """Relative residual of the mode (1 - sigma z)^{-(n-2)/2}, sigma = +/-1.
-
-    Closed-form derivatives are used, so the residual measures pure floating
-    cancellation (analytically the modes are exact solutions).
-    """
-    if sigma not in (+1, -1):
-        raise DomainError("sigma must be +1 or -1")
-    if not -1.0 < z < 1.0:
-        raise DomainError("z must lie in (-1, 1)")
-    m = (n - 2) / 2.0
-    y = (1 - sigma * z) ** (-m)
-    y1 = sigma * m * (1 - sigma * z) ** (-m - 1)
-    y2 = m * (m + 1) * (1 - sigma * z) ** (-m - 2)
-    num = abs(zform_operator(n, y, y1, y2, z))
-    scale = abs((1 - z * z) * y2) + abs(n * z * y1) + abs(n * (n - 2) / 4 * y)
-    return num / scale
 
 
 def ode_rows(n: int, kind: str, rs) -> list[tuple[float, float]]:

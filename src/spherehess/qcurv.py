@@ -1,8 +1,9 @@
 """Exact leading-symbol calculus for linearized curvature quantities.
 
 Everything here is flat-background, leading-order, and exact: tensors are
-tuples of `Fraction`s and the single derivative convention sigma(d_j) = i xi_j
-is fixed once, giving
+tuples of `Fraction`s, each symbol function returns its plain `Fraction`
+(scalar symbols) or `FracMat` (matrix symbols), and the single derivative
+convention sigma(d_j) = i xi_j is fixed once, giving
 
     sigma(Laplacian)   = -|xi|^2            (scalar)
     sigma(Hessian)_ij  = -xi_i xi_j         (matrix)
@@ -45,7 +46,6 @@ from .errors import (
 __all__ = [
     "FracVec",
     "FracMat",
-    "SymbolValue",
     "as_vector",
     "as_matrix",
     "identity",
@@ -136,27 +136,6 @@ def _check_symmetric(m: FracMat) -> None:
                 raise DomainError("matrix must be symmetric")
 
 
-@dataclass(frozen=True)
-class SymbolValue:
-    """An exact leading-symbol value at frequency xi: scalar or symmetric matrix."""
-
-    n: int
-    xi: FracVec
-    value: Fraction | FracMat
-
-    def __post_init__(self) -> None:
-        if len(self.xi) != self.n:
-            raise DomainError("xi must have length n")
-        if self.is_matrix:
-            if len(self.value) != self.n:  # type: ignore[arg-type]
-                raise DomainError("matrix value must be n x n")
-            _check_symmetric(self.value)  # type: ignore[arg-type]
-
-    @property
-    def is_matrix(self) -> bool:
-        return not isinstance(self.value, Fraction)
-
-
 def xi_norm_sq(xi: FracVec) -> Fraction:
     return sum((x * x for x in xi), Fraction(0))
 
@@ -219,7 +198,6 @@ class _Cleared:
     """Validated (xi, k) with denominators cleared: xi = x / d, k = kk / e."""
 
     n: int
-    xi: FracVec
     x: list[int]
     kk: _IntMat
     d: int
@@ -241,7 +219,7 @@ def _cleared(n: int, xi, k, *, tt: bool) -> _Cleared:
             raise PreconditionViolation("k must be trace free")
         if any(_int_apply(kk, x)):
             raise PreconditionViolation("k must be transverse (k xi = 0)")
-    return _Cleared(n, xi_v, x, kk, d, e, sum(v * v for v in x))
+    return _Cleared(n, x, kk, d, e, sum(v * v for v in x))
 
 
 def _scalar(c: _Cleared) -> tuple[int, int]:
@@ -281,17 +259,17 @@ def _obstruction(c: _Cleared) -> tuple[_IntMat, int]:
     return value, den * lap_den**power
 
 
-def lin_scalar_symbol(n: int, xi, k) -> SymbolValue:
+def lin_scalar_symbol(n: int, xi, k) -> Fraction:
     """Leading symbol of the linearized scalar curvature: div div k - Lap tr k.
 
     Equals -xi^T k xi + |xi|^2 tr k; vanishes identically on trace-free
     transverse perturbations.
     """
     c = _cleared(n, xi, k, tt=False)
-    return SymbolValue(n=n, xi=c.xi, value=Fraction(*_scalar(c)))
+    return Fraction(*_scalar(c))
 
 
-def lin_ricci_symbol(n: int, xi, k) -> SymbolValue:
+def lin_ricci_symbol(n: int, xi, k) -> FracMat:
     """Leading symbol of the linearized Ricci tensor (no gauge conditions).
 
     (1/2) [ |xi|^2 k - xi (k xi)^T - (k xi) xi^T + (tr k) xi xi^T ]; on
@@ -299,7 +277,7 @@ def lin_ricci_symbol(n: int, xi, k) -> SymbolValue:
     """
     xi_v, k_m = _validated(n, xi, k)
     kxi = mat_apply(k_m, xi_v)
-    value = mat_scale(
+    return mat_scale(
         Fraction(1, 2),
         mat_add(
             mat_scale(xi_norm_sq(xi_v), k_m),
@@ -308,19 +286,18 @@ def lin_ricci_symbol(n: int, xi, k) -> SymbolValue:
             mat_scale(mat_trace(k_m), outer(xi_v, xi_v)),
         ),
     )
-    return SymbolValue(n=n, xi=xi_v, value=value)
 
 
-def lin_schouten_symbol(n: int, xi, k) -> SymbolValue:
+def lin_schouten_symbol(n: int, xi, k) -> FracMat:
     """Leading symbol of the linearized Schouten-type tensor on TT input.
 
     -(1/(2(n-2))) sigma(Laplacian) k = +|xi|^2 k / (2(n-2)).
     """
     c = _cleared(n, xi, k, tt=True)
-    return SymbolValue(n=n, xi=c.xi, value=_fractions(*_schouten(c)))
+    return _fractions(*_schouten(c))
 
 
-def lin_schouten_from_ricci(n: int, xi, k) -> SymbolValue:
+def lin_schouten_from_ricci(n: int, xi, k) -> FracMat:
     """Schouten symbol assembled from the full Ricci symbol (dual route).
 
     (1/(n-2)) [ sigma(lin Ricci) - (1/(2(n-1))) sigma(lin Scal) * delta ];
@@ -330,16 +307,12 @@ def lin_schouten_from_ricci(n: int, xi, k) -> SymbolValue:
     with the integer chain behind :func:`lin_schouten_symbol`.
     """
     xi_v, k_m = _validated(n, xi, k)
-    ricci = lin_ricci_symbol(n, xi_v, k_m).value
-    scal = mat_trace(ricci)  # type: ignore[arg-type]
-    value = mat_scale(
+    ricci = lin_ricci_symbol(n, xi_v, k_m)
+    scal = mat_trace(ricci)
+    return mat_scale(
         Fraction(1, n - 2),
-        mat_add(
-            ricci,  # type: ignore[arg-type]
-            mat_scale(-Fraction(1, 2 * (n - 1)) * scal, identity(n)),
-        ),
+        mat_add(ricci, mat_scale(-Fraction(1, 2 * (n - 1)) * scal, identity(n))),
     )
-    return SymbolValue(n=n, xi=xi_v, value=value)
 
 
 def _check_even(n: int) -> None:
@@ -349,7 +322,7 @@ def _check_even(n: int) -> None:
         raise DomainError(f"n must be >= 4, got {n}")
 
 
-def lin_obstruction_symbol(n: int, xi, k) -> SymbolValue:
+def lin_obstruction_symbol(n: int, xi, k) -> FracMat:
     """Leading symbol of the linearized obstruction tensor, assembled.
 
     sigma(Laplacian)^{n/2-2} [ sigma(Laplacian) sigma(lin Schouten)
@@ -359,19 +332,19 @@ def lin_obstruction_symbol(n: int, xi, k) -> SymbolValue:
     """
     _check_even(n)
     c = _cleared(n, xi, k, tt=True)
-    return SymbolValue(n=n, xi=c.xi, value=_fractions(*_obstruction(c)))
+    return _fractions(*_obstruction(c))
 
 
-def lin_obstruction_symbol_direct(n: int, xi, k) -> SymbolValue:
+def lin_obstruction_symbol_direct(n: int, xi, k) -> FracMat:
     """Direct route: -(1/(2(n-2))) sigma(Laplacian)^{n/2} k."""
     _check_even(n)
     xi_v, k_m = _validated(n, xi, k)
     _require_tt(xi_v, k_m)
     scale = -Fraction(1, 2 * (n - 2)) * laplacian_symbol(xi_v) ** (n // 2)
-    return SymbolValue(n=n, xi=xi_v, value=mat_scale(scale, k_m))
+    return mat_scale(scale, k_m)
 
 
-def q_hessian_symbol(n: int, xi, k) -> SymbolValue:
+def q_hessian_symbol(n: int, xi, k) -> FracMat:
     """n-th order Hessian symbol of the total Q-type curvature functional.
 
     (-1)^{n/2} ((n-2)/2) times the obstruction symbol; on trace-free
@@ -382,18 +355,18 @@ def q_hessian_symbol(n: int, xi, k) -> SymbolValue:
     obstruction, den = _obstruction(c)
     factor = (-1) ** (n // 2) * (n - 2)
     value = [[factor * v for v in row] for row in obstruction]
-    return SymbolValue(n=n, xi=c.xi, value=_fractions(value, 2 * den))
+    return _fractions(value, 2 * den)
 
 
-def q_hessian_expected(n: int, xi, k) -> SymbolValue:
+def q_hessian_expected(n: int, xi, k) -> FracMat:
     """The closed form -|xi|^n / 4 times k (comparison target)."""
     _check_even(n)
     xi_v, k_m = _validated(n, xi, k)
     scale = -Fraction(1, 4) * xi_norm_sq(xi_v) ** (n // 2)
-    return SymbolValue(n=n, xi=xi_v, value=mat_scale(scale, k_m))
+    return mat_scale(scale, k_m)
 
 
-def ahlfors_symbol(n: int, xi, vec) -> SymbolValue:
+def ahlfors_symbol(n: int, xi, vec) -> FracMat:
     """Leading symbol of the conformal Killing operator on a vector.
 
     xi (x) X + X (x) xi - (2/n) (xi . X) Id; trace free by construction and
@@ -407,12 +380,11 @@ def ahlfors_symbol(n: int, xi, vec) -> SymbolValue:
     if len(xi_v) != n or len(x_v) != n:
         raise DomainError("xi and X must have length n")
     dot = sum((a * b for a, b in zip(xi_v, x_v)), Fraction(0))
-    value = mat_add(
+    return mat_add(
         outer(xi_v, x_v),
         outer(x_v, xi_v),
         mat_scale(-Fraction(2, n) * dot, identity(n)),
     )
-    return SymbolValue(n=n, xi=xi_v, value=value)
 
 
 def project_tt(xi, m) -> FracMat:

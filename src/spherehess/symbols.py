@@ -12,11 +12,11 @@ with its exact sign, the Cauchy-Schwarz classification of the bracket on the
 cone (tr K)^2 <= (n-1) tr(K^2), and the resulting local-extremum statements
 for the four functionals det L, zeta_L(0), det D2, zeta_D2(0).
 
-The brackets, prefactors and classification are exact and need only the
-standard library; numpy is imported by the float point evaluation
-(``PointData``, ``point_projector``, ``evaluate_form``) when it runs.  The
-Gamma oracles (``gamma_prefactor_oracle``, ``prefactor_raw``) multiply
-``math.gamma`` values and cover n <= 169.
+The module needs only the standard library.  The brackets, prefactors and
+classification are exact; the bracket is classified on the cone, not
+evaluated at sample points.  The Gamma oracles (``gamma_prefactor_oracle``,
+``prefactor_raw``), the float routes the exact prefactor is checked
+against, multiply ``math.gamma`` values and cover n <= 169.
 """
 
 from __future__ import annotations
@@ -24,18 +24,13 @@ from __future__ import annotations
 import enum
 import math
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from ._record import dataclass
-from .errors import DomainError, ParityError, ZeroCovector
+from .errors import DomainError, ParityError
 from .exact import ExactConst, gamma_half_integer
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "QuadFormCoeffs",
-    "PointData",
     "bracket_L",
     "bracket_D2",
     "PrefactorMode",
@@ -46,8 +41,6 @@ __all__ = [
     "prefactor_raw",
     "zeta0_prefactor_richardson",
     "zeta0_richardson_gap",
-    "point_projector",
-    "evaluate_form",
     "FormDefiniteness",
     "bracket_definiteness",
     "s0_bracket_check",
@@ -73,30 +66,6 @@ class QuadFormCoeffs:
     def __post_init__(self) -> None:
         if self.extra_factor <= 0:
             raise DomainError("extra_factor must be positive")
-
-
-@dataclass(frozen=True)
-class PointData:
-    """A pointwise sample (k, xi) for evaluating the symbol form."""
-
-    n: int
-    k: np.ndarray
-    xi: np.ndarray
-
-    def __post_init__(self) -> None:
-        import numpy as np
-
-        k = np.asarray(self.k, dtype=float)
-        xi = np.asarray(self.xi, dtype=float)
-        if k.shape != (self.n, self.n):
-            raise DomainError(f"k must be {self.n}x{self.n}, got {k.shape}")
-        if xi.shape != (self.n,):
-            raise DomainError(f"xi must have length {self.n}")
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "xi", xi)
-        scale = max(float(np.max(np.abs(k))), 1.0)
-        if float(np.max(np.abs(k - k.T))) > 1e-12 * scale:
-            raise DomainError("k must be symmetric")
 
 
 def bracket_L(n: int, s: Fraction | int) -> QuadFormCoeffs:
@@ -249,39 +218,6 @@ def zeta0_richardson_gap(n: int) -> float:
     rich = zeta0_prefactor_richardson(n)
     exact = gamma_prefactor(n, PrefactorMode.ZETA0_LIMIT_AT_ZERO)[0]
     return abs(rich - exact) / abs(exact)
-
-
-def point_projector(xi: np.ndarray) -> np.ndarray:
-    """Orthogonal projector onto the hyperplane normal to xi."""
-    import numpy as np
-
-    xi = np.asarray(xi, dtype=float)
-    nrm2 = float(xi @ xi)
-    if nrm2 == 0.0:
-        raise ZeroCovector("xi must be nonzero")
-    return np.eye(len(xi)) - np.outer(xi, xi) / nrm2
-
-
-def evaluate_form(
-    coeffs: QuadFormCoeffs,
-    prefactor: float,
-    p: PointData,
-    s_power: float,
-) -> float:
-    """prefactor * extra * |xi|^{s_power} * (a t^2 + b u).
-
-    t = tr(k Pi) and u = tr((k Pi)^2) with Pi the projector normal to xi;
-    u equals the squared Frobenius norm of the compression Pi k Pi.
-    """
-    import numpy as np
-
-    proj = point_projector(p.xi)
-    kp = p.k @ proj
-    t = float(np.trace(kp))
-    u = float(np.trace(kp @ kp))
-    xi_norm = float(np.linalg.norm(p.xi))
-    bracket = float(coeffs.a) * t * t + float(coeffs.b) * u
-    return prefactor * float(coeffs.extra_factor) * xi_norm**s_power * bracket
 
 
 class FormDefiniteness(enum.Enum):

@@ -53,16 +53,13 @@ from spherehess.spectrum import (
 from spherehess.symbols import (
     FormDefiniteness,
     Functional,
-    PointData,
     PrefactorMode,
     bracket_D2,
     bracket_L,
     bracket_definiteness,
-    evaluate_form,
     extremal_classification,
     gamma_prefactor,
     gamma_prefactor_oracle,
-    point_projector,
     zeta0_prefactor_richardson,
 )
 
@@ -145,7 +142,7 @@ def test_criterion_05_q_hessian_symbol_identity_on_random_rational_input():
             k = project_tt(xi, sym)
             if all(v == 0 for row in k for v in row):
                 continue
-            assert q_hessian_symbol(n, xi, k).value == q_hessian_expected(n, xi, k).value
+            assert q_hessian_symbol(n, xi, k) == q_hessian_expected(n, xi, k)
             done += 1
 
 
@@ -319,15 +316,23 @@ def test_criterion_10_bracket_semidefiniteness_and_null_ray():
     # At s = 0 the second-order bracket is positive semidefinite and the
     # first-order-square bracket negative semidefinite for every n in
     # [3, 13]; the boundary ray k proportional to the transverse projector
-    # makes both forms vanish to 1e-12.
+    # of a random rational covector makes both forms vanish exactly.
     rng = np.random.default_rng(7)
     for n in range(3, 14):
         coeffs_l = bracket_L(n, 0)
         coeffs_d = bracket_D2(n, 0)
         assert bracket_definiteness(coeffs_l, n - 1) is FormDefiniteness.POS_SEMIDEF
         assert bracket_definiteness(coeffs_d, n - 1) is FormDefiniteness.NEG_SEMIDEF
-        xi = rng.normal(size=n)
-        point = PointData(n=n, k=point_projector(xi), xi=xi)
+        xi = [0] * n
+        while not any(xi):
+            xi = [Fraction(int(num), int(den)) for num, den in
+                  zip(rng.integers(-9, 10, n), rng.integers(1, 7, n))]
+        nrm = sum(x * x for x in xi)
+        proj = [[int(i == j) - xi[i] * xi[j] / nrm for j in range(n)] for i in range(n)]
+        # k P with k = P; t = tr(k P), u = tr((k P)^2)
+        kp = [[sum(proj[i][m] * proj[m][j] for m in range(n)) for j in range(n)]
+              for i in range(n)]
+        t = sum(kp[i][i] for i in range(n))
+        u = sum(kp[i][j] * kp[j][i] for i in range(n) for j in range(n))
         for coeffs in (coeffs_l, coeffs_d):
-            value = evaluate_form(coeffs, 1.0, point, 0.0)
-            assert abs(value) <= 1e-12
+            assert coeffs.a * t * t + coeffs.b * u == 0

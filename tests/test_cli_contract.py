@@ -157,6 +157,21 @@ class TestImportHygiene:
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "prefactor-vs-oracle" in proc.stdout
 
+    @pytest.mark.parametrize("module", ["exact", "ktypes", "spectrum", "symbols",
+                                        "qcurv", "_record", "_nanmax", "cli"])
+    def test_stdlib_only_module_imports_no_numpy(self, module):
+        # An import inside a function counts: it loads numpy when it runs.
+        import ast
+
+        path = Path(spherehess.__file__).parent / f"{module}.py"
+        imported = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+        assert "numpy" not in imported
+
     def test_reading_a_name_imports_only_its_submodule(self):
         proc = _python("-c", (
             "import sys, spherehess\n"
@@ -191,13 +206,13 @@ _PUBLIC = {
         ode_residual_L ode_residual_L2 regular_part spectral_convention_factor
         spectral_trace_reference tau_tail_exact tau_tail_quadrature
         trace_from_pipeline trace_sign_expected""",
-    "symbols": """ExtremalStatement FormDefiniteness Functional PointData
-        PrefactorMode QuadFormCoeffs bracket_D2 bracket_L bracket_definiteness
-        evaluate_form extremal_classification gamma_prefactor
-        gamma_prefactor_exact zeta0_prefactor_richardson""",
-    "qcurv": """SymbolValue ahlfors_symbol lin_obstruction_symbol
-        lin_ricci_symbol lin_scalar_symbol lin_schouten_symbol project_tt
-        q_hessian_expected q_hessian_symbol""",
+    "symbols": """ExtremalStatement FormDefiniteness Functional PrefactorMode
+        QuadFormCoeffs bracket_D2 bracket_L bracket_definiteness
+        extremal_classification gamma_prefactor gamma_prefactor_exact
+        zeta0_prefactor_richardson""",
+    "qcurv": """ahlfors_symbol lin_obstruction_symbol lin_ricci_symbol
+        lin_scalar_symbol lin_schouten_symbol project_tt q_hessian_expected
+        q_hessian_symbol""",
     "confgroup": """MoebiusElement RepWeight SphereGrid TensorField act
         ahlfors_chart check_ahlfors_covariance check_pairing_invariance compose
         conformal_factor moebius_boost moebius_rotation pairing

@@ -137,10 +137,12 @@ class TestGroup:
             m[np.unravel_index(np.argmax(np.abs(m)), m.shape)] *= 1 + 1e-9
             with pytest.raises(DomainError, match="violates the Lorentz form"):
                 confgroup.MoebiusElement(3, m)
-        # Residual and bound both overflow to inf here.
-        with np.errstate(over="ignore"), pytest.raises(
-                DomainError, match=r"by inf \(> inf\)"):
+        # Residual and bound both overflow to inf here, and an inf entry
+        # makes the residual nan; neither emits a RuntimeWarning first.
+        with pytest.raises(DomainError, match=r"by inf \(> inf\)"):
             confgroup.MoebiusElement(2, np.diag([1e200, 1.0, 1.0, 1.0]))
+        with pytest.raises(DomainError, match=r"by nan \(> inf\)"):
+            confgroup.MoebiusElement(2, np.diag([math.inf, 1.0, 1.0, 1.0]))
 
     def test_boost_axis_outside_the_dimension_is_refused(self):
         # This was a bare IndexError.
@@ -282,7 +284,7 @@ class TestTensorAction:
         a = random_moebius(rng, 3, 1.0)
         fld = {"polynomial": f3, "metric": metric_field(3),
                "pullback": pullback_field(a, f3),
-               "u_action": u_action(RepWeight.of(3, 1), a, f3)}[field]
+               "u_action": u_action(RepWeight(3, 1), a, f3)}[field]
         with pytest.raises(DomainError, match=(
                 r"^dimension mismatch: points of shape \(78, 3\) for a field "
                 r"on S\^3, which takes width 4$")):
@@ -308,7 +310,7 @@ class TestTensorAction:
         rng = np.random.default_rng(6)
         n = 2
         g = sphere_grid(n, 20)
-        w = RepWeight.of(n, Fraction(1, 2))
+        w = RepWeight(n, Fraction(1, 2))
         fld = random_band_limited_field(rng, n)
         a = random_moebius(rng, n, 0.7)
         b = random_moebius(rng, n, 0.7)
@@ -336,9 +338,14 @@ class TestTensorAction:
             polynomial_tensor_field(2, np.eye(3), quadratic=[(0, 1, np.eye(4))])
 
     def test_rep_weight_validation(self):
-        with pytest.raises(DomainError):
+        # rho = n/2 is derived, not stored: it cannot be passed, and nu is
+        # held as a Fraction whatever rational it was given as.
+        with pytest.raises(TypeError):
             RepWeight(n=2, rho=Fraction(3, 2), nu=Fraction(0))
-        assert RepWeight.of(3, Fraction(-3, 2)).pullback_exponent == -2.0
+        w = RepWeight(3, -1.5)
+        assert (w.rho, w.nu) == (Fraction(3, 2), Fraction(-3, 2))
+        assert type(w.nu) is Fraction and w == RepWeight(3, Fraction(-3, 2))
+        assert w.pullback_exponent == -2.0
 
 
 def _whole_grid_pairing(h, k, g):
@@ -593,7 +600,7 @@ class TestSameBits:
         ys /= np.linalg.norm(ys, axis=1, keepdims=True)
         fld = random_band_limited_field(rng, n)
         for nu in (Fraction(-n, 2), Fraction(n, 2), Fraction(1, 3)):
-            w = RepWeight.of(n, nu)
+            w = RepWeight(n, nu)
             a = random_moebius(rng, n, 1.0)
             jac = differential_many(a, ys)
             pulled = np.einsum("nji,njk,nkl->nil",
@@ -607,9 +614,9 @@ class TestSameBits:
         n = 2
         rng = np.random.default_rng(50)
         g = sphere_grid(n, 60)  # 7,260 nodes: 8 blocks of 907 or 908
-        hw = u_action(RepWeight.of(n, Fraction(-n, 2)),
+        hw = u_action(RepWeight(n, Fraction(-n, 2)),
                       random_moebius(rng, n, 1.0), random_band_limited_field(rng, n))
-        kw = u_action(RepWeight.of(n, Fraction(n, 2)),
+        kw = u_action(RepWeight(n, Fraction(n, 2)),
                       random_moebius(rng, n, 1.0), random_band_limited_field(rng, n))
         want = _whole_grid_pairing(hw, kw, g)
         assert pairing(hw, kw, g) == want
@@ -634,8 +641,8 @@ class TestSameBits:
         base = pairing(h, k, g)
         assert base == _whole_grid_pairing(h, k, g)
         for a in elements:
-            hw = u_action(RepWeight.of(n, Fraction(-n, 2)), a, h)
-            kw = u_action(RepWeight.of(n, Fraction(n, 2)), a, k)
+            hw = u_action(RepWeight(n, Fraction(-n, 2)), a, h)
+            kw = u_action(RepWeight(n, Fraction(n, 2)), a, k)
             moved = pairing(hw, kw, g)
             assert moved == _whole_grid_pairing(hw, kw, g)
             assert confgroup._pairing_terms(h, k, a, g) == (base, moved)
@@ -666,7 +673,7 @@ class TestSameBits:
         with pytest.raises(Degenerate, match=message):
             confgroup._pairing_terms(h, k, flip, g)
         with pytest.raises(Degenerate, match=message):
-            u_action(RepWeight.of(n, Fraction(-n, 2)), flip, h).raw(g.nodes)
+            u_action(RepWeight(n, Fraction(-n, 2)), flip, h).raw(g.nodes)
         # The plain pullback needs no conformal factor and still accepts it.
         assert np.all(np.isfinite(pullback_field(flip, h).raw(g.nodes)))
 

@@ -29,7 +29,6 @@ from spherehess.greens import (
     green_L2_profile,
     green_D2_profile,
     homogeneous_coefficient_gap,
-    homogeneous_mode_residual,
     kv_trace_D2,
     kv_trace_L2,
     ode_residual_L,
@@ -43,7 +42,6 @@ from spherehess.greens import (
     tau_tail_quadrature,
     trace_from_pipeline,
     trace_sign_expected,
-    zform_operator,
 )
 
 R_GRID = [0.3 + 0.1 * i for i in range(28)]
@@ -192,25 +190,23 @@ class TestGreenL:
     def test_ode_residual(self, n):
         assert ode_residual_L(n, R_GRID) <= 1e-8
 
-    @pytest.mark.parametrize("n", [3, 5, 7])
+    @pytest.mark.parametrize("n", [3, 5, 7, 9, 11, 13])
     def test_homogeneous_modes_in_z_form(self, n):
+        # y = (1 - sigma z)^(-m), m = (n-2)/2, has y' = sigma m (1 - sigma z)^(-m-1)
+        # and y'' = m (m+1) (1 - sigma z)^(-m-2); divided by (1 - sigma z)^(-m-2),
+        # (1-z^2) y'' - n z y' - n(n-2)/4 y is the polynomial below, which
+        # vanishes identically.
+        m = Fraction(n - 2, 2)
         for sigma in (+1, -1):
-            for z in (-0.7, 0.0, 0.4, 0.9):
-                assert abs(homogeneous_mode_residual(n, sigma, z)) < 1e-11
+            for z in (Fraction(-7, 10), Fraction(0), Fraction(2, 5), Fraction(9, 10),
+                      Fraction(-1, 3), Fraction(5, 7)):
+                w = 1 - sigma * z
+                assert ((1 - z * z) * m * (m + 1) - n * sigma * z * m * w
+                        - Fraction(n * (n - 2), 4) * w * w) == 0
 
     def test_even_dimension_rejected(self):
         with pytest.raises(ParityError):
             green_L(4, 1.0)
-
-    def test_z_form_linearity(self):
-        # the z-form operator is linear in (y, y', y'')
-        val = zform_operator(5, 2.0, 3.0, 4.0, 0.3)
-        parts = (
-            zform_operator(5, 2.0, 0.0, 0.0, 0.3)
-            + zform_operator(5, 0.0, 3.0, 0.0, 0.3)
-            + zform_operator(5, 0.0, 0.0, 4.0, 0.3)
-        )
-        assert val == pytest.approx(parts, rel=1e-14)
 
 
 class TestGreenL2:

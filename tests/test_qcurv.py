@@ -57,6 +57,10 @@ def _sym(rows):
                       for i in range(len(mat))])
 
 
+def _symmetric(mat):
+    return all(mat[i][j] == mat[j][i] for i in range(len(mat)) for j in range(i))
+
+
 def _tt_sample(rng_ints, n):
     """Build a transverse trace-free rational matrix from an integer seed."""
     if not any(rng_ints):
@@ -86,20 +90,20 @@ class TestScalarAndRicci:
         xi = _vec((1, 0, 0, 0))
         k = _sym([[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 3, 0], [0, 0, 0, 4]])
         # -xi.k xi + |xi|^2 tr k = -2 + 20
-        assert lin_scalar_symbol(4, xi, k).value == 18
+        assert lin_scalar_symbol(4, xi, k) == 18
 
     def test_scalar_vanishes_on_tt(self):
         xi, k = _tt_sample([1, 2, -1, 3, 0, 1, -2, 4, 1, 0, 2, -3, 1, 1, 0,
                             2, -1, 3, 2, 0, 1], 4)
-        assert lin_scalar_symbol(4, xi, k).value == 0
+        assert lin_scalar_symbol(4, xi, k) == 0
 
     def test_ricci_is_symmetric_and_traces_to_scalar(self):
         xi = _vec((1, 2, 0, -1))
         k = _sym([[2, 1, 0, 0], [1, -1, 3, 0], [0, 3, 0, 1], [0, 0, 1, 2]])
-        ric = lin_ricci_symbol(4, xi, k).value
+        ric = lin_ricci_symbol(4, xi, k)
         assert all(ric[i][j] == ric[j][i] for i in range(4) for j in range(4))
         # the trace of the Ricci linearization recovers the scalar one
-        scal = lin_scalar_symbol(4, xi, k).value
+        scal = lin_scalar_symbol(4, xi, k)
         assert mat_trace(ric) == scal
 
 
@@ -109,8 +113,8 @@ class TestSchouten:
                 0, 1, 2, -1, 0, 4, 1]
         for n in (4, 6):
             xi, k = _tt_sample(data, n)
-            a = lin_schouten_symbol(n, xi, k).value
-            b = lin_schouten_from_ricci(n, xi, k).value
+            a = lin_schouten_symbol(n, xi, k)
+            b = lin_schouten_from_ricci(n, xi, k)
             assert a == b
 
     @settings(max_examples=30, deadline=None)
@@ -125,17 +129,17 @@ class TestSchouten:
             xi = _vec((1, *xi[1:]))
         k = _sym([[Fraction(data[n + n * i + j], den + 1) for j in range(n)]
                   for i in range(n)])
-        ricci = lin_ricci_symbol(n, xi, k).value
-        scal = lin_scalar_symbol(n, xi, k).value
+        ricci = lin_ricci_symbol(n, xi, k)
+        scal = lin_scalar_symbol(n, xi, k)
         assert mat_trace(ricci) == scal
         want = mat_scale(Fraction(1, n - 2), mat_add(
             ricci, mat_scale(-Fraction(1, 2 * (n - 1)) * scal, identity(n))))
-        assert lin_schouten_from_ricci(n, xi, k).value == want
+        assert lin_schouten_from_ricci(n, xi, k) == want
 
     def test_tt_value(self):
         xi, k = _tt_sample([2, 0, -1, 1, 3, -2, 0, 1, 2, 4, -1, 0, 1, 2, 0,
                             3, 1, -1, 0, 2], 4)
-        got = lin_schouten_symbol(4, xi, k).value
+        got = lin_schouten_symbol(4, xi, k)
         want = mat_scale(xi_norm_sq(xi) * Fraction(1, 2 * (4 - 2)), k)
         assert got == want
 
@@ -151,8 +155,8 @@ class TestObstruction:
     def test_assembled_equals_direct_equals_closed_form(self, n):
         data = list(range(1, n * n + n + 5))
         xi, k = _tt_sample(data, n)
-        assembled = lin_obstruction_symbol(n, xi, k).value
-        direct = lin_obstruction_symbol_direct(n, xi, k).value
+        assembled = lin_obstruction_symbol(n, xi, k)
+        direct = lin_obstruction_symbol_direct(n, xi, k)
         closed = mat_scale(
             Fraction((-1) ** (n // 2 + 1), 2 * (n - 2)) * xi_norm_sq(xi) ** (n // 2),
             k,
@@ -176,7 +180,7 @@ class TestQHessian:
         got = q_hessian_symbol(n, xi, k)
         want = q_hessian_expected(n, xi, k)
         assert got == want
-        assert got.value == mat_scale(
+        assert got == mat_scale(
             -Fraction(1, 4) * xi_norm_sq(xi) ** (n // 2), k
         )
 
@@ -185,15 +189,16 @@ class TestAhlfors:
     def test_trace_free(self):
         xi = _vec((1, 2, -1, 0))
         vec = _vec((3, 0, 1, -2))
-        s = ahlfors_symbol(4, xi, vec).value
+        s = ahlfors_symbol(4, xi, vec)
         assert mat_trace(s) == 0
+        assert _symmetric(s)
 
     def test_adjoint_identity_on_tt(self):
         # <S(xi, X), k> = <X, 2 k xi> for trace-free transverse k
         xi, k = _tt_sample([1, -1, 2, 0, 3, 1, 0, -2, 1, 2, 0, 1, 3, -1, 0,
                             1, 2, 0, -1, 1], 4)
         vec = _vec((2, -1, 0, 3))
-        s = ahlfors_symbol(4, xi, vec).value
+        s = ahlfors_symbol(4, xi, vec)
         lhs = frobenius(s, k)
         rhs = sum(
             2 * v * kv for v, kv in zip(vec, mat_apply(k, xi))
@@ -331,8 +336,8 @@ class TestIntegerRoute:
         assert k == _ref_project_tt(xi, m)
         assert _all_fractions(k)
         got = lin_scalar_symbol(n, xi, m)
-        assert got.value == _ref_scalar(n, xi, m)
-        assert type(got.value) is Fraction
+        assert got == _ref_scalar(n, xi, m)
+        assert type(got) is Fraction
         # The same TT direction as Fractions, as ints, and as floats.
         scale = math.lcm(*(v.denominator for row in k for v in row))
         k_int = [[int(v * scale) for v in row] for row in k]
@@ -342,9 +347,17 @@ class TestIntegerRoute:
         for kk in variants:
             for fn, ref in _CHAIN:
                 got = fn(n, xi, kk)
-                assert got.value == ref(n, xi, kk)
-                assert got.xi == as_vector(xi)
-                assert _all_fractions(got.value)
+                assert got == ref(n, xi, kk)
+                assert _all_fractions(got)
+                if fn is not lin_scalar_symbol:
+                    assert _symmetric(got)
+        # The Fraction routes the chain is checked against, on TT input
+        # (lin_ricci_symbol and lin_schouten_from_ricci also off it).
+        for fn in (lin_ricci_symbol, lin_schouten_from_ricci,
+                   lin_obstruction_symbol_direct, q_hessian_expected):
+            assert _symmetric(fn(n, xi, k))
+        for fn in (lin_ricci_symbol, lin_schouten_from_ricci):
+            assert _symmetric(fn(n, xi, m))
 
     @pytest.mark.parametrize("fn, args, error, message", [
         (project_tt, ((1, 2, 0), ((1, 2, 0), (0, 1, 0), (0, 0, 1))),

@@ -1,6 +1,6 @@
 """The package's value records behave as the standard frozen dataclasses did.
 
-One sample of each of the 22 record classes pins its ``repr`` (error
+One sample of each of the 20 record classes pins its ``repr`` (error
 messages print them, e.g. the unreached modes of ``InconsistentSystem``),
 equality and inequality, hashing and immutability.  A sample that holds a
 dict, a list or an array is unhashable, as it was before.
@@ -30,14 +30,12 @@ from spherehess.greens import (
     TraceKind,
 )
 from spherehess.ktypes import DominantWeight, KType
-from spherehess.qcurv import SymbolValue, _Cleared
+from spherehess.qcurv import _Cleared
 from spherehess.spectrum import Classification, HessianKind, SpectrumTable
-from spherehess.symbols import ExtremalStatement, Functional, PointData, QuadFormCoeffs
+from spherehess.symbols import ExtremalStatement, Functional, QuadFormCoeffs
 
 F = Fraction
 EYE4, EYE5 = np.eye(4), np.eye(5)
-K2, XI2 = np.array([[1.0, 0.0], [0.0, 2.0]]), np.array([1.0, 0.0])
-K3, XI3 = np.eye(3), np.array([0.0, 0.0, 1.0])
 NODE2, WEIGHT2 = np.zeros((1, 3)), np.array([4 * math.pi])
 NODE3, WEIGHT3 = np.zeros((1, 4)), np.array([2 * math.pi**2])
 
@@ -68,22 +66,14 @@ CASES = {
                        lambda: QuadFormCoeffs(F(1), F(-3)),
                        "QuadFormCoeffs(a=Fraction(1, 1), b=Fraction(-2, 1), "
                        "extra_factor=Fraction(1, 1))"),
-    "PointData": (lambda: PointData(2, K2, XI2), lambda: PointData(3, K3, XI3),
-                  "PointData(n=2, k=array([[1., 0.],\n       [0., 2.]]), "
-                  "xi=array([1., 0.]))"),
     "ExtremalStatement": (
         lambda: ExtremalStatement(Functional.DET_L, 3, 1, 1, -1, "(-1)^k", "max"),
         lambda: ExtremalStatement(Functional.DET_L, 5, 1, 1, -1, "(-1)^k", "max"),
         "ExtremalStatement(functional=<Functional.DET_L: 'DET_L'>, n=3, k=1, "
         "c_sign=1, max_sign=-1, pattern='(-1)^k', text='max')"),
-    "SymbolValue": (lambda: SymbolValue(2, (F(1), F(0)), F(3)),
-                    lambda: SymbolValue(2, (F(1), F(0)), F(4)),
-                    "SymbolValue(n=2, xi=(Fraction(1, 1), Fraction(0, 1)), "
-                    "value=Fraction(3, 1))"),
-    "_Cleared": (lambda: _Cleared(2, (F(1), F(0)), [1, 0], [[1, 0], [0, 1]], 1, 1, 1),
-                 lambda: _Cleared(2, (F(1), F(0)), [1, 0], [[1, 0], [0, 1]], 1, 2, 1),
-                 "_Cleared(n=2, xi=(Fraction(1, 1), Fraction(0, 1)), x=[1, 0], "
-                 "kk=[[1, 0], [0, 1]], d=1, e=1, nrm=1)"),
+    "_Cleared": (lambda: _Cleared(2, [1, 0], [[1, 0], [0, 1]], 1, 1, 1),
+                 lambda: _Cleared(2, [1, 0], [[1, 0], [0, 1]], 1, 2, 1),
+                 "_Cleared(n=2, x=[1, 0], kk=[[1, 0], [0, 1]], d=1, e=1, nrm=1)"),
     "SphereConstants": (
         lambda: SphereConstants(5, ExactConst(F(1)), ExactConst(F(2)), ExactConst(F(3))),
         lambda: SphereConstants(7, ExactConst(F(1)), ExactConst(F(2)), ExactConst(F(3))),
@@ -112,8 +102,8 @@ CASES = {
                    lambda: SphereGrid(3, NODE3, WEIGHT3),
                    "SphereGrid(n=2, nodes=array([[0., 0., 0.]]), "
                    "weights=array([12.56637061]))"),
-    "RepWeight": (lambda: RepWeight.of(2, 1), lambda: RepWeight.of(2, 0),
-                  "RepWeight(n=2, rho=Fraction(1, 1), nu=Fraction(1, 1))"),
+    "RepWeight": (lambda: RepWeight(2, 1), lambda: RepWeight(2, 0),
+                  "RepWeight(n=2, nu=Fraction(1, 1))"),
     "TensorField": (lambda: TensorField(2, abs), lambda: TensorField(3, abs),
                     "TensorField(n=2, raw=<built-in function abs>)"),
     "CheckResult": (lambda: CheckResult("c", "PASS", 0.5, 1.0),
@@ -128,7 +118,7 @@ CASES = {
                        f"results=('r',), checks=(), version={__version__!r})"),
 }
 MUTABLE = {"SpectrumTable", "RadialGreen"}
-UNHASHABLE = {"PointData", "_Cleared", "RegularPartResult", "MoebiusElement",
+UNHASHABLE = {"_Cleared", "RegularPartResult", "MoebiusElement",
               "SphereGrid", "ReportEnvelope"}
 
 

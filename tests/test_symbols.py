@@ -2,28 +2,25 @@
 classification chain."""
 
 import math
+import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spherehess.errors import DomainError, ParityError, ZeroCovector
+from spherehess.errors import DomainError, ParityError
 from spherehess.symbols import (
     Functional,
     FormDefiniteness,
-    PointData,
     PrefactorMode,
     QuadFormCoeffs,
     bracket_D2,
     bracket_L,
     bracket_definiteness,
-    evaluate_form,
     extremal_classification,
     gamma_prefactor,
     gamma_prefactor_exact,
     gamma_prefactor_oracle,
-    point_projector,
     prefactor_raw,
     zeta0_prefactor_richardson,
 )
@@ -142,63 +139,59 @@ class TestGammaPrefactor:
         assert prefactor_raw(6, 1e-7) == pytest.approx(exact, rel=1e-5)
 
 
-def _random_point(rng, n):
-    k = rng.normal(size=(n, n))
-    k = (k + k.T) / 2
-    xi = rng.normal(size=n)
-    while np.linalg.norm(xi) < 0.1:
-        xi = rng.normal(size=n)
-    return PointData(n=n, k=k, xi=xi)
+def _rational(rng):
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+
+
+def _projector(xi):
+    """The orthogonal projector normal to a nonzero rational covector."""
+    nrm = sum(x * x for x in xi)
+    return [[int(i == j) - xi[i] * xi[j] / nrm for j in range(len(xi))]
+            for i in range(len(xi))]
+
+
+def _t_u(k, proj):
+    """t = tr(k P) and u = tr((k P)^2), exactly.
+
+    The product runs on integers: with e and d the common denominators of
+    k and P, (e k)(d P) = e d k P.
+    """
+    n = len(k)
+    e = math.lcm(*(v.denominator for row in k for v in row))
+    d = math.lcm(*(v.denominator for row in proj for v in row))
+    ke = [[v.numerator * (e // v.denominator) for v in row] for row in k]
+    pd = [[v.numerator * (d // v.denominator) for v in row] for row in proj]
+    kp = [[sum(ke[i][m] * pd[m][j] for m in range(n)) for j in range(n)]
+          for i in range(n)]
+    scale = e * d
+    return (Fraction(sum(kp[i][i] for i in range(n)), scale),
+            Fraction(sum(kp[i][j] * kp[j][i] for i in range(n) for j in range(n)),
+                     scale * scale))
 
 
 class TestEvaluateForm:
     def test_cauchy_schwarz_cone(self):
-        # t^2 <= (n-1) u for every symmetric k and covector xi
-        rng = np.random.default_rng(0)
+        # t^2 <= (n-1) u for every symmetric k and covector xi: the cone on
+        # which bracket_definiteness classifies the bracket.
+        rng = random.Random(0)
         for _ in range(1000):
-            n = int(rng.integers(3, 9))
-            p = _random_point(rng, n)
-            proj = point_projector(p.xi)
-            kp = p.k @ proj
-            t = np.trace(kp)
-            u = np.trace(kp @ kp)
-            assert t * t <= (n - 1) * u + 1e-9 * max(1.0, abs(u))
-
-    def test_rotation_invariance(self):
-        rng = np.random.default_rng(1)
-        coeffs = bracket_L(5, Fraction(3, 2))
-        for _ in range(50):
-            p = _random_point(rng, 5)
-            gauss = rng.normal(size=(5, 5))
-            qmat, rmat = np.linalg.qr(gauss)
-            qmat = qmat @ np.diag(np.sign(np.diag(rmat)))
-            rotated = PointData(n=5, k=qmat @ p.k @ qmat.T, xi=qmat @ p.xi)
-            a = evaluate_form(coeffs, 1.3, p, -5.0)
-            b = evaluate_form(coeffs, 1.3, rotated, -5.0)
-            assert b == pytest.approx(a, rel=1e-10, abs=1e-10)
-
-    def test_scaling_homogeneity(self):
-        rng = np.random.default_rng(2)
-        coeffs = bracket_D2(5, Fraction(1, 2))
-        p = _random_point(rng, 5)
-        doubled = PointData(n=5, k=2.0 * p.k, xi=p.xi)
-        a = evaluate_form(coeffs, 1.0, p, 0.0)
-        b = evaluate_form(coeffs, 1.0, doubled, 0.0)
-        assert b == pytest.approx(4.0 * a, rel=1e-12)
-
-    def test_zero_covector_rejected(self):
-        with pytest.raises(ZeroCovector):
-            point_projector(np.zeros(4))
+            n = rng.randint(3, 8)
+            xi = [0] * n
+            while not any(xi):
+                xi = [_rational(rng) for _ in range(n)]
+            raw = [[_rational(rng) for _ in range(n)] for _ in range(n)]
+            k = [[raw[i][j] + raw[j][i] for j in range(n)] for i in range(n)]
+            t, u = _t_u(k, _projector(xi))
+            assert t * t <= (n - 1) * u
 
     def test_null_ray_at_s_zero(self):
-        # K proportional to the projector makes the bracket value vanish
+        # K = P, the projector normal to xi, makes the bracket value vanish
         for n in range(3, 14):
-            xi = np.zeros(n)
-            xi[0] = 1.0
-            proj = point_projector(xi)
-            p = PointData(n=n, k=proj, xi=xi)
-            val = evaluate_form(bracket_L(n, 0), 1.0, p, 0.0)
-            assert abs(val) <= 1e-12
+            proj = _projector([Fraction(i + 1, 2) for i in range(n)])
+            t, u = _t_u(proj, proj)
+            assert t == u == n - 1
+            coeffs = bracket_L(n, 0)
+            assert coeffs.a * t * t + coeffs.b * u == 0
 
 
 class TestDefiniteness:
