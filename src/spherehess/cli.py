@@ -264,16 +264,6 @@ def cmd_spectrum(n: int, j_max: int) -> ReportEnvelope:
 # ---------------------------------------------------------------------------
 
 
-# Keyed by symbols.Functional name, so that importing the CLI imports no
-# layer.
-_EXPECTED_PATTERN = {
-    "DET_L": "(-1)^(k+1) det L is a local maximum",
-    "ZETA0_L": "(-1)^(k+1) zeta_L(0) is a local maximum",
-    "DET_D2": "(-1)^(k) det D2 is a local maximum",
-    "ZETA0_D2": "(-1)^(k) zeta_D2(0) is a local maximum",
-}
-
-
 def cmd_signs(n_max: int) -> ReportEnvelope:
     from . import symbols
 
@@ -290,7 +280,7 @@ def cmd_signs(n_max: int) -> ReportEnvelope:
                              "NOT-APPLICABLE"))
                 continue
             applicable += 1
-            agree = st.pattern == _EXPECTED_PATTERN[functional.name]
+            agree = symbols.printed_pattern_agrees(st)
             all_agree = all_agree and agree
             rows.append(
                 (str(n), functional.name, str(st.k),
@@ -317,15 +307,10 @@ def cmd_traces(k_max: int) -> ReportEnvelope:
 
     params = {"kmax": str(k_max)}
     rows: list[tuple[str, ...]] = []
-    signs_ok = True
-    for kind, label, trace in ((greens.TraceKind.L2, "L^2", greens.kv_trace_L2),
-                               (greens.TraceKind.D2, "D^2", greens.kv_trace_D2)):
+    for label, trace in (("L^2", greens.kv_trace_L2), ("D^2", greens.kv_trace_D2)):
         for k in range(1, k_max + 1):
             coeff, pi_exp = trace(k)
             n = 2 * k + 1
-            signs_ok = signs_ok and (
-                (1 if coeff > 0 else -1) == greens.trace_sign_expected(kind, k)
-            )
             rows.append(
                 (label, str(k), str(n), frac_str(coeff), str(pi_exp),
                  repr(float(coeff) * math.pi**pi_exp))
@@ -336,7 +321,7 @@ def cmd_traces(k_max: int) -> ReportEnvelope:
         rows=tuple(rows),
     )
     checks = (
-        _exact("alternating-sign-pattern", signs_ok),
+        _exact("alternating-sign-pattern", greens.trace_signs_match(k_max)),
         _exact("frozen-values-k-le-2", greens.frozen_traces_match(k_max)),
     )
     return ReportEnvelope("traces", params, result, checks)
@@ -448,9 +433,11 @@ def _suite_symbols(dim: int, seed: int) -> list[CheckResult]:
         check_against("zeta0-richardson-n4", symbols.zeta0_richardson_gap(4), 1e-6),
     ]
     brackets = [symbols.s0_bracket_check(n) for n in range(3, 14)]
+    # The bracket values are Fractions: check_against compares the largest
+    # with 0 in Q, before it becomes a float.
     return checks + [
         _exact("semidefinite-at-s0", all(semi for semi, _ in brackets)),
-        check_against("null-ray-value", _worst(null for _, null in brackets), 1e-12),
+        check_against("null-ray-value", max(null for _, null in brackets), 0),
     ]
 
 

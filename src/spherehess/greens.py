@@ -88,6 +88,7 @@ __all__ = [
     "kv_trace_D2",
     "trace_sign_expected",
     "frozen_traces_match",
+    "trace_signs_match",
     "PipelineTrace",
     "trace_from_pipeline",
     "spectral_trace_reference",
@@ -938,11 +939,20 @@ _FROZEN_TRACES = {
 }
 
 
+_EVALUATORS = {TraceKind.L2: kv_trace_L2, TraceKind.D2: kv_trace_D2}
+
+
 def frozen_traces_match(k_max: int) -> bool:
     """True when the evaluators give every frozen coefficient with k <= k_max."""
-    evaluators = {TraceKind.L2: kv_trace_L2, TraceKind.D2: kv_trace_D2}
-    return all(evaluators[kind](k)[0] == value
+    return all(_EVALUATORS[kind](k)[0] == value
                for (kind, k), value in _FROZEN_TRACES.items() if k <= k_max)
+
+
+def trace_signs_match(k_max: int) -> bool:
+    """True when every evaluator coefficient with k <= k_max has the sign
+    that :func:`trace_sign_expected` states."""
+    return all((1 if evaluator(k)[0] > 0 else -1) == trace_sign_expected(kind, k)
+               for kind, evaluator in _EVALUATORS.items() for k in range(1, k_max + 1))
 
 
 @dataclass(frozen=True)

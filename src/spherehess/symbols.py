@@ -47,6 +47,7 @@ __all__ = [
     "Functional",
     "ExtremalStatement",
     "extremal_classification",
+    "printed_pattern_agrees",
     "DET_FROM_ZETA_PRIME_SIGN",
 ]
 
@@ -360,3 +361,17 @@ def extremal_classification(functional: Functional, n: int) -> ExtremalStatement
         pattern=f"(-1)^({exponent}) {name} is a local maximum",
         text=text,
     )
+
+
+# The sign law that the paper states for each functional.
+_STATED_PATTERN = {
+    Functional.DET_L: "(-1)^(k+1) det L is a local maximum",
+    Functional.ZETA0_L: "(-1)^(k+1) zeta_L(0) is a local maximum",
+    Functional.DET_D2: "(-1)^(k) det D2 is a local maximum",
+    Functional.ZETA0_D2: "(-1)^(k) zeta_D2(0) is a local maximum",
+}
+
+
+def printed_pattern_agrees(statement: ExtremalStatement) -> bool:
+    """True when a classification's pattern is its functional's stated law."""
+    return statement.pattern == _STATED_PATTERN[statement.functional]

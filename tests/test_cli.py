@@ -324,6 +324,18 @@ class TestSymbolsSuite:
         assert checks["null-ray-value"]["residual"] > 1e-12
         assert checks["prefactor-vs-oracle"]["status"] == "PASS"
 
+    def test_null_ray_value_is_judged_in_q(self, capsys, monkeypatch):
+        # 10^-400 is 0.0 as a float, and nonzero.
+        from spherehess import symbols
+
+        monkeypatch.setattr(symbols, "s0_bracket_check",
+                            lambda n: (True, Fraction(1, 10**400) if n == 9 else Fraction(0)))
+        code, out, _ = _run(capsys, "verify", "--suite", "symbols", "--format", "json")
+        assert code == 1
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert checks["null-ray-value"] == {"name": "null-ray-value", "status": "FAIL",
+                                            "residual": 0.0, "tolerance": 0.0}
+
 
 class TestGreensSuite:
     CHECKS = [

@@ -9,12 +9,15 @@ it runs, so the exact commands (``qsymbol`` and the symbols and qcurv
 suites among them) and the Green profiles load no numpy.  mpmath
 is no dependency either: the spectral trace reference is exact and the
 Gamma oracles use ``math.gamma``, so no command imports it, and the symbols
-suite runs where it cannot be imported.
+suite runs where it cannot be imported.  No test imports it: their
+high-precision references come from ``tests/_oracle.py``, which imports
+only the standard library.
 Non-finite residuals must fail their check and still print valid JSON, and
 arithmetic failures must end in one stderr line, not a traceback.
 """
 
 import argparse
+import ast
 import functools
 import importlib
 import json
@@ -71,6 +74,18 @@ def _top_level_imports(*args: str) -> frozenset[str]:
     return frozenset(line.rsplit("|", 1)[-1].strip().split(".")[0]
                      for line in proc.stderr.splitlines()
                      if line.startswith("import time:"))
+
+
+def _imported(path: Path) -> set[str]:
+    """The top-level modules that a source file imports.  An import inside a
+    function counts: it loads its module when it runs."""
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.add(node.module.split(".")[0])
+    return imported
 
 
 class TestImportHygiene:
@@ -160,17 +175,19 @@ class TestImportHygiene:
     @pytest.mark.parametrize("module", ["exact", "ktypes", "spectrum", "symbols",
                                         "qcurv", "_record", "_nanmax", "cli"])
     def test_stdlib_only_module_imports_no_numpy(self, module):
-        # An import inside a function counts: it loads numpy when it runs.
-        import ast
+        assert "numpy" not in _imported(Path(spherehess.__file__).parent / f"{module}.py")
 
-        path = Path(spherehess.__file__).parent / f"{module}.py"
-        imported = set()
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Import):
-                imported |= {alias.name.split(".")[0] for alias in node.names}
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                imported.add(node.module.split(".")[0])
-        assert "numpy" not in imported
+    def test_no_source_or_test_module_imports_mpmath(self):
+        # A file that never names mpmath cannot import it: parse the others.
+        paths = [*Path(SRC).rglob("*.py"), *Path(__file__).parent.rglob("*.py")]
+        assert [str(p) for p in paths
+                if "mpmath" in p.read_text() and "mpmath" in _imported(p)] == []
+
+    def test_oracle_imports_only_the_standard_library(self):
+        # The tests' oracle is a route of its own: no spherehess, no
+        # third-party package.
+        imported = _imported(Path(__file__).parent / "_oracle.py")
+        assert imported <= sys.stdlib_module_names
 
     def test_reading_a_name_imports_only_its_submodule(self):
         proc = _python("-c", (
@@ -226,7 +243,6 @@ class TestOneDefinitionPerCheck:
 
     def test_cli_reaches_no_private_layer_name(self):
         # Every residual the CLI prints is a public function of its layer.
-        import ast
         from spherehess import cli
 
         nodes = list(ast.walk(ast.parse(Path(cli.__file__).read_text())))
@@ -242,7 +258,6 @@ class TestOneDefinitionPerCheck:
 
     def test_every_error_class_is_raised_somewhere(self):
         # An error class whose last raise site is removed goes with it.
-        import ast
         from spherehess import errors
 
         called = set()

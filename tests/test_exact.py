@@ -4,7 +4,6 @@ symbolic constants, sphere volumes."""
 import math
 from fractions import Fraction
 
-import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
@@ -15,6 +14,8 @@ from spherehess.exact import (
     sphere_volume,
     sphere_volume_exact,
 )
+
+import _oracle
 
 
 class TestRising:
@@ -124,20 +125,14 @@ class TestSphereVolume:
 
     @pytest.mark.parametrize("m", range(1, 12))
     def test_exact_matches_gamma_oracle(self, m):
-        oracle = float(
-            2 * mpmath.pi ** ((m + 1) / 2) / mpmath.gamma((m + 1) / 2)
-        )
-        assert float(sphere_volume_exact(m)) == pytest.approx(oracle, rel=1e-14)
+        assert _oracle.sphere_volume(m).close_to(float(sphere_volume_exact(m)), rel_tol=1e-14)
 
     @pytest.mark.parametrize("m", [342, 343, 350, 357, 420])
     def test_large_spheres_keep_their_precision(self, m):
         # From m = 343 on the rational coefficient alone is below the
         # normal float range, beside a large power of pi; it used to round
         # to a subnormal (4.4e-8 off at m = 350) or to 0 (from m = 357).
-        with mpmath.workdps(40):
-            oracle = float(2 * mpmath.pi ** (mpmath.mpf(m + 1) / 2)
-                           / mpmath.gamma(mpmath.mpf(m + 1) / 2))
-        assert sphere_volume(m) == pytest.approx(oracle, rel=2e-14)
+        assert _oracle.sphere_volume(m).close_to(sphere_volume(m), rel_tol=2e-14)
 
     def test_values_outside_the_float_range(self):
         assert sphere_volume(1000) == 0.0

@@ -7,7 +7,6 @@ import math
 import re
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -42,7 +41,10 @@ from spherehess.greens import (
     tau_tail_quadrature,
     trace_from_pipeline,
     trace_sign_expected,
+    trace_signs_match,
 )
+
+from _oracle import alternating_series, pi, sphere_volume, tau_antiderivative
 
 R_GRID = [0.3 + 0.1 * i for i in range(28)]
 
@@ -51,15 +53,35 @@ class TestTauTail:
     CASES = [(0, 2), (2, 2), (4, 2), (2, 1), (4, 1), (6, 1)]
 
     @pytest.mark.parametrize("a,p", CASES)
-    def test_closed_form_matches_mpmath_oracle(self, a, p):
+    def test_antiderivative_is_exact(self, a, p):
+        # F' = tau^-a (1+tau^2)^-p in Q(tau).  With A the largest power of
+        # 1/tau and L that of 1/(1+tau^2) on either side, both sides times
+        # tau^A (1+tau^2)^(L+1) are polynomials of degree at most A + 2L,
+        # so they are equal once they agree at A + 2L + 1 points.
         exact = tau_tail_exact(a, p)
-        with mpmath.workdps(40):
-            for x in (0.3, 1.0, 2.5):
-                oracle = mpmath.quad(
-                    lambda t: t ** (-a) * (1 + t * t) ** (-p),
-                    [x, mpmath.inf],
-                )
-                assert exact.value(x) == pytest.approx(float(oracle), rel=1e-13)
+        # F(inf) = arctan_coeff pi/2: the other terms vanish at infinity.
+        assert all(e < 0 for e, _ in exact.power_coeffs)
+        assert all(l >= 1 for l, _ in exact.rational_coeffs)
+        big_a = max([a, *(1 - e for e, _ in exact.power_coeffs)])
+        big_l = max([p, *(l for l, _ in exact.rational_coeffs)])
+        for tau in map(Fraction, range(1, big_a + 2 * big_l + 2)):
+            u = 1 + tau * tau
+            derivative = exact.arctan_coeff / u
+            derivative += sum(c * e * tau ** (e - 1) for e, c in exact.power_coeffs)
+            derivative += sum(c * (1 - 2 * l * tau * tau / u) / u**l
+                              for l, c in exact.rational_coeffs)
+            assert derivative == tau**-a / u**p
+
+    @pytest.mark.parametrize("a,p", CASES)
+    def test_value_matches_the_exact_tail(self, a, p):
+        # pytest.approx's tolerance: rel 1e-13, or abs 1e-12 where that is
+        # larger.  The closed form cancels at large x
+        # (test_closed_form_keeps_relative_accuracy_at_large_x): at x = 2.5
+        # it is 2.6e-12 relative off at (4, 2) and 7.1e-13 at (6, 1).
+        exact = tau_tail_exact(a, p)
+        for x in (0.3, 1.0, 2.5):
+            tail = exact.arctan_coeff * pi() / 2 - tau_antiderivative(exact, x)
+            assert tail.close_to(exact.value(x), rel_tol=1e-13, abs_tol=1e-12)
 
     @pytest.mark.parametrize("a,p", CASES)
     def test_quadrature_twin_agrees(self, a, p):
@@ -359,6 +381,21 @@ class TestOdeRows:
                 assert prof.terms(r)[0] == prof.evaluate(r)
 
 
+def _d2_oracle(n: int, x: float):
+    """green_D2(n, x) = 2 ((1+X^2)/4)^k J(X) / vol(S^{n-1}), k = (n-1)/2,
+    enclosed.  J(X) = sum_i (-1)^i X^{-n-2i} / (n+2i) is the remainder of
+    the arctan(1/X) series after its first k terms, and the 2F1 series
+    X^-n 2F1(1, n/2; n/2 + 1; -1/X^2) / n: alternating, and falling for
+    X > 1.  Its terms fall by only about 1/X^2 = 0.96 a step at X = 1.022,
+    so J is summed at 200 bits, which still decides a 1e-13 bound with
+    150 bits to spare."""
+    big_x = Fraction(x)
+    xn, xd = big_x.numerator, big_x.denominator
+    tail = alternating_series(big_x**-n / n, lambda i: (
+        (n + 2 * i) * xd * xd, (n + 2 * i + 2) * xn * xn), bits=200)
+    return 2 * ((1 + big_x * big_x) / 4) ** ((n - 1) // 2) * tail / sphere_volume(n - 1)
+
+
 class TestD2AtLargeN:
     # At the first three points the literal bracket cancels, and the series
     # needs 620-925 terms, past the fixed cap of 600 it once had.  At
@@ -366,31 +403,17 @@ class TestD2AtLargeN:
     @pytest.mark.parametrize("n, x", [(241, 1.033), (301, 1.03), (351, 1.022),
                                       (361, 1.2)])
     def test_value_matches_the_oracle(self, n, x):
-        k = (n - 1) // 2
-        with mpmath.workdps(50):
-            big_x = mpmath.mpf(x)
-            bracket = mpmath.pi / 2 - mpmath.atan(big_x) - mpmath.fsum(
-                (-1) ** j * big_x ** (-2 * j - 1) / (2 * j + 1) for j in range(k))
-            vol = 2 * mpmath.pi ** mpmath.mpf(n / 2) / mpmath.gamma(mpmath.mpf(n / 2))
-            oracle = float(((1 + big_x**2) / 4) ** ((n - 1) // 2) / vol
-                           * 2 * (-1) ** k * bracket)
-        assert abs(green_D2(n, x) - oracle) <= 1e-12 * abs(oracle)
+        assert _d2_oracle(n, x).close_to(green_D2(n, x), rel_tol=1e-12)
 
     # The prefactor alone leaves the float range here (it used to raise
-    # "is inf" or "leaves the float range"), the value does not.  The oracle
-    # writes the tail as a hypergeometric function, not as the bracket.
+    # "is inf" or "leaves the float range"), the value does not.
     @pytest.mark.parametrize("n, x, value", [
-        (41, 1e8, 7.7e-15), (29, 1.78e11, 1.0e-18), (301, 5.0, 7.9e95),
+        (41, 1e8, 7.7e-15), (29, 1.78e11, 1.03e-18), (301, 5.0, 7.9e95),
         (101, 1e100, 2.6e-94), (437, 3.0, 2.77e182)])
     def test_overflowing_prefactor_is_scaled(self, n, x, value):
-        with mpmath.workdps(40):
-            big_x = mpmath.mpf(x)
-            tail = big_x ** -n / n * mpmath.hyp2f1(
-                1, mpmath.mpf(n) / 2, mpmath.mpf(n + 2) / 2, -1 / big_x**2)
-            vol = 2 * mpmath.pi ** mpmath.mpf(n / 2) / mpmath.gamma(mpmath.mpf(n / 2))
-            oracle = float(((1 + big_x**2) / 4) ** ((n - 1) // 2) / vol * 2 * tail)
-        assert abs(green_D2(n, x) - oracle) <= 1e-12 * oracle
-        assert oracle == pytest.approx(value, rel=0.01)
+        oracle = _d2_oracle(n, x)
+        assert oracle.close_to(green_D2(n, x), rel_tol=1e-12)
+        assert oracle.close_to(value, rel_tol=0.01)
 
     def test_scaled_prefactor_refuses_a_subnormal_volume(self):
         # vol(S^454) is 5e-324, so 1/vol(S^{n-1}) overflows; the quadrature
@@ -406,19 +429,13 @@ class TestD2AtLargeN:
         # it: 9.9e-7 off at n = 449 and 19% off at n = 455, with no error.
         x = 1.2
         for n in range(437, 456, 2):
-            k = (n - 1) // 2
-            with mpmath.workdps(60):
-                big_x = mpmath.mpf(x)
-                bracket = mpmath.pi / 2 - mpmath.atan(big_x) - mpmath.fsum(
-                    (-1) ** j * big_x ** (-2 * j - 1) / (2 * j + 1) for j in range(k))
-                vol = 2 * mpmath.pi ** (mpmath.mpf(n) / 2) / mpmath.gamma(mpmath.mpf(n) / 2)
-                oracle = ((1 + big_x**2) / 4) ** k / vol * 2 * (-1) ** k * bracket
+            oracle = _d2_oracle(n, x)
             if n == 437:
                 got = green_D2(n, x)
                 assert got.hex() == "0x1.68b528cf98597p+739"
-                assert abs(got - oracle) <= 1e-13 * oracle
+                assert oracle.close_to(got, rel_tol=1e-13)
                 continue
-            assert mpmath.isfinite(oracle) and oracle > 0
+            assert oracle.lo > 0
             for route in (green_D2, green_D2_quadrature):
                 with pytest.raises(DomainError, match=(
                         rf"^D2 value at n = {n}, x_norm = 1.2 leaves the float range$")):
@@ -429,17 +446,12 @@ class TestD2AtLargeN:
 
     def test_first_series_term_below_the_float_range(self):
         # t^3 = 1e-450 rounds to 0, and the value came back as -0.0; the
-        # literal bracket is 1e-450 beside pi/2, so the oracle carries 450
-        # digits on top of its 50
+        # literal bracket is 1e-450 beside pi/2, which the remainder series
+        # never forms
         n, x = 3, 1e150
-        with mpmath.workdps(500):
-            big_x = mpmath.mpf(x)
-            bracket = mpmath.pi / 2 - mpmath.atan(big_x) - 1 / big_x
-            vol = 4 * mpmath.pi
-            oracle = float((1 + big_x**2) / 4 / vol * 2 * -bracket)
         got = green_D2(n, x)
         assert got > 0
-        assert abs(got - oracle) <= 1e-12 * oracle
+        assert _d2_oracle(n, x).close_to(got, rel_tol=1e-12)
 
     @pytest.mark.parametrize("x, value", [(1e150, 1.33e-152), (1e154, 1.33e-156)])
     def test_quadrature_tail_below_the_float_range_is_refused(self, x, value):
@@ -561,6 +573,11 @@ class TestTraces:
         assert (1 if d2 > 0 else -1) == trace_sign_expected(TraceKind.D2, k)
         assert trace_sign_expected(TraceKind.L2, k) == (-1) ** (k + 1)
         assert trace_sign_expected(TraceKind.D2, k) == (-1) ** k
+
+    def test_sign_law_check(self, monkeypatch):
+        assert trace_signs_match(200)
+        monkeypatch.setattr(greens, "trace_sign_expected", lambda kind, k: 1)
+        assert not trace_signs_match(1)  # the D2 trace at k = 1 is -pi^2/4
 
     def test_spectral_reference_frozen(self):
         assert spectral_trace_reference(TraceKind.L2, 1) == pytest.approx(

@@ -8,23 +8,26 @@ table instead: ``tests/data/quadpack_pieces.json`` holds the float.hex of
 (value, abserr, ier, neval) for every piece that the benchmark's greens
 commands hand the quadrature twin, as the earlier dqagse port returned them.
 Its accuracy is held to exact integrals: the port's own error estimate must
-cover its distance to each.  mpmath evaluates them from closed forms, not by
-its own quadrature, which is less accurate than qag on some of these
-integrands.
+cover its distance to each.  ``tests/_oracle.py`` encloses each exact value
+in a rational interval, from a closed form or a series with a proven tail
+bound and never by quadrature, and the estimate must cover the distance to
+both ends.
 """
 
 import contextlib
 import json
 import math
+from fractions import Fraction
 from pathlib import Path
 
-import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from spherehess import _quadpack
 from spherehess.cli import console_main
 from spherehess.greens import tau_tail_exact, tau_tail_quadrature
+
+from _oracle import Interval, alternating_series, pi, sin, tau_antiderivative
 
 PIECES = json.loads(
     (Path(__file__).parent / "data" / "quadpack_pieces.json").read_text())
@@ -81,34 +84,31 @@ def test_every_piece_of_the_benchmark_greens_commands_keeps_its_bits(capsys):
 
 
 def _assert_within_own_estimate(f, lo, hi, exact):
-    """The port's error estimate covers its distance to the exact integral."""
+    """The port's error estimate covers its distance to both ends of the
+    exact integral's enclosure."""
     value, abserr, ier, _ = _quadpack.qag(f, lo, hi)
-    assert abs(mpmath.mpf(value) - exact) <= abserr
+    assert exact.close_to(value, abs_tol=abserr), (value, abserr, exact)
     return ier
+
+
+def test_an_enclosure_wider_than_the_estimate_fails():
+    # It holds the exact integral, sin 1, but cannot decide the bound.
+    wide = sin(1) + Interval(-1e-12, 1e-12)
+    with pytest.raises(AssertionError):
+        _assert_within_own_estimate(math.cos, 0.0, 1.0, wide)
 
 
 def _tau_piece_exact(f, lo, hi):
     """A tau piece's integral from the exact antiderivative F of
-    tau_tail_exact, at 250 digits, where its terms cancel to far below a
-    double.  The inverted piece over [0, h] is the tail from tau = 1/h."""
+    tau_tail_exact, whose rational terms cancel to far below a double and
+    are kept exact.  The inverted piece over [0, h] is the tail from tau =
+    1/h."""
     a, p = _exponents(f)
     tail = tau_tail_exact(a, p)
-
-    def frac(c):
-        return mpmath.mpf(c.numerator) / c.denominator
-
-    def antiderivative(t):
-        out = frac(tail.arctan_coeff) * mpmath.atan(t)
-        out += sum(frac(c) * t**e for e, c in tail.power_coeffs)
-        out += sum(frac(c) * t / (1 + t * t) ** l for l, c in tail.rational_coeffs)
-        return out
-
-    with mpmath.workdps(250):
-        if f.__name__ == "direct":
-            return antiderivative(mpmath.mpf(hi)) - antiderivative(mpmath.mpf(lo))
-        assert lo == 0.0
-        return (frac(tail.arctan_coeff) * mpmath.pi / 2
-                - antiderivative(1 / mpmath.mpf(hi)))
+    if f.__name__ == "direct":
+        return tau_antiderivative(tail, hi) - tau_antiderivative(tail, lo)
+    assert lo == 0.0
+    return tail.arctan_coeff * pi() / 2 - tau_antiderivative(tail, 1 / Fraction(hi))
 
 
 @settings(max_examples=150, deadline=None)
@@ -122,11 +122,16 @@ def test_tau_integrands_agree_with_the_exact_tail_within_the_estimate(a, p, x):
 
 
 def _power_cosine_exact(alpha, c):
-    """int_0^1 t^alpha cos(c t) dt = 1F2((alpha+1)/2; 1/2, (alpha+3)/2;
-    -c^2/4) / (alpha+1), termwise from the cosine series."""
-    with mpmath.workdps(50):
-        a = mpmath.mpf(alpha)
-        return mpmath.hyp1f2((a + 1) / 2, 0.5, (a + 3) / 2, -mpmath.mpf(c) ** 2 / 4) / (a + 1)
+    """int_0^1 t^alpha cos(c t) dt = sum_j (-1)^j c^{2j} / ((2j)! (2j+alpha+1)),
+    termwise from the cosine series: 1F2((alpha+1)/2; 1/2, (alpha+3)/2;
+    -c^2/4) / (alpha+1).  With b = alpha + 1 > 0 the ratio of terms j+1 and
+    j is -c^2 (2j+b) / ((2j+1)(2j+2)(2j+b+2)), so the terms fall from the
+    first j with c^2 <= (2j+1)(2j+2) on."""
+    b, c2 = Fraction(alpha) + 1, Fraction(c) ** 2
+    bn, bd = b.numerator, b.denominator
+    return alternating_series(1 / b, lambda j: (
+        c2.numerator * (2 * j * bd + bn),
+        c2.denominator * (2 * j + 1) * (2 * j + 2) * (2 * j * bd + bn + 2 * bd)))
 
 
 @pytest.mark.parametrize("alpha", [-0.9, -0.5, 0.2, 1.5])
@@ -142,12 +147,11 @@ def test_power_times_cosine(alpha, c):
 
 def _step_plus_cosine_exact():
     """int_{-1}^1 -[t < 0] - cos(140 t) dt = -1 - 2 sin(140)/140."""
-    with mpmath.workdps(50):
-        return -1 - 2 * mpmath.sin(140) / 140
+    return -1 - 2 * sin(140) / 140
 
 
 @pytest.mark.parametrize("f, lo, hi, exact", [
-    (lambda t: math.log(t) / math.sqrt(t), 0.0, 1.0, mpmath.mpf(-4)),
+    (lambda t: math.log(t) / math.sqrt(t), 0.0, 1.0, Interval(-4)),
     # Equal error estimates when ordering the list bottom-up.
     (lambda t: -(1.0 if t < 0 else 0.0) - math.cos(140.0 * t), -1.0, 1.0,
      _step_plus_cosine_exact()),

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from spherehess.errors import DomainError, ParityError
 from spherehess.symbols import (
+    ExtremalStatement,
     Functional,
     FormDefiniteness,
     PrefactorMode,
@@ -22,6 +23,7 @@ from spherehess.symbols import (
     gamma_prefactor_exact,
     gamma_prefactor_oracle,
     prefactor_raw,
+    printed_pattern_agrees,
     zeta0_prefactor_richardson,
 )
 
@@ -237,6 +239,19 @@ class TestExtremalClassification:
                 except ParityError:
                     continue
                 assert st_.pattern == self.EXPECT[functional]
+
+    def test_printed_pattern_agrees_with_the_stated_law_only(self):
+        for n in range(3, 41):
+            for functional in Functional:
+                try:
+                    assert printed_pattern_agrees(extremal_classification(functional, n))
+                except ParityError:
+                    continue
+        d2 = extremal_classification(Functional.DET_D2, 5)
+        det_l_with_the_d2_law = ExtremalStatement(
+            Functional.DET_L, 5, d2.k, d2.c_sign, d2.max_sign,
+            d2.pattern.replace("D2", "L"), d2.text.replace("D2", "L"))
+        assert not printed_pattern_agrees(det_l_with_the_d2_law)
 
     def test_intermediate_signs(self):
         for n in range(3, 14, 2):
