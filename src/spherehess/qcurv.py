@@ -32,7 +32,6 @@ compares two different kinds of arithmetic.
 from __future__ import annotations
 
 import math
-import random
 from fractions import Fraction
 
 from ._record import dataclass
@@ -421,21 +420,21 @@ def project_tt(xi, m) -> FracMat:
     return _fractions(num, (n - 1) * nrm**2 * e)
 
 
-def q_symbol_identity_holds(seed: int, dims: tuple[int, ...], trials: int) -> bool:
-    """True when sigma_n(H) = -|xi|^n/4 * k, exactly, on ``trials`` seeded
-    draws in each dimension: a nonzero integer covector xi with entries in
-    [-3, 3] and k the trace-free transverse part of a symmetric integer
-    matrix."""
-    rng = random.Random(seed)
-    for n in dims:
-        for _ in range(trials):
-            xi = (0,) * n
-            while not any(xi):
-                xi = tuple(Fraction(rng.randint(-3, 3)) for _ in range(n))
-            raw = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
-            k = project_tt(xi, tuple(
-                tuple(Fraction(raw[i][j] + raw[j][i]) for j in range(n))
-                for i in range(n)))
+def q_symbol_identity_holds(n: int) -> bool:
+    """True when sigma_n(H) = -|xi|^n/4 * k for every xi != 0 and TT k.
+
+    Both sides are linear in k, O(n)-equivariant and homogeneous of degree
+    n in xi, so checking xi = 3/2 e_1 on a basis of its TT matrices decides
+    it: E_ij + E_ji for 0 < i < j < n and E_ii - E_(n-1)(n-1), 0-based.  At
+    |xi| = 1 a wrong power of |xi|^2 or a wrong denominator would not show.
+    """
+    _check_even(n)
+    xi = (Fraction(3, 2),) + (0,) * (n - 1)
+    for i in range(1, n - 1):
+        for j in range(i, n):
+            k = [[0] * n for _ in range(n)]
+            k[i][j] = k[j][i] = 1
+            k[-1][-1] -= i == j  # E_ii - E_(n-1)(n-1)
             if q_hessian_symbol(n, xi, k) != q_hessian_expected(n, xi, k):
                 return False
     return True

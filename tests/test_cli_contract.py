@@ -183,6 +183,26 @@ class TestImportHygiene:
         assert [str(p) for p in paths
                 if "mpmath" in p.read_text() and "mpmath" in _imported(p)] == []
 
+    def test_no_source_module_imports_random(self):
+        # The exact checks decide their identities on finite bases; the
+        # library's only draws are confgroup's numpy default_rng(seed).
+        assert [str(p) for p in Path(SRC).rglob("*.py") if "random" in _imported(p)] == []
+
+    def test_every_relative_approx_states_its_absolute_tolerance(self):
+        # pytest.approx(x, rel=r) also passes anything within its default
+        # abs 1e-12, which makes a relative check on a small value vacuous.
+        def loose(node):
+            if not isinstance(node, ast.Call):
+                return False
+            name = getattr(node.func, "attr", None) or getattr(node.func, "id", None)
+            given = {k.arg for k in node.keywords}
+            return name == "approx" and "rel" in given and "abs" not in given
+
+        found = [f"{path.name}:{node.lineno}"
+                 for path in Path(__file__).parent.rglob("*.py")
+                 for node in ast.walk(ast.parse(path.read_text())) if loose(node)]
+        assert found == []
+
     def test_oracle_imports_only_the_standard_library(self):
         # The tests' oracle is a route of its own: no spherehess, no
         # third-party package.
@@ -436,6 +456,27 @@ class TestOptionSurface:
         [line] = [x for x in captured.err.splitlines() if x.startswith("spherehess:")]
         assert line.startswith(
             f"spherehess: error: unrecognized arguments: {argv[-2]} {argv[-1]}")
+
+    @pytest.mark.parametrize("argv", [
+        ["qsymbol", "--dim", "6"], *[["verify", "--suite", s] for s in _DIMLESS_SUITES]],
+        ids=["qsymbol", *_DIMLESS_SUITES])
+    def test_seed_is_echoed_and_not_read(self, capsys, argv):
+        # Only the confgroup suite draws; the other seeded commands accept
+        # --seed (perfbench's cli workload passes it) and only echo it.
+        outputs = []
+        for seed in ("0", "7"):
+            assert console_main([*argv, "--seed", seed]) == 0
+            outputs.append(capsys.readouterr().out.splitlines())
+        assert len(outputs[0]) == len(outputs[1])
+        assert [(a, b) for a, b in zip(*outputs) if a != b] == [
+            ("  seed = 0", "  seed = 7")]
+
+    def test_confgroup_reads_its_seed(self, capsys):
+        outputs = []
+        for seed in ("0", "7"):
+            assert console_main(["verify", "--suite", "confgroup", "--seed", seed]) == 0
+            outputs.append(capsys.readouterr().out.replace(f"seed = {seed}", ""))
+        assert outputs[0] != outputs[1]
 
     @pytest.mark.parametrize("argv, message", [
         (["spectrum", "--dim", "1"], "--dim must be >= 2"),

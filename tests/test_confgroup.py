@@ -232,7 +232,7 @@ class TestGrids:
     def test_monomial_oracle(self):
         # integral of y_1^2 over S^2 is vol/3 = 4 pi / 3
         assert sphere_monomial_integral((2, 0, 0)) == pytest.approx(
-            4 * math.pi / 3, rel=1e-14
+            4 * math.pi / 3, rel=1e-14, abs=0
         )
         assert sphere_monomial_integral((1, 0, 0)) == 0.0
 
@@ -246,7 +246,7 @@ class TestGrids:
             g = sphere_grid(n, 40)
             met = metric_field(n)
             assert pairing(met, met, g) == pytest.approx(
-                n * sphere_volume(n), rel=1e-12
+                n * sphere_volume(n), rel=1e-12, abs=0
             )
 
 

@@ -53,7 +53,7 @@ class TestGammaHalfInteger:
     def test_against_float_gamma(self, twice):
         coeff, has_sqrt_pi = gamma_half_integer(twice)
         value = float(coeff) * (math.sqrt(math.pi) if has_sqrt_pi else 1.0)
-        assert value == pytest.approx(math.gamma(twice / 2), rel=1e-14)
+        assert value == pytest.approx(math.gamma(twice / 2), rel=1e-14, abs=0)
 
     def test_parity_of_sqrt_pi_flag(self):
         for twice in range(1, 22):
@@ -69,7 +69,7 @@ class TestGammaHalfInteger:
 class TestExactConst:
     def test_float_value(self):
         c = ExactConst(Fraction(3, 4), pi_exp=2, two_exp=Fraction(-1))
-        assert float(c) == pytest.approx(0.75 * math.pi**2 / 2, rel=1e-15)
+        assert float(c) == pytest.approx(0.75 * math.pi**2 / 2, rel=1e-15, abs=0)
 
     def test_multiplication_stays_exact(self):
         a = ExactConst(Fraction(1, 3), 1, Fraction(1, 2))
@@ -121,7 +121,7 @@ class TestSphereVolume:
         ],
     )
     def test_known_volumes(self, m, expect):
-        assert sphere_volume(m) == pytest.approx(expect, rel=1e-15)
+        assert sphere_volume(m) == pytest.approx(expect, rel=1e-15, abs=0)
 
     @pytest.mark.parametrize("m", range(1, 12))
     def test_exact_matches_gamma_oracle(self, m):

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spherehess import qcurv
 from spherehess.errors import (
     DomainError,
     ParityError,
@@ -39,6 +40,7 @@ from spherehess.qcurv import (
     project_tt,
     q_hessian_expected,
     q_hessian_symbol,
+    q_symbol_identity_holds,
     xi_norm_sq,
 )
 
@@ -382,3 +384,169 @@ class TestIntegerRoute:
             with pytest.raises(error) as exc:
                 call(*args)
             assert str(exc.value) == message
+
+
+# ---------------------------------------------------------------------------
+# The finite check q_symbol_identity_holds and the three properties its
+# argument rests on: linearity in k, O(n)-equivariance and homogeneity of
+# degree n in xi, each tested here as an exact identity.
+# ---------------------------------------------------------------------------
+
+_Q_ROUTES = [q_hessian_symbol, q_hessian_expected]
+
+
+def _transpose(m):
+    return tuple(zip(*m))
+
+
+def _inverse(m):
+    """Gauss-Jordan inverse in Fraction arithmetic."""
+    size = len(m)
+    rows = [list(row) + list(e) for row, e in zip(as_matrix(m), identity(size))]
+    for col in range(size):
+        pivot = next(r for r in range(col, size) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [v / rows[col][col] for v in rows[col]]
+        for r in range(size):
+            if r != col and rows[r][col] != 0:
+                rows[r] = [a - rows[r][col] * b for a, b in zip(rows[r], rows[col])]
+    return tuple(tuple(row[size:]) for row in rows)
+
+
+def _cayley(upper, n):
+    """(I - K)^-1 (I + K) for the skew K with the given upper triangle:
+    a rational orthogonal matrix."""
+    it = iter(upper)
+    skew = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            skew[i][j] = next(it)
+            skew[j][i] = -skew[i][j]
+    return _ref_mat_mul(_inverse(mat_add(identity(n), mat_scale(-1, skew))),
+                        mat_add(identity(n), skew))
+
+
+def _tt_basis(n):
+    """The TT matrices at e_1 by position (i, j), 0 < i <= j < n but not
+    (n-1, n-1): E_ij + E_ji off the diagonal, E_ii - E_(n-1)(n-1) on it."""
+    basis = {}
+    for i in range(1, n - 1):
+        for j in range(i, n):
+            m = [[0] * n for _ in range(n)]
+            m[i][j] = m[j][i] = 1
+            if i == j:
+                m[-1][-1] = -1
+            basis[i, j] = as_matrix(m)
+    return basis
+
+
+_small = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+
+
+@st.composite
+def _symmetric_matrix(draw, n):
+    upper = iter(draw(st.lists(_small, min_size=n * (n + 1) // 2,
+                               max_size=n * (n + 1) // 2)))
+    m = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = next(upper)
+    return m
+
+
+@st.composite
+def _tt_input(draw, n):
+    xi = draw(st.lists(_small, min_size=n, max_size=n).filter(any))
+    return as_vector(xi), project_tt(xi, draw(_symmetric_matrix(n)))
+
+
+class TestFiniteIdentityCheck:
+    @pytest.mark.parametrize("n", [4, 6, 8, 10])
+    def test_holds(self, n):
+        assert q_symbol_identity_holds(n)
+
+    @pytest.mark.parametrize("n, error", [(5, ParityError), (2, DomainError)])
+    def test_dimension_is_checked(self, n, error):
+        # n = 2 has an empty basis, which must not pass vacuously.
+        with pytest.raises(error):
+            q_symbol_identity_holds(n)
+
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_basis_spans_the_tt_matrices_at_e1(self, n):
+        # Symmetric, trace free and first row zero: n(n-1)/2 - 1 dimensions.
+        # Each matrix is the only one nonzero at its own position, so they
+        # are independent.
+        basis = _tt_basis(n)
+        e1 = as_vector((1,) + (0,) * (n - 1))
+        assert len(basis) == n * (n - 1) // 2 - 1
+        assert [[b[i][j] for i, j in basis] for b in basis.values()] == [
+            list(row) for row in identity(len(basis))]
+        for b in basis.values():
+            assert _symmetric(b)
+            _require_tt(e1, b)
+
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    @settings(max_examples=5, deadline=None)
+    @given(data=st.data())
+    def test_equivariance_under_cayley_rotations(self, n, data):
+        q = _cayley(data.draw(st.lists(_small, min_size=n * (n - 1) // 2,
+                                       max_size=n * (n - 1) // 2)), n)
+        assert _ref_mat_mul(q, _transpose(q)) == identity(n)
+        xi, k = data.draw(_tt_input(n))
+        q_xi = mat_apply(q, xi)
+        q_k = _ref_mat_mul(q, _ref_mat_mul(k, _transpose(q)))
+        for route in _Q_ROUTES:
+            assert route(n, q_xi, q_k) == _ref_mat_mul(
+                q, _ref_mat_mul(route(n, xi, k), _transpose(q)))
+
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    @settings(max_examples=5, deadline=None)
+    @given(data=st.data())
+    def test_linear_in_k(self, n, data):
+        xi, k = data.draw(_tt_input(n))
+        other = project_tt(xi, data.draw(_symmetric_matrix(n)))
+        t = data.draw(_small)
+        for route in _Q_ROUTES:
+            assert route(n, xi, mat_add(k, mat_scale(t, other))) == mat_add(
+                route(n, xi, k), mat_scale(t, route(n, xi, other)))
+
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    @settings(max_examples=5, deadline=None)
+    @given(data=st.data())
+    def test_homogeneous_of_degree_n(self, n, data):
+        t = data.draw(_small.filter(bool))
+        xi, k = data.draw(_tt_input(n))
+        for route in _Q_ROUTES:
+            assert route(n, [t * v for v in xi], k) == mat_scale(t**n, route(n, xi, k))
+
+    @pytest.mark.parametrize("i, j", list(_tt_basis(6)))
+    def test_a_defect_on_one_basis_direction_fails(self, monkeypatch, i, j):
+        # k[i][j] is 1 on the basis matrix (i, j) and 0 on every other one,
+        # so this defect shows in one comparison of the 14 at n = 6.
+        def defective(n, xi, k):
+            shift = Fraction(1, 10**30) * as_matrix(k)[i][j]
+            return mat_add(q_hessian_symbol(n, xi, k), mat_scale(shift, identity(n)))
+
+        monkeypatch.setattr(qcurv, "q_hessian_symbol", defective)
+        assert not q_symbol_identity_holds(6)
+
+    @pytest.mark.parametrize("defect", ["extra-norm-squared", "schouten-denominator"])
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_a_defect_invisible_at_a_unit_covector_fails(self, monkeypatch, defect, n):
+        if defect == "extra-norm-squared":
+            def defective(n, xi, k):
+                return mat_scale(xi_norm_sq(as_vector(xi)), q_hessian_symbol(n, xi, k))
+            monkeypatch.setattr(qcurv, "q_hessian_symbol", defective)
+        else:
+            schouten = qcurv._schouten
+
+            def defective(c):  # drops d^2 from the denominator
+                num, den = schouten(c)
+                return num, den // c.d**2
+            monkeypatch.setattr(qcurv, "_schouten", defective)
+        # At xi = e_1 (|xi| = 1, denominator 1) the defect passes on every
+        # basis matrix; at the check's 3/2 e_1 it does not.
+        e1 = (1,) + (0,) * (n - 1)
+        assert all(qcurv.q_hessian_symbol(n, e1, b) == q_hessian_expected(n, e1, b)
+                   for b in _tt_basis(n).values())
+        assert not q_symbol_identity_holds(n)

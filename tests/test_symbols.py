@@ -61,14 +61,14 @@ class TestBrackets:
 class TestGammaPrefactor:
     def test_det_n3_frozen(self):
         value, sign = gamma_prefactor(3, PrefactorMode.DET_DERIVATIVE_AT_ZERO)
-        assert value == pytest.approx(1 / 256, rel=1e-14)
+        assert value == pytest.approx(1 / 256, rel=1e-14, abs=0)
         assert sign == 1
         exact = gamma_prefactor_exact(3, PrefactorMode.DET_DERIVATIVE_AT_ZERO)
-        assert float(exact) == pytest.approx(1 / 256, rel=1e-15)
+        assert float(exact) == pytest.approx(1 / 256, rel=1e-15, abs=0)
 
     def test_zeta0_n4_frozen(self):
         value, sign = gamma_prefactor(4, PrefactorMode.ZETA0_LIMIT_AT_ZERO)
-        assert value == pytest.approx(1 / (960 * math.pi**2), rel=1e-14)
+        assert value == pytest.approx(1 / (960 * math.pi**2), rel=1e-14, abs=0)
         assert sign == 1
 
     @pytest.mark.parametrize("n", [*range(3, 14), 51, 100, 169])
@@ -138,7 +138,7 @@ class TestGammaPrefactor:
     def test_raw_prefactor_near_zero(self):
         # the raw expression at small s approaches the ZETA0 limit
         exact, _ = gamma_prefactor(6, PrefactorMode.ZETA0_LIMIT_AT_ZERO)
-        assert prefactor_raw(6, 1e-7) == pytest.approx(exact, rel=1e-5)
+        assert prefactor_raw(6, 1e-7) == pytest.approx(exact, rel=1e-5, abs=0)
 
 
 def _rational(rng):
