@@ -442,10 +442,11 @@ def sphere_grid(n: int, order: int = 40) -> SphereGrid:
 
 
 def sphere_monomial_integral(exponents: Sequence[int]) -> float:
-    """Exact integral of prod y_i^{a_i} over the unit sphere in R^{len(a)}.
+    """Integral of prod y_i^{a_i} over the unit sphere in R^{len(a)}, as a float.
 
     Zero unless every exponent is even; otherwise
-    2 prod Gamma((a_i+1)/2) / Gamma((sum a_i + dim)/2).
+    2 prod Gamma((a_i+1)/2) / Gamma((sum a_i + dim)/2), evaluated in
+    floating point with ``math.gamma``, so a nonzero value is rounded.
     """
     alphas = list(exponents)
     if any(a < 0 for a in alphas):
@@ -631,16 +632,20 @@ def _pullback_matrices(jac: np.ndarray, values: np.ndarray) -> np.ndarray:
     Each field's matrices equal bit for bit, once made node-first,
     ``np.einsum("nji,njk,nkl->nil", jac, values, jac)`` on the node-first
     stacks.  That einsum sums the terms (J_ji V_jk) J_kl from zero, j outer
-    and k inner; this kernel adds the same terms in the same order.
+    and k inner; this kernel adds the same terms in the same order.  J_kl
+    is expanded once over i, so each term's second factor is one multiply
+    by a contiguous (d, d, N) array, broadcast only over the fields.
     """
     dim = len(jac)
     out = np.zeros(values.shape)
     row = np.empty(values.shape[:-2] + (1, values.shape[-1]))
     term = np.empty_like(out)
+    jac_kl = np.empty((dim, *jac.shape))
+    jac_kl[...] = jac[:, None]
     for j in range(dim):
         for k in range(dim):
             np.multiply(jac[j, :, None, :], values[..., j, k, None, None, :], out=row)
-            out += _product_into(term, row, jac[k])
+            out += _product_into(term, row, jac_kl[k])
     return out
 
 
@@ -688,11 +693,13 @@ def u_action(w: RepWeight, a: MoebiusElement, fld: TensorField) -> TensorField:
 # Most grid nodes per block in :func:`pairing` and :func:`_pairing_terms`.
 # A block's (N, d, d) intermediates stay in cache, and no such array of a
 # whole grid is ever built.  The per-node bits do not depend on the block
-# size, so it is set by measurement.  ``verify --suite confgroup --dim 3``,
-# one BLAS thread on one core of a 2-vCPU Xeon, median of 5 runs: 512 nodes
-# 0.59 s and 46.7 MB peak, 1,024 nodes 0.53 s and 47.6 MB, 2,048 nodes
-# 0.52 s and 49.5 MB.
-_BLOCK = 1024
+# size, so it is set by measurement.  ``_pairing_terms`` on
+# ``sphere_grid(3, 40)``, one BLAS thread on one core of a 2-vCPU Xeon,
+# median of 40 interleaved calls: 1,024 nodes 0.262 s, 1,536 nodes 0.252 s,
+# 2,048 nodes 0.256 s.  ``verify --suite confgroup --dim 3`` peaks at
+# 47.3, 48.5 and 49.7 MB (median of 6 processes).  Reusing the pullback's
+# scratch arrays across blocks was no faster, so each block allocates its own.
+_BLOCK = 1536
 
 
 def _blocks(nodes: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:

@@ -337,6 +337,25 @@ class TestSymbolsSuite:
                                             "residual": 0.0, "tolerance": 0.0}
 
 
+class TestConfgroupSuite:
+    def test_pairing_invariance_sees_a_shifted_weight(self, capsys, monkeypatch):
+        # A power of Omega off by 1e-3 moves the pulled-back pairing by about
+        # 1e-3, far above the row's 1e-6; the group rows never read a weight.
+        from spherehess import confgroup
+
+        exponent = confgroup.RepWeight.pullback_exponent
+        monkeypatch.setattr(confgroup.RepWeight, "pullback_exponent",
+                            property(lambda w: exponent.fget(w) + 1e-3))
+        code, out, _ = _run(capsys, "verify", "--suite", "confgroup", "--dim", "2",
+                            "--format", "json")
+        assert code == 1
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert checks["pairing-invariance"]["status"] == "FAIL"
+        assert checks["pairing-invariance"]["residual"] > 1e-4
+        for name in ("lorentz-form", "conformality", "cocycle"):
+            assert checks[name]["status"] == "PASS"
+
+
 class TestGreensSuite:
     CHECKS = [
         name

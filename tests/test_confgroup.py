@@ -583,8 +583,8 @@ class TestSameBits:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_pairing_is_the_whole_grid_pairing(self, n):
-        # S^2: 3,240 nodes, 4 blocks of 810; S^3: 129,600 nodes, not a
-        # multiple of the block size, so 127 blocks of 1,020 or 1,021.
+        # S^2: 3,240 nodes, 3 blocks of 1,080; S^3: 129,600 nodes, not a
+        # multiple of the block size, so 85 blocks of 1,524 or 1,525.
         rng = np.random.default_rng(40 + n)
         g = sphere_grid(n, 40)
         h = random_band_limited_field(rng, n)
@@ -613,7 +613,7 @@ class TestSameBits:
     def test_pulled_back_pairing_is_independent_of_the_block(self, monkeypatch):
         n = 2
         rng = np.random.default_rng(50)
-        g = sphere_grid(n, 60)  # 7,260 nodes: 8 blocks of 907 or 908
+        g = sphere_grid(n, 60)  # 7,260 nodes: 5 blocks of 1,452
         hw = u_action(RepWeight(n, Fraction(-n, 2)),
                       random_moebius(rng, n, 1.0), random_band_limited_field(rng, n))
         kw = u_action(RepWeight(n, Fraction(n, 2)),
@@ -628,7 +628,7 @@ class TestSameBits:
 
     @pytest.mark.parametrize("n,order", [(2, 40), (3, 12)])
     def test_fused_terms_are_the_two_pairings(self, n, order):
-        # S^2: 3,240 nodes in 4 blocks; S^3: 3,600 nodes in 4 blocks.
+        # S^2: 3,240 nodes in 3 blocks; S^3: 3,600 nodes in 3 blocks.
         rng = np.random.default_rng(70 + n)
         g = sphere_grid(n, order)
         h = random_band_limited_field(rng, n)
@@ -647,15 +647,20 @@ class TestSameBits:
             assert moved == _whole_grid_pairing(hw, kw, g)
             assert confgroup._pairing_terms(h, k, a, g) == (base, moved)
 
-    def test_fused_terms_are_independent_of_the_block(self, monkeypatch):
-        n = 2
-        rng = np.random.default_rng(80)
-        g = sphere_grid(n, 24)  # 1,176 nodes: 2 blocks
+    @pytest.mark.parametrize("n,order,middle", [(2, 24, 1000), (3, 12, confgroup._BLOCK)],
+                             ids=["s2", "s3"])
+    def test_fused_terms_are_independent_of_the_block(self, monkeypatch, n, order, middle):
+        # The whole grid as one block (S^2: 1,176 nodes; S^3: 3,600 nodes,
+        # which the default size cuts into 3 blocks of 1,200), then blocks
+        # of 3 nodes, of ``middle`` nodes, and two blocks.
+        rng = np.random.default_rng(78 + n)
+        g = sphere_grid(n, order)
         h = random_band_limited_field(rng, n)
         k = random_band_limited_field(rng, n)
         a = random_moebius(rng, n, 1.0)
+        monkeypatch.setattr(confgroup, "_BLOCK", len(g.nodes))
         want = confgroup._pairing_terms(h, k, a, g)
-        for block in (3, 1000, len(g.nodes) - 1):
+        for block in (3, middle, len(g.nodes) - 1):
             monkeypatch.setattr(confgroup, "_BLOCK", block)
             assert confgroup._pairing_terms(h, k, a, g) == want
 
