@@ -68,10 +68,10 @@ _EXPORTS = {
         "q_hessian_expected", "q_hessian_symbol",
     ),
     "confgroup": (
-        "MoebiusElement", "RepWeight", "SphereGrid", "TensorField", "act",
-        "ahlfors_chart", "check_ahlfors_covariance", "check_pairing_invariance",
-        "compose", "conformal_factor", "moebius_boost", "moebius_rotation",
-        "pairing", "sphere_conformal_fields", "sphere_grid", "u_action",
+        "MoebiusElement", "RepWeight", "SphereGrid", "TensorField", "ahlfors_chart",
+        "check_ahlfors_covariance", "check_pairing_invariance", "compose",
+        "moebius_boost", "moebius_rotation", "pairing", "sphere_conformal_fields",
+        "sphere_grid", "u_action",
     ),
 }
 

@@ -44,12 +44,8 @@ __all__ = [
     "inverse",
     "random_moebius",
     "lorentz_form_residual",
-    "act",
     "act_many",
-    "differential",
     "differential_many",
-    "frame_at",
-    "conformal_factor",
     "conformal_factor_many",
     "conformality_residual",
     "cocycle_residual",
@@ -65,7 +61,6 @@ __all__ = [
     "u_action",
     "pairing",
     "check_pairing_invariance",
-    "chart_lambda",
     "chart_translation",
     "chart_dilation",
     "chart_rotation",
@@ -228,16 +223,8 @@ def random_moebius(
 # ---------------------------------------------------------------------------
 
 
-def act(a: MoebiusElement, y: np.ndarray) -> np.ndarray:
-    """A . y = spatial part of M (y, 1) over its last coordinate.
-
-    The last bits may differ from the matching row of :func:`act_many`:
-    numpy runs a one-row product as a matrix-vector product.
-    """
-    return act_many(a, np.asarray(y, dtype=float)[None, :])[0]
-
-
 def act_many(a: MoebiusElement, ys: np.ndarray) -> np.ndarray:
+    """A . y = spatial part of M (y, 1) over its last coordinate, at each row."""
     ys = np.asarray(ys, dtype=float)
     w_s, w_t = _homogeneous(a, ys)
     return w_s / w_t[:, None]
@@ -253,17 +240,9 @@ def _homogeneous(a: MoebiusElement, ys: np.ndarray) -> tuple[np.ndarray, np.ndar
     return w[:, : n + 1], w_t
 
 
-def differential(a: MoebiusElement, y: np.ndarray) -> np.ndarray:
-    """Exact ambient Jacobian of the action at y (restricts to T_y S^n).
-
-    The last bits may differ from the matching row of
-    :func:`differential_many`, as for :func:`act`.
-    """
-    return differential_many(a, np.asarray(y, dtype=float)[None, :])[0]
-
-
 def differential_many(a: MoebiusElement, ys: np.ndarray) -> np.ndarray:
-    """The Jacobians of :func:`differential` at many nodes, as (N, d, d)."""
+    """Exact ambient Jacobians of the action at the rows of ys, as (N, d, d);
+    each restricts to T_y S^n."""
     return _node_first(_moebius_frame(a, np.asarray(ys, dtype=float))[1])
 
 
@@ -288,44 +267,8 @@ def _moebius_frame(
     return phi, jac, w_t
 
 
-def frame_at(y: np.ndarray) -> np.ndarray:
-    """Deterministic orthonormal basis of T_y S^n as columns of an (n+1, n)
-    matrix; DomainError where |y| is zero or not finite."""
-    y = np.asarray(y, dtype=float)
-    with np.errstate(over="ignore"):  # an infinite norm is refused next
-        nrm = np.linalg.norm(y)
-    if not 0 < nrm < math.inf:
-        raise DomainError(f"frame_at needs a point of finite nonzero norm, got {float(nrm)!r}")
-    dim = len(y)
-    anchor = int(np.argmax(np.abs(y)))
-    cols = []
-    basis = [y / nrm]
-    for i in range(dim):
-        if i == anchor:
-            continue
-        v = np.zeros(dim)
-        v[i] = 1.0
-        for b in basis:
-            v = v - (v @ b) * b
-        nrm = float(np.linalg.norm(v))
-        if nrm < 1e-12:
-            raise DomainError("degenerate frame construction")
-        v /= nrm
-        basis.append(v)
-        cols.append(v)
-    return np.stack(cols, axis=1)
-
-
-def conformal_factor(a: MoebiusElement, y: np.ndarray) -> float:
-    """Omega with (d phi)^T (d phi) = Omega^2 Id on T_y S^n; equals 1 / w_t.
-
-    The last bits may differ from the matching row of
-    :func:`conformal_factor_many`, as for :func:`act`.
-    """
-    return float(conformal_factor_many(a, np.asarray(y, dtype=float)[None, :])[0])
-
-
 def conformal_factor_many(a: MoebiusElement, ys: np.ndarray) -> np.ndarray:
+    """Omega with (d phi)^T (d phi) = Omega^2 Id on T_y S^n; equals 1 / w_t."""
     return _omega(_homogeneous(a, np.asarray(ys, dtype=float))[1])
 
 
@@ -339,23 +282,41 @@ def _omega(w_t: np.ndarray) -> np.ndarray:
     return 1.0 / w_t
 
 
-def conformality_residual(a: MoebiusElement, y: np.ndarray) -> float:
-    """Relative deviation of the differential's Gram matrix from Omega^2 Id."""
-    y = np.asarray(y, dtype=float)
-    fr = frame_at(y)
-    jf = differential(a, y) @ fr
-    gram = jf.T @ jf
-    omega2 = conformal_factor(a, y) ** 2
-    dim = gram.shape[0]
-    return float(np.max(np.abs(gram - omega2 * np.eye(dim))) / omega2)
+def _unit_points(n: int, ys) -> np.ndarray:
+    """The rows of a non-empty (N, n+1) stack scaled to unit length;
+    DomainError where a row's norm is zero or not finite."""
+    ys = np.asarray(ys, dtype=float)
+    _require_width(n, ys)
+    if len(ys) == 0:
+        raise DomainError(f"points must be a non-empty stack, got shape {ys.shape}")
+    with np.errstate(over="ignore"):  # an infinite norm is refused next
+        norms = np.linalg.norm(ys, axis=1)
+    bad = norms[~((0 < norms) & (norms < math.inf))]
+    if len(bad):
+        raise DomainError(f"points need a finite nonzero norm, got {float(bad[0])!r}")
+    return ys / norms[:, None]
 
 
-def cocycle_residual(a: MoebiusElement, b: MoebiusElement, y: np.ndarray) -> float:
-    """Relative residual of Omega_{ab}(y) = Omega_a(b . y) Omega_b(y)."""
-    y = np.asarray(y, dtype=float)
-    lhs = conformal_factor(compose(a, b), y)
-    rhs = conformal_factor(a, act(b, y)) * conformal_factor(b, y)
-    return abs(lhs - rhs) / abs(lhs)
+def conformality_residual(a: MoebiusElement, ys: np.ndarray) -> float:
+    """Worst relative deviation of the tangent Gram matrix from Omega^2 over a
+    stack of points: max |P J^T J P - Omega^2 P| / Omega^2, where
+    P = Id - y y^T = F F^T for any orthonormal tangent frame F."""
+    ys = _unit_points(a.n, ys)
+    _, jac, w_t = _moebius_frame(a, ys)
+    jac, proj = _node_first(jac), _tangent_projectors(ys)
+    omega2 = _omega(w_t) ** 2
+    gap = _compress(proj, jac.transpose(0, 2, 1) @ jac) - omega2[:, None, None] * proj
+    return nan_max(np.max(np.abs(gap), axis=(1, 2)) / omega2)
+
+
+def cocycle_residual(a: MoebiusElement, b: MoebiusElement, ys: np.ndarray) -> float:
+    """Worst relative residual of Omega_{ab}(y) = Omega_a(b . y) Omega_b(y)
+    over a stack of points."""
+    ys = _unit_points(a.n, ys)
+    lhs = conformal_factor_many(compose(a, b), ys)
+    w_s, w_t = _homogeneous(b, ys)
+    rhs = conformal_factor_many(a, w_s / w_t[:, None]) * _omega(w_t)
+    return nan_max(np.abs(lhs - rhs) / np.abs(lhs))
 
 
 # ---------------------------------------------------------------------------
@@ -828,11 +789,6 @@ def _one_point(x) -> np.ndarray:
     return point[None, :]
 
 
-def chart_lambda(x: np.ndarray) -> float:
-    """Round-metric conformal factor 2 / (1 + |x|^2) in the chart."""
-    return float(_lambdas(_one_point(x))[0])
-
-
 def chart_translation(v) -> MoebiusElement:
     """x -> x + v, a parabolic element."""
     v = np.asarray(v, float)
@@ -1097,8 +1053,10 @@ def group_residuals(n: int, seed: int) -> dict[str, list[float]]:
     """The residuals of each group check on S^n (n = 2, 3) over draws from
     ``numpy.random.default_rng(seed)``, keyed by check name.
 
-    Four elements of :func:`random_moebius` and ten sphere points give the
-    "lorentz-form", "conformality" and "cocycle" residuals; two pairs of
+    Four elements of :func:`random_moebius` give the "lorentz-form"
+    residuals, and with one stack of ten points (scaled onto the sphere by
+    the checks) the worst "conformality" residual of each element and the
+    worst "cocycle" residual of pairs 0, 2 and 1, 3; two pairs of
     band-limited fields, each with a fresh element, the
     "pairing-invariance" residuals on ``sphere_grid(n, 40)``; two vector
     fields c + L x + 0.3 x |x|^2, each with a :func:`random_chart_map`, the
@@ -1108,12 +1066,10 @@ def group_residuals(n: int, seed: int) -> dict[str, list[float]]:
     rng = np.random.default_rng(seed)
     elements = [random_moebius(rng, n, 1.0) for _ in range(4)]
     points = rng.normal(size=(10, n + 1))
-    points /= np.linalg.norm(points, axis=1, keepdims=True)
 
     lorentz = [lorentz_form_residual(a) for a in elements]
-    conf = [conformality_residual(a, y) for a in elements for y in points]
-    cocycle = [cocycle_residual(a, b, y)
-               for a, b in zip(elements[:2], elements[2:]) for y in points]
+    conf = [conformality_residual(a, points) for a in elements]
+    cocycle = [cocycle_residual(a, b, points) for a, b in zip(elements[:2], elements[2:])]
     grid = sphere_grid(n, 40)
     pair_res = []
     for _ in range(2):

@@ -428,8 +428,9 @@ def _fit_homogeneous_coefficient(n: int) -> float:
 
     Returns A such that G = A (1-z)^{-m} + particular part is the profile
     with the softened r^{-(n-4)} leading singularity.  Exact value is
-    D_n / (n-2), which :func:`green_L2_profile` uses; this numeric route is
-    the independent check of :func:`homogeneous_coefficient_gap`.
+    D_n / (n-2), which :func:`green_L2_profile` uses.  The samples carry the
+    particular part's own prefactor :func:`_l2_coefficient`, so A scales with
+    it: a wrong D_n/(n-2) shows in :func:`ode_residual_L2`, not here.
 
     Domain: odd 3 <= n <= 97.  The fit samples the tail down to r = 1e-3,
     x = tan(r/2) = 5e-4, where the antiderivative's term x^{-(n-4)} leaves
@@ -458,7 +459,8 @@ def _fit_homogeneous_coefficient(n: int) -> float:
 
 
 def homogeneous_coefficient_gap(n: int) -> float:
-    """|fit / exact - 1| for the fitted and the exact D_n/(n-2).
+    """|fit / exact - 1| for the fitted cancelling coefficient and the
+    particular part's own prefactor D_n/(n-2), which the fit scales with.
 
     Domain: odd 3 <= n <= 97.  From n = 99 on, x^{-(n-4)} at the fit's
     smallest sample x = 5e-4 leaves the float range, and the tail's
@@ -479,11 +481,13 @@ def green_L2_profile(n: int) -> RadialGreen:
     which satisfies the iterated equation with residual at roundoff level.
     ``evaluate`` and ``terms`` take I(z) = 4 T(sqrt((1-z)/(1+z))) from the
     flat ``tail`` closure T of ``tau_tail_exact(n - 3, 2)``, once per radius.
+    Both terms are positive; ``evaluate`` refuses a value outside (0, inf),
+    as T = F(inf) - F(x) cancels near r = pi (to below 0 from n = 7 on).
     """
     b = _l2_coefficient(n)
     m = (n - 2) / 2.0
     tail = tau_tail_exact(n - 3, 2).tail
-    cos, sqrt, pi, isfinite = math.cos, math.sqrt, math.pi, math.isfinite
+    cos, sqrt, pi, inf = math.cos, math.sqrt, math.pi, math.inf
 
     def evaluate(r: float) -> float:
         if not 0.0 < r < pi:
@@ -494,7 +498,7 @@ def green_L2_profile(n: int) -> RadialGreen:
                          + (1 + z) ** (-m) * (4.0 * tail(sqrt((1.0 - z) / (1.0 + z)))))
         except (OverflowError, ZeroDivisionError) as exc:
             raise DomainError(f"L2 profile at n = {n}, r = {r!r} leaves the float range") from exc
-        if not isfinite(value):
+        if not 0.0 < value < inf:
             raise DomainError(f"L2 profile at n = {n}, r = {r!r} is {value!r}")
         return value
 
@@ -741,7 +745,7 @@ def ode_rows(n: int, kind: str, rs) -> list[tuple[float, float]]:
     profile without ``terms`` (the "D2" one) and for a radius outside
     (0, pi), each before anything is evaluated there, and naming the kind,
     n and r where a value, a derivative or the residual overflows, divides
-    by zero or is not finite.
+    by zero or is not finite, and where a value is not positive.
     """
     prof = _shared_profile(kind, n)
     if prof.terms is None:
@@ -764,6 +768,9 @@ def ode_rows(n: int, kind: str, rs) -> list[tuple[float, float]]:
             raise DomainError(f"{kind} profile at n = {n}, r = {r!r} leaves the "
                               f"float range: value {f0!r}, derivatives {f1!r}, "
                               f"{f2!r}, ODE residual {res!r}")
+        if not f0 > 0.0:
+            raise DomainError(f"{kind} profile at n = {n}, r = {r!r} is not positive: "
+                              f"value {f0!r}")
         rows.append((f0, res))
     return rows
 

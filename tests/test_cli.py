@@ -355,6 +355,42 @@ class TestConfgroupSuite:
         for name in ("lorentz-form", "conformality", "cocycle"):
             assert checks[name]["status"] == "PASS"
 
+    @staticmethod
+    def _checks(capsys):
+        code, out, _ = _run(capsys, "verify", "--suite", "confgroup", "--dim", "2",
+                            "--format", "json")
+        assert code == 1
+        return {c["name"]: c for c in json.loads(out)["checks"]}
+
+    def test_group_rows_see_a_scaled_conformal_factor(self, capsys, monkeypatch):
+        # Omega off by 1e-6 moves Omega^2 by 2e-6 against J^T J, and the
+        # cocycle's two sides by 1e-6 against each other.
+        from spherehess import confgroup
+
+        omega = confgroup._omega
+        monkeypatch.setattr(confgroup, "_omega", lambda w_t: omega(w_t) * (1 + 1e-6))
+        checks = self._checks(capsys)
+        for name in ("conformality", "cocycle"):
+            assert checks[name]["status"] == "FAIL"
+            assert checks[name]["residual"] > 5e-7
+        assert checks["lorentz-form"]["status"] == "PASS"
+
+    def test_conformality_sees_a_scaled_jacobian(self, capsys, monkeypatch):
+        # The cocycle reads no Jacobian.
+        from spherehess import confgroup
+
+        frame = confgroup._moebius_frame
+
+        def scaled(a, ys):
+            phi, jac, w_t = frame(a, ys)
+            return phi, jac * (1 + 1e-6), w_t
+
+        monkeypatch.setattr(confgroup, "_moebius_frame", scaled)
+        checks = self._checks(capsys)
+        assert checks["conformality"]["status"] == "FAIL"
+        assert checks["conformality"]["residual"] > 1e-6
+        assert checks["cocycle"]["status"] == "PASS"
+
 
 class TestGreensSuite:
     CHECKS = [
@@ -376,6 +412,44 @@ class TestGreensSuite:
             assert check["status"] == "PASS"
             assert check["tolerance"] == 1e-5
             assert check["residual"] <= 1e-5
+
+    @staticmethod
+    def _suite_checks(capsys, monkeypatch, name, factor):
+        # The shared profiles keep the builders' floats, so they are rebuilt
+        # with the defect and again after it.
+        from spherehess import greens
+
+        original = getattr(greens, name)
+        monkeypatch.setattr(greens, name, lambda *args: original(*args) * factor)
+        greens._shared_profile.cache_clear()
+        try:
+            code, out, _ = _run(capsys, "verify", "--suite", "greens", "--format", "json")
+        finally:
+            greens._shared_profile.cache_clear()
+        assert code == 1
+        return {c["name"]: c for c in json.loads(out)["checks"]}
+
+    def test_ode_rows_see_a_scaled_l2_coefficient(self, capsys, monkeypatch):
+        checks = self._suite_checks(capsys, monkeypatch, "_l2_coefficient", 1 + 1e-6)
+        for n in (3, 5, 7):
+            assert checks[f"ode-residual-L2-n{n}"]["status"] == "FAIL"
+            assert checks[f"ode-residual-L-n{n}"]["status"] == "PASS"
+
+    def test_pipeline_rows_see_a_scaled_convention_factor(self, capsys, monkeypatch):
+        checks = self._suite_checks(capsys, monkeypatch, "spectral_convention_factor",
+                                    1 + 1e-4)
+        for name in self.PIPELINE:
+            assert checks[name]["status"] == "FAIL"
+            assert checks[name]["residual"] > 5e-5
+
+    def test_negative_l2_value_is_one_line(self, capsys):
+        # n = 17 printed -3.61e-05 at r = 3.00, and status PASS.
+        code, out, err = _run(capsys, "greens", "--dim", "17", "--profile", "L2")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("spherehess: computation failed: L2 profile at n = 17, "
+                              "r = 3.0 is not positive: value -")
+        assert err.count("\n") == 1
 
     def test_d2_outside_the_float_range_is_one_line(self, capsys):
         code, out, err = _run(capsys, "greens", "--dim", "401", "--profile", "D2")

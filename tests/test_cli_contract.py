@@ -250,10 +250,9 @@ _PUBLIC = {
     "qcurv": """ahlfors_symbol lin_obstruction_symbol lin_ricci_symbol
         lin_scalar_symbol lin_schouten_symbol project_tt q_hessian_expected
         q_hessian_symbol""",
-    "confgroup": """MoebiusElement RepWeight SphereGrid TensorField act
-        ahlfors_chart check_ahlfors_covariance check_pairing_invariance compose
-        conformal_factor moebius_boost moebius_rotation pairing
-        sphere_conformal_fields sphere_grid u_action""",
+    "confgroup": """MoebiusElement RepWeight SphereGrid TensorField ahlfors_chart
+        check_ahlfors_covariance check_pairing_invariance compose moebius_boost
+        moebius_rotation pairing sphere_conformal_fields sphere_grid u_action""",
 }
 _PUBLIC_NAMES = {name for names in _PUBLIC.values() for name in names.split()}
 
@@ -348,12 +347,16 @@ class TestNonFiniteResiduals:
 
     def test_library_residual_raises_at_a_late_non_finite_row(self):
         # At n = 301 the L2 row is not finite at r = 0.3, 2.8 and 3.0; from
-        # r = 0.4 on, the first such row follows finite ones.  It used to
+        # r = 2.5 on, the first such row follows finite ones.  It used to
         # give a NaN residual, and now raises naming its radius.
-        rs = _r_grid()[1:]
+        rs = _r_grid()
         with pytest.raises(DomainError, match=(
                 r"^L2 profile at n = 301, r = 2.8 leaves the float range")):
-            greens.ode_residual_L2(301, rs)
+            greens.ode_residual_L2(301, [r for r in rs if r >= 2.5])
+        # From r = 0.4 on, the first refused row is an earlier, negative one.
+        with pytest.raises(DomainError, match=(
+                r"^L2 profile at n = 301, r = 2.3 is not positive: value -1\.19")):
+            greens.ode_residual_L2(301, rs[1:])
 
     def test_non_finite_row_is_one_line_exit_one(self):
         # At n = 301 the L profile's value overflows at r = 0.3 and its second

@@ -19,23 +19,19 @@ from spherehess.cli import console_main
 from spherehess.errors import Degenerate, DomainError
 from spherehess.confgroup import (
     RepWeight,
-    act,
     act_many,
     ahlfors_chart,
     chart_dilation,
     chart_inversion,
-    chart_lambda,
     chart_rotation,
     chart_translation,
     check_ahlfors_covariance,
     check_pairing_invariance,
     cocycle_residual,
     compose,
-    conformal_factor,
+    conformal_factor_many,
     conformality_residual,
-    differential,
     differential_many,
-    frame_at,
     inverse,
     inverse_stereographic,
     kernel_field_residual,
@@ -82,33 +78,32 @@ class TestGroup:
         rng = np.random.default_rng(0)
         a = random_moebius(rng, n, 1.0)
         assert lorentz_form_residual(a) < 1e-12
-        y = _unit(rng, n + 1)
-        z = act(a, y)
+        y = _unit(rng, n + 1)[None, :]
+        z = act_many(a, y)
         assert abs(np.linalg.norm(z) - 1.0) < 1e-12
-        assert np.max(np.abs(act(inverse(a), z) - y)) < 1e-11
+        assert np.max(np.abs(act_many(inverse(a), z) - y)) < 1e-11
 
     def test_identity_and_composition(self):
         rng = np.random.default_rng(1)
         a = random_moebius(rng, 2, 0.8)
         b = random_moebius(rng, 2, 0.8)
-        y = _unit(rng, 3)
-        assert np.max(np.abs(act(moebius_identity(2), y) - y)) == 0.0
-        assert np.max(np.abs(act(compose(a, b), y) - act(a, act(b, y)))) < 1e-12
+        y = _unit(rng, 3)[None, :]
+        assert np.max(np.abs(act_many(moebius_identity(2), y) - y)) == 0.0
+        assert np.max(np.abs(act_many(compose(a, b), y) - act_many(a, act_many(b, y)))) < 1e-12
 
     def test_boost_fixed_points_and_factors(self):
         s = 0.7
-        north = np.array([0.0, 0.0, 1.0])
+        north = np.array([[0.0, 0.0, 1.0]])
         boost = moebius_boost(2, 2, s)
-        assert np.max(np.abs(act(boost, north) - north)) < 1e-15
-        assert conformal_factor(boost, north) == pytest.approx(math.exp(-s))
-        assert conformal_factor(boost, -north) == pytest.approx(math.exp(s))
+        assert np.max(np.abs(act_many(boost, north) - north)) < 1e-15
+        assert conformal_factor_many(boost, np.concatenate([north, -north])) == pytest.approx(
+            [math.exp(-s), math.exp(s)])
 
     def test_rotation_is_isometry(self):
         rot = moebius_rotation(3, 0, 2, 0.9)
         rng = np.random.default_rng(2)
-        for _ in range(5):
-            y = _unit(rng, 4)
-            assert conformal_factor(rot, y) == pytest.approx(1.0, abs=1e-15)
+        ys = np.array([_unit(rng, 4) for _ in range(5)])
+        assert np.max(np.abs(conformal_factor_many(rot, ys) - 1.0)) <= 1e-15
 
     def test_time_reversal_outside_identity_component(self):
         mat = np.eye(4)
@@ -117,7 +112,7 @@ class TestGroup:
 
         flip = MoebiusElement(n=2, matrix=mat)
         with pytest.raises(Degenerate):
-            conformal_factor(flip, np.array([0.0, 0.0, 1.0]))
+            conformal_factor_many(flip, np.array([[0.0, 0.0, 1.0]]))
 
     def test_nan_rotation_angle_is_refused(self):
         # A NaN residual passed the Lorentz-form gate: an all-NaN element.
@@ -168,17 +163,17 @@ class TestGroup:
 class TestDifferential:
     @pytest.mark.parametrize("n", [2, 3])
     def test_exact_jacobian_matches_finite_difference(self, n):
+        # Central differences along the tangent vectors P e_i, P = Id - y y^T.
         rng = np.random.default_rng(3)
         a = random_moebius(rng, n, 1.0)
         y = _unit(rng, n + 1)
-        jac = differential(a, y)
-        frame = frame_at(y)
+        jac = differential_many(a, y[None, :])[0]
         h = 1e-6
-        for col in range(n):
-            v = frame[:, col]
-            yp = (y + h * v) / np.linalg.norm(y + h * v)
-            ym = (y - h * v) / np.linalg.norm(y - h * v)
-            fd = (act(a, yp) - act(a, ym)) / (2 * h)
+        for v in np.eye(n + 1) - np.outer(y, y):
+            ends = np.stack([y + h * v, y - h * v])
+            ends /= np.linalg.norm(ends, axis=1, keepdims=True)
+            images = act_many(a, ends)
+            fd = (images[0] - images[1]) / (2 * h)
             assert np.max(np.abs(jac @ v - fd)) < 1e-6
 
     @pytest.mark.parametrize("n", [2, 3])
@@ -187,26 +182,38 @@ class TestDifferential:
         for _ in range(5):
             a = random_moebius(rng, n, 1.0)
             b = random_moebius(rng, n, 1.0)
-            y = _unit(rng, n + 1)
-            assert conformality_residual(a, y) <= 1e-7
-            assert cocycle_residual(a, b, y) <= 1e-7
+            ys = rng.normal(size=(4, n + 1))
+            assert conformality_residual(a, ys) <= 1e-7
+            assert cocycle_residual(a, b, ys) <= 1e-7
+
+    @staticmethod
+    def _refused(ys, message):
+        a, b = moebius_boost(2, 0, 0.5), moebius_rotation(2, 0, 1, 0.3)
+        for check in (lambda: conformality_residual(a, ys),
+                      lambda: cocycle_residual(a, b, ys)):
+            with pytest.raises(DomainError, match=message):
+                check()
 
     @pytest.mark.parametrize("y", [[0.0, 0.0, 0.0], [np.nan, 0.0, 1.0],
                                    [0.0, -np.inf, 1.0]], ids=["zero", "nan", "inf"])
     def test_point_without_a_tangent_space_is_refused(self, y):
         # The zero point gave an all-NaN frame and a quiet NaN residual.
-        y = np.array(y)
-        message = r"^frame_at needs a point of finite nonzero norm, got (0\.0|nan|inf)$"
-        with pytest.raises(DomainError, match=message):
-            frame_at(y)
-        with pytest.raises(DomainError, match=message):
-            conformality_residual(moebius_boost(2, 0, 0.5), y)
+        self._refused(np.array([[0.0, 0.6, 0.8], y]),
+                      r"^points need a finite nonzero norm, got (0\.0|nan|inf)$")
 
     def test_overflowing_norm_is_refused_without_a_warning(self):
         # numpy's norm warned of the overflow before the point was refused,
         # and the warnings filter turns that warning into the failure.
-        with pytest.raises(DomainError, match=r"finite nonzero norm, got inf$"):
-            conformality_residual(moebius_boost(2, 0, 0.5), [1e300, 1e300, 0.0])
+        self._refused([[1e300, 1e300, 0.0]], r"finite nonzero norm, got inf$")
+
+    @pytest.mark.parametrize("ys, message", [
+        (np.ones((4, 2)), r"^dimension mismatch: points of shape \(4, 2\) for a field on "
+                          r"S\^2, which takes width 3$"),
+        (np.ones(3), r"^dimension mismatch: points of shape \(3,\)"),
+        (np.zeros((0, 3)), r"^points must be a non-empty stack, got shape \(0, 3\)$"),
+    ], ids=["width", "one-point", "empty"])
+    def test_stack_of_the_wrong_shape_is_refused(self, ys, message):
+        self._refused(ys, message)
 
 
 class TestGrids:
@@ -702,7 +709,7 @@ class TestSameBits:
             assert np.max(np.abs(image - want_image)) <= scale
             assert np.max(np.abs(jac - want_jac)) <= scale * np.max(np.abs(want_jac))
             assert abs(omega - want_omega) <= 1e-13 * want_omega
-            assert chart_lambda(x) == _pointwise_lambda(x)
+        assert confgroup._lambdas(xs).tolist() == [_pointwise_lambda(x) for x in xs]
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("seed", range(8))
@@ -879,8 +886,8 @@ class TestChart:
             phi = _seeded_chart_map(rng, n, inverted)
             images, jacs, omegas = confgroup._chart_frame(phi, xs)
             for x, image, jac, omega in zip(xs, images, jacs, omegas):
-                lhs = chart_lambda(image) ** 2 * (jac.T @ jac)
-                rhs = omega**2 * chart_lambda(x) ** 2 * np.eye(n)
+                lhs = _pointwise_lambda(image) ** 2 * (jac.T @ jac)
+                rhs = omega**2 * _pointwise_lambda(x) ** 2 * np.eye(n)
                 assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(rhs))
 
 
@@ -896,7 +903,7 @@ class TestAhlfors:
             return const + lin @ x
 
         x = rng.normal(size=n) * 0.8
-        lam = chart_lambda(x)
+        lam = _pointwise_lambda(x)
         flat = lin + lin.T - (2.0 / n) * np.trace(lin) * np.eye(n)
         got = ahlfors_chart(vec_field, x)
         assert np.max(np.abs(got - lam**2 * flat)) < 1e-8
@@ -911,7 +918,7 @@ class TestAhlfors:
 
         x = rng.normal(size=n) * 0.6
         s = ahlfors_chart(vec_field, x)
-        assert abs(np.trace(s)) / chart_lambda(x) ** 2 < 1e-9
+        assert abs(np.trace(s)) / _pointwise_lambda(x) ** 2 < 1e-9
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_conformal_fields_span_kernel(self, n):
@@ -972,10 +979,9 @@ class TestAhlfors:
     @pytest.mark.parametrize("point, shape", [(3.0, "()"), ([[1.0, 2.0]], "(1, 2)")])
     def test_one_point_methods_refuse_a_point_that_is_not_a_vector(self, point, shape):
         # The scalar died with a bare IndexError.
-        for method in (chart_lambda, lambda x: ahlfors_chart(lambda y: y, x)):
-            with pytest.raises(DomainError, match=re.escape(
-                    f"a point must be an (n,) array, got shape {shape}")):
-                method(point)
+        with pytest.raises(DomainError, match=re.escape(
+                f"a point must be an (n,) array, got shape {shape}")):
+            ahlfors_chart(lambda y: y, point)
 
     def test_inversion_at_a_stencil_point_is_degenerate(self):
         # x + h e_0 is the origin, a point of the pulled field's stencil.

@@ -344,6 +344,20 @@ class TestOverflowingValues:
             route(n, x)
 
 
+class TestNegativeValues:
+    # Both terms of the L2 profile are positive; near r = pi its tail
+    # F(inf) - F(x) cancels, and these values came back negative.
+    @pytest.mark.parametrize("n, r", [(11, 3.11), (17, 3.0), (31, 2.8)])
+    def test_l2_value_raises(self, n, r):
+        with pytest.raises(DomainError, match=rf"^L2 profile at n = {n}, r = {r} is -"):
+            green_L2(n, r)
+
+    def test_ode_rows_raise(self):
+        with pytest.raises(DomainError, match=(
+                r"^L2 profile at n = 17, r = 3\.0 is not positive: value -")):
+            ode_residual_L2(17, R_GRID)
+
+
 class TestOdeRows:
     @pytest.mark.parametrize("kind", ["L", "L2"])
     @pytest.mark.parametrize("r", [0.0, math.pi, -0.5, math.nan])
