@@ -18,7 +18,7 @@ w_t the normalizing coordinate.  On top of the action this module builds:
     with the invariance <h, k> = <u_{-n/2} h, u_{n/2} k>;
   * the stereographic-chart conformal Killing operator
     S X = L_X g - (2/n) (div_g X) g for g = lambda^2 delta,
-    lambda = 2 / (1 + |x|^2), its kernel fields, and its conformal
+    lambda = 2 / (1 + |x|^2), its kernel fields from o(n+1, 1), and its
     covariance Omega^{-2} phi^*(S X) = S(phi^* X) under chart Moebius maps.
 """
 
@@ -67,8 +67,6 @@ __all__ = [
     "chart_inversion",
     "random_chart_map",
     "ahlfors_chart",
-    "inverse_stereographic",
-    "stereographic",
     "sphere_conformal_fields",
     "kernel_field_residual",
     "check_ahlfors_covariance",
@@ -225,8 +223,7 @@ def random_moebius(
 
 def act_many(a: MoebiusElement, ys: np.ndarray) -> np.ndarray:
     """A . y = spatial part of M (y, 1) over its last coordinate, at each row."""
-    ys = np.asarray(ys, dtype=float)
-    w_s, w_t = _homogeneous(a, ys)
+    w_s, w_t = _homogeneous(a, _point_stack(a.n, ys))
     return w_s / w_t[:, None]
 
 
@@ -243,7 +240,7 @@ def _homogeneous(a: MoebiusElement, ys: np.ndarray) -> tuple[np.ndarray, np.ndar
 def differential_many(a: MoebiusElement, ys: np.ndarray) -> np.ndarray:
     """Exact ambient Jacobians of the action at the rows of ys, as (N, d, d);
     each restricts to T_y S^n."""
-    return _node_first(_moebius_frame(a, np.asarray(ys, dtype=float))[1])
+    return _node_first(_moebius_frame(a, _point_stack(a.n, ys))[1])
 
 
 def _moebius_frame(
@@ -269,7 +266,7 @@ def _moebius_frame(
 
 def conformal_factor_many(a: MoebiusElement, ys: np.ndarray) -> np.ndarray:
     """Omega with (d phi)^T (d phi) = Omega^2 Id on T_y S^n; equals 1 / w_t."""
-    return _omega(_homogeneous(a, np.asarray(ys, dtype=float))[1])
+    return _omega(_homogeneous(a, _point_stack(a.n, ys))[1])
 
 
 def _omega(w_t: np.ndarray) -> np.ndarray:
@@ -282,13 +279,21 @@ def _omega(w_t: np.ndarray) -> np.ndarray:
     return 1.0 / w_t
 
 
-def _unit_points(n: int, ys) -> np.ndarray:
-    """The rows of a non-empty (N, n+1) stack scaled to unit length;
-    DomainError where a row's norm is zero or not finite."""
+def _point_stack(n: int, ys) -> np.ndarray:
+    """``ys`` as a float array; DomainError unless it is a non-empty (N, n+1)
+    stack.  Unlike the public actions, :func:`_homogeneous` and
+    :func:`_moebius_frame` skip it: the pairing kernel calls them per block."""
     ys = np.asarray(ys, dtype=float)
     _require_width(n, ys)
     if len(ys) == 0:
         raise DomainError(f"points must be a non-empty stack, got shape {ys.shape}")
+    return ys
+
+
+def _unit_points(n: int, ys) -> np.ndarray:
+    """The rows of a non-empty (N, n+1) stack scaled to unit length;
+    DomainError where a row's norm is zero or not finite."""
+    ys = _point_stack(n, ys)
     with np.errstate(over="ignore"):  # an infinite norm is refused next
         norms = np.linalg.norm(ys, axis=1)
     bad = norms[~((0 < norms) & (norms < math.inf))]
@@ -792,6 +797,8 @@ def _one_point(x) -> np.ndarray:
 def chart_translation(v) -> MoebiusElement:
     """x -> x + v, a parabolic element."""
     v = np.asarray(v, float)
+    if v.ndim != 1:
+        raise DomainError(f"translation vector must have shape (n,), got shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise DomainError(f"translation vector v = {v.tolist()!r} must be finite")
     n, h = len(v), 0.5 * float(v @ v)
@@ -818,6 +825,8 @@ def chart_dilation(n: int, s: float) -> MoebiusElement:
 def chart_rotation(q) -> MoebiusElement:
     """x -> q x for an orthogonal (n, n) matrix q."""
     q = np.asarray(q, dtype=float)
+    if q.ndim != 2 or q.shape[0] != q.shape[1]:
+        raise DomainError(f"rotation matrix must have shape (n, n), got shape {q.shape}")
     n = len(q)
     m = np.eye(n + 2)
     m[:n, :n] = q
@@ -846,12 +855,12 @@ def _chart_frame(a: MoebiusElement, xs: np.ndarray):
 
     Index 0..n-1 of the element is the chart, n the pole axis and n+1 time;
     x has homogeneous coordinates p = (2x, 1 - |x|^2, 1 + |x|^2), which is
-    (1 + |x|^2) (inverse_stereographic(x), 1).  With row n of M replaced by
-    rows n + (n+1), P = M p = 2 C x + s + |x|^2 t holds the image's
-    numerators, its denominator D and the time coordinate (C the chart
-    columns, s and t the sum and difference of the last two; the x-free s
-    rounds alike at every stencil point).  phi = P_{0..n-1} / D, Degenerate
-    where D is 0 to rounding; J = d phi by the quotient rule with
+    (1 + |x|^2) (y, 1) for the sphere point y over x.  With row n of M
+    replaced by rows n + (n+1), P = M p = 2 C x + s + |x|^2 t holds the
+    image's numerators, its denominator D and the time coordinate (C the
+    chart columns, s and t the sum and difference of the last two; the
+    x-free s rounds alike at every stencil point).  phi = P_{0..n-1} / D,
+    Degenerate where D is 0 to rounding; J = d phi by the quotient rule with
     dP/dx_k = 2 (C e_k + x_k t); Omega = (1 + |x|^2) / P_{n+1}, the sphere's
     conformal factor: phi^*(lambda^2 delta) = Omega^2 lambda^2 delta.
     """
@@ -946,67 +955,41 @@ def ahlfors_chart(
     return _ahlfors_at(vec_field, _one_point(x))[0]
 
 
-def inverse_stereographic(x: np.ndarray) -> np.ndarray:
-    """Chart point to sphere point: (2x, 1 - |x|^2) / (1 + |x|^2)."""
-    x = np.asarray(x, dtype=float)
-    r2 = float(x @ x)
-    return np.concatenate([2.0 * x, [1.0 - r2]]) / (1.0 + r2)
-
-
-def stereographic(y: np.ndarray) -> np.ndarray:
-    """Sphere point to chart point: y_s / (1 + y_t)."""
-    y = np.asarray(y, dtype=float)
-    t = y[-1]
-    if abs(1.0 + t) < 1e-14:
-        raise Degenerate("stereographic chart singular at the south pole")
-    return y[:-1] / (1.0 + t)
-
-
-def _stereographic_push(y: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Differential of the stereographic chart applied to tangent v at y."""
-    t = y[-1]
-    return v[:-1] / (1.0 + t) - y[:-1] * v[-1] / (1.0 + t) ** 2
-
-
 def sphere_conformal_fields(n: int) -> list[Callable[[np.ndarray], np.ndarray]]:
-    """Chart expressions of the (n+1)(n+2)/2 conformal fields of S^n.
+    """Chart expressions of the (n+1)(n+2)/2 conformal fields of S^n, one
+    per generator K of o(n+1, 1) in the chart's Lorentz basis.
 
-    Rotation generators E_{ab} (y_a d_b - y_b d_a) and the conformal
-    gradients grad(y_a) = e_a - y_a y, both pushed through the stereographic
-    chart exactly.
+    With p = (2x, 1 - |x|^2, 1 + |x|^2) and w = K p, the field is
+    X_K(x) = (w_{0..n-1} - x (w_n + w_{n+1})) / 2, the t-derivative at 0
+    of the chart action of exp(tK) (see :func:`_chart_frame`).  The
+    generators come in this order: the rotations E_ba - E_ab for
+    a < b <= n, then the boosts E_{a,n+1} + E_{n+1,a} for a <= n; on the
+    sphere these are y_a d_b - y_b d_a and grad(y_a) = e_a - y_a y.  A
+    field casts nothing to float, so it also takes complex points.
     """
-    fields: list[Callable[[np.ndarray], np.ndarray]] = []
-
-    def rotation_field(aa: int, bb: int) -> Callable[[np.ndarray], np.ndarray]:
+    def chart_field(k: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         def fld(x: np.ndarray) -> np.ndarray:
-            y = inverse_stereographic(x)
-            v = np.zeros(n + 1)
-            v[bb] += y[aa]
-            v[aa] -= y[bb]
-            return _stereographic_push(y, v)
+            x = np.asarray(x)
+            r2 = x @ x
+            w = k @ np.concatenate([2.0 * x, [1.0 - r2, 1.0 + r2]])
+            return (w[:n] - x * (w[n] + w[n + 1])) / 2.0
 
         return fld
 
-    def gradient_field(aa: int) -> Callable[[np.ndarray], np.ndarray]:
-        def fld(x: np.ndarray) -> np.ndarray:
-            y = inverse_stereographic(x)
-            v = -y[aa] * y
-            v[aa] += 1.0
-            return _stereographic_push(y, v)
-
-        return fld
-
-    for a in range(n + 1):
-        for b in range(a + 1, n + 1):
-            fields.append(rotation_field(a, b))
-    for a in range(n + 1):
-        fields.append(gradient_field(a))
-    return fields
+    e = np.eye(n + 2)
+    rotations = [np.outer(e[b], e[a]) - np.outer(e[a], e[b])
+                 for a in range(n + 1) for b in range(a + 1, n + 1)]
+    boosts = [np.outer(e[a], e[n + 1]) + np.outer(e[n + 1], e[a]) for a in range(n + 1)]
+    return [chart_field(k) for k in rotations + boosts]
 
 
 def kernel_field_residual(n: int, points: np.ndarray) -> float:
     """Largest |S X| entry of the fields of :func:`sphere_conformal_fields`
-    at a non-empty (P, n) array of chart points, which S annihilates."""
+    at a non-empty (P, n) array of chart points, which S annihilates.
+
+    S X_K is linear in K, so S vanishes on every conformal field if it
+    vanishes on those of a basis of o(n+1, 1).
+    """
     xs = np.asarray(points, dtype=float)
     if xs.ndim != 2 or xs.shape[0] == 0 or xs.shape[1] != n:
         raise DomainError(f"points must be a non-empty (P, {n}) array, got shape {xs.shape}")

@@ -72,19 +72,25 @@ def _expand(name: str) -> list[str]:
     return [name]
 
 
+def _readme_check_rows() -> list[list[str]]:
+    """The cells of each row of the README's "Checks" table, between an
+    empty first and last cell."""
+    section = README.read_text().split("## Checks", 1)[1].split("\n## ", 1)[0]
+    lines = [[c.strip() for c in re.split(r"(?<!\\)\|", line)]
+             for line in section.splitlines()]
+    # The header's check cell is not code.
+    return [cells for cells in lines if len(cells) == 7 and cells[2].startswith("`")]
+
+
 def _readme_checks() -> set[tuple[str, float]]:
     """Each (check name, tolerance) pair of the README's "Checks" table."""
-    section = README.read_text().split("## Checks", 1)[1].split("\n## ", 1)[0]
     pairs = set()
-    for line in section.splitlines():
-        cells = [c.strip() for c in re.split(r"(?<!\\)\|", line)]
-        if len(cells) != 7 or not cells[2].startswith("`"):
-            continue  # not a row, or the header
+    for cells in _readme_check_rows():
         names = [x for name in re.findall(r"`([^`]+)`", cells[2]) for x in _expand(name)]
         tolerances = [float(t) for t in cells[4].split("; ")]
         if len(tolerances) == 1:
             tolerances *= len(names)
-        assert len(tolerances) == len(names), line
+        assert len(tolerances) == len(names), cells
         pairs.update(zip(names, tolerances))
     return pairs
 
@@ -304,6 +310,29 @@ class TestChecksTable:
             printed.update((c["name"], c["tolerance"]) for c in json.loads(out)["checks"])
         assert printed == _readme_checks()
 
+    def test_named_functions_exist(self):
+        # Each backticked identifier (a call's arguments dropped) of the
+        # residual and routes columns is a name of a layer module, so no
+        # removal leaves the table naming a deleted function.  Hyphenated
+        # names are rows of the table; ``rs`` is the radius grid the text
+        # above it defines.
+        import importlib
+
+        import spherehess
+
+        modules = [importlib.import_module(f"spherehess.{name}")
+                   for name in (*spherehess._EXPORTS, "cli")]
+        named = set()
+        for cells in _readme_check_rows():
+            for code in re.findall(r"`([^`]+)`", cells[3] + cells[5]):
+                call = re.fullmatch(r"([A-Za-z_]\w*)(\(.*\))?", code)
+                if call:
+                    named.add(call.group(1))
+        assert "kernel_field_residual" in named and "tau_tail_gap" in named
+        missing = {name for name in named - {"rs"}
+                   if not any(hasattr(module, name) for module in modules)}
+        assert not missing
+
 
 class TestSymbolsSuite:
     def test_null_ray_covers_the_d2_bracket(self, capsys, monkeypatch):
@@ -390,6 +419,43 @@ class TestConfgroupSuite:
         assert checks["conformality"]["status"] == "FAIL"
         assert checks["conformality"]["residual"] > 1e-6
         assert checks["cocycle"]["status"] == "PASS"
+
+    GROUP_ROWS = ("lorentz-form", "conformality", "cocycle", "pairing-invariance")
+
+    def test_kernel_fields_see_a_field_that_is_not_conformal(self, capsys, monkeypatch):
+        # S(x_0 x) is not 0, so the bent fields read about 1e-6 against the
+        # row's 1e-8; no other row calls the conformal fields.
+        from spherehess import confgroup
+
+        fields = confgroup.sphere_conformal_fields
+
+        def bent(n):
+            return [lambda x, fld=fld: fld(x) + 1e-6 * x[0] * x for fld in fields(n)]
+
+        monkeypatch.setattr(confgroup, "sphere_conformal_fields", bent)
+        checks = self._checks(capsys)
+        assert checks["kernel-fields"]["status"] == "FAIL"
+        assert checks["kernel-fields"]["residual"] > 1e-7
+        for name in (*self.GROUP_ROWS, "ahlfors-covariance"):
+            assert checks[name]["status"] == "PASS"
+
+    def test_ahlfors_covariance_sees_a_scaled_chart_factor(self, capsys, monkeypatch):
+        # Omega off by 1e-6 scales the left side by 1 - 2e-6; the kernel
+        # fields and the group rows read no chart frame.
+        from spherehess import confgroup
+
+        frame = confgroup._chart_frame
+
+        def scaled(a, xs):
+            image, jac, omega = frame(a, xs)
+            return image, jac, omega * (1 + 1e-6)
+
+        monkeypatch.setattr(confgroup, "_chart_frame", scaled)
+        checks = self._checks(capsys)
+        assert checks["ahlfors-covariance"]["status"] == "FAIL"
+        assert checks["ahlfors-covariance"]["residual"] > 1e-5
+        for name in (*self.GROUP_ROWS, "kernel-fields"):
+            assert checks[name]["status"] == "PASS"
 
 
 class TestGreensSuite:

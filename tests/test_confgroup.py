@@ -33,7 +33,6 @@ from spherehess.confgroup import (
     conformality_residual,
     differential_many,
     inverse,
-    inverse_stereographic,
     kernel_field_residual,
     lorentz_form_residual,
     metric_field,
@@ -49,7 +48,6 @@ from spherehess.confgroup import (
     sphere_conformal_fields,
     sphere_grid,
     sphere_monomial_integral,
-    stereographic,
     u_action,
 )
 from spherehess.exact import sphere_volume
@@ -160,6 +158,15 @@ class TestGroup:
             moebius_boost(2, direction, 1.0)
 
 
+_BAD_STACKS = [
+    (np.ones((4, 2)), r"^dimension mismatch: points of shape \(4, 2\) for a field on "
+                      r"S\^2, which takes width 3$"),
+    (np.ones(3), r"^dimension mismatch: points of shape \(3,\)"),
+    (np.zeros((0, 3)), r"^points must be a non-empty stack, got shape \(0, 3\)$"),
+]
+_BAD_STACK_IDS = ["width", "one-point", "empty"]
+
+
 class TestDifferential:
     @pytest.mark.parametrize("n", [2, 3])
     def test_exact_jacobian_matches_finite_difference(self, n):
@@ -206,14 +213,17 @@ class TestDifferential:
         # and the warnings filter turns that warning into the failure.
         self._refused([[1e300, 1e300, 0.0]], r"finite nonzero norm, got inf$")
 
-    @pytest.mark.parametrize("ys, message", [
-        (np.ones((4, 2)), r"^dimension mismatch: points of shape \(4, 2\) for a field on "
-                          r"S\^2, which takes width 3$"),
-        (np.ones(3), r"^dimension mismatch: points of shape \(3,\)"),
-        (np.zeros((0, 3)), r"^points must be a non-empty stack, got shape \(0, 3\)$"),
-    ], ids=["width", "one-point", "empty"])
+    @pytest.mark.parametrize("ys, message", _BAD_STACKS, ids=_BAD_STACK_IDS)
     def test_stack_of_the_wrong_shape_is_refused(self, ys, message):
         self._refused(ys, message)
+
+    @pytest.mark.parametrize("ys, message", _BAD_STACKS, ids=_BAD_STACK_IDS)
+    @pytest.mark.parametrize("action", [act_many, differential_many, conformal_factor_many])
+    def test_stacked_actions_refuse_a_stack_of_the_wrong_shape(self, action, ys, message):
+        # These raised numpy's ValueError or AxisError: a matmul core
+        # dimension, a missing axis, or a minimum of an empty array.
+        with pytest.raises(DomainError, match=message):
+            action(moebius_boost(2, 0, 0.5), ys)
 
 
 class TestGrids:
@@ -791,7 +801,8 @@ class TestSameBits:
         # OpenBLAS on x86-64 once grids integrated by a pairwise sum, which
         # gives the same bits under any BLAS thread count; the
         # ahlfors-covariance cells again once chart maps became Lorentz
-        # elements (a residual on the finite-difference floor).
+        # elements, and the kernel-fields cells once the fields came from
+        # the Lorentz algebra (residuals on the finite-difference floor).
         code = console_main(["verify", "--suite", "confgroup", *case.split(),
                              "--format", "json"])
         assert code == 0
@@ -799,12 +810,6 @@ class TestSameBits:
 
 
 class TestChart:
-    def test_stereographic_round_trip(self):
-        rng = np.random.default_rng(8)
-        for _ in range(5):
-            x = rng.normal(size=3)
-            assert np.max(np.abs(stereographic(inverse_stereographic(x)) - x)) < 1e-12
-
     @pytest.mark.parametrize("n", [2, 3])
     def test_constructors_are_their_closed_forms(self, n):
         rng = np.random.default_rng(9 + n)
@@ -872,6 +877,18 @@ class TestChart:
         with pytest.raises(DomainError, match=rf"^dilation scale s = {s!r} must be finite$"):
             chart_dilation(2, s)
 
+    @pytest.mark.parametrize("make, arg, message", [
+        (chart_rotation, [[1.0, 0.0, 0.0]], "rotation matrix must have shape (n, n), "
+                                            "got shape (1, 3)"),
+        (chart_rotation, 3.0, "rotation matrix must have shape (n, n), got shape ()"),
+        (chart_translation, [[1.0, 0.0]], "translation vector must have shape (n,), "
+                                          "got shape (1, 2)"),
+    ], ids=["rotation-row", "rotation-scalar", "translation-row"])
+    def test_constructors_refuse_a_malformed_shape(self, make, arg, message):
+        # These raised numpy's broadcast or matmul ValueError, or a TypeError.
+        with pytest.raises(DomainError, match="^" + re.escape(message) + "$"):
+            make(arg)
+
     def test_non_finite_translation_is_refused(self):
         with pytest.raises(DomainError, match=(
                 r"^translation vector v = \[nan, 0\.0\] must be finite$")):
@@ -929,6 +946,33 @@ class TestAhlfors:
         for fld in fields:
             for x in pts:
                 assert np.max(np.abs(ahlfors_chart(fld, x))) <= 1e-8
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_conformal_fields_are_the_groups_derivatives(self, n):
+        # Each field is d/dt at 0 of the chart image under the library's
+        # own one-parameter subgroup: the rotations, then the boosts.
+        rng = np.random.default_rng(30 + n)
+        xs = rng.normal(size=(8, n)) * 0.7
+        flows = [lambda t, a=a, b=b: moebius_rotation(n, a, b, t)
+                 for a in range(n + 1) for b in range(a + 1, n + 1)]
+        flows += [lambda t, a=a: moebius_boost(n, a, t) for a in range(n + 1)]
+        fields = sphere_conformal_fields(n)
+        assert len(fields) == len(flows)
+        h = 1e-4
+        for fld, flow in zip(fields, flows):
+            ends = [confgroup._chart_frame(flow(t), xs)[0] for t in (h, -h)]
+            want = (ends[0] - ends[1]) / (2 * h)
+            got = np.array([fld(x) for x in xs])
+            assert np.max(np.abs(got - want)) <= 1e-7
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_conformal_fields_are_a_basis(self, n):
+        # Their values at six generic points have full rank.
+        rng = np.random.default_rng(20 + n)
+        xs = rng.normal(size=(6, n)) * 0.8
+        values = np.array([np.concatenate([fld(x) for x in xs])
+                           for fld in sphere_conformal_fields(n)])
+        assert np.linalg.matrix_rank(values) == (n + 1) * (n + 2) // 2
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_covariance_under_chart_moebius_maps(self, n):
