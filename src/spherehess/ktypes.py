@@ -195,29 +195,45 @@ def _sigma_head(sigma: DominantWeight, n: int) -> tuple[int, ...]:
 
 
 def dominant_weights_upto(group_rank: int, bound: int) -> Iterator[DominantWeight]:
-    """All dominant weights of SO(group_rank) with every |entry| <= bound."""
+    """All dominant weights of SO(group_rank) with every |entry| <= bound.
+
+    In ascending lexicographic order of the entry tuples; none for
+    ``bound < 0``.
+    """
     for entries in _dominant_entries(group_rank, bound):
         yield _weight(entries, group_rank)
 
 
 def _dominant_entries(group_rank: int, bound: int) -> Iterator[tuple[int, ...]]:
-    """The entry tuples of :func:`dominant_weights_upto`, in the same order."""
+    """The entry tuples of :func:`dominant_weights_upto`, in the same order.
+
+    A flat odometer: the first entry runs over 0..bound, each later one over
+    0..(the entry before it), and for even ``group_rank`` the last one over
+    -cap..cap with cap the entry before it (or ``bound`` at rank one).  The
+    last entry runs in an inner loop; to advance the head, the rightmost
+    head entry below its cap goes up by one and the head entries after it
+    go back to 0.
+    """
     rank = group_rank // 2
-    even = group_rank % 2 == 0
-
-    def rec(prefix: list[int]) -> Iterator[tuple[int, ...]]:
-        if len(prefix) == rank:
-            yield tuple(prefix)
+    if rank == 0:
+        yield ()
+        return
+    if bound < 0:
+        return
+    signed = group_rank % 2 == 0
+    head = [0] * (rank - 1)
+    while True:
+        cap = head[-1] if head else bound
+        prefix = tuple(head)
+        for last in range(-cap if signed else 0, cap + 1):
+            yield prefix + (last,)
+        i = len(head) - 1
+        while i >= 0 and head[i] == (head[i - 1] if i else bound):
+            i -= 1
+        if i < 0:
             return
-        cap = prefix[-1] if prefix else bound
-        is_last = len(prefix) == rank - 1
-        lo = -cap if (even and is_last) else 0
-        for value in range(lo, cap + 1):
-            prefix.append(value)
-            yield from rec(prefix)
-            prefix.pop()
-
-    return rec([])
+        head[i] += 1
+        head[i + 1:] = [0] * (len(head) - 1 - i)
 
 
 def bundle_ktypes_bruteforce(

@@ -21,9 +21,10 @@ The assembled chain (:func:`lin_scalar_symbol`, :func:`lin_schouten_symbol`,
 :func:`lin_obstruction_symbol`, :func:`q_hessian_symbol`) and
 :func:`project_tt` run on Python ints: each call validates its input, writes
 xi = x / d and k = K / e with integer x and K, does all matrix work on
-integers and makes one exact division per output entry.  The results are
-the same `Fraction`s that rational arithmetic gives.  The routes the chain
-is checked against (:func:`q_hessian_expected`,
+integers and makes one exact division per distinct output entry: every
+output matrix is symmetric, and (i, j) and (j, i) share one `Fraction`.
+The results are the same `Fraction`s that rational arithmetic gives.  The
+routes the chain is checked against (:func:`q_hessian_expected`,
 :func:`lin_obstruction_symbol_direct`, :func:`lin_ricci_symbol`,
 :func:`lin_schouten_from_ricci`) stay on `Fraction` arithmetic, so a check
 compares two different kinds of arithmetic.
@@ -75,11 +76,22 @@ FracMat = tuple[tuple[Fraction, ...], ...]
 
 
 def as_vector(entries) -> FracVec:
-    return tuple(Fraction(e) for e in entries)
+    """The entries as plain `Fraction`s; an entry that already is one is kept."""
+    return tuple(e if type(e) is Fraction else Fraction(e) for e in entries)
 
 
 def as_matrix(rows) -> FracMat:
-    mat = tuple(tuple(Fraction(e) for e in row) for row in rows)
+    """A square matrix of plain `Fraction`s, as :func:`as_vector` makes them.
+
+    Entries whose type is exactly `Fraction` are kept; everything else
+    (ints, bools, "p/q" strings, `Fraction` subclasses) goes through
+    ``Fraction(e)``.
+
+    Raises:
+        DomainError: the rows do not form a square matrix.
+    """
+    mat = tuple(tuple(e if type(e) is Fraction else Fraction(e) for e in row)
+                for row in rows)
     size = len(mat)
     if any(len(row) != size for row in mat):
         raise DomainError("matrix must be square")
@@ -128,10 +140,11 @@ def frobenius(a: FracMat, b: FracMat) -> Fraction:
 
 
 def _check_symmetric(m: FracMat) -> None:
+    """Raise unless m is symmetric; a shared entry needs no comparison."""
     size = len(m)
     for i in range(size):
         for j in range(i):
-            if m[i][j] != m[j][i]:
+            if m[i][j] is not m[j][i] and m[i][j] != m[j][i]:
                 raise DomainError("matrix must be symmetric")
 
 
@@ -188,8 +201,18 @@ def _int_apply(m, v: list[int]) -> list[int]:
 
 
 def _fractions(num: _IntMat, den: int) -> FracMat:
-    """One exact division per entry."""
-    return tuple(tuple(Fraction(v, den) for v in row) for row in num)
+    """The symmetric matrix num / den, one exact division per distinct entry.
+
+    Only the upper triangle of ``num`` is read; entry (i, j) and (j, i) are
+    one shared `Fraction`.
+    """
+    size = len(num)
+    rows = [[None] * size for _ in range(size)]
+    for i, num_row in enumerate(num):
+        row = rows[i]
+        for j in range(i, size):
+            row[j] = rows[j][i] = Fraction(num_row[j], den)
+    return tuple(map(tuple, rows))
 
 
 @dataclass(frozen=True)

@@ -20,11 +20,10 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 from ._record import dataclass
 from .errors import DomainError, InconsistentSystem
-from .exact import rising
 from .ktypes import KType, q_range
 
 __all__ = [
@@ -83,6 +82,15 @@ def _lowest_terms(a: int, b: int) -> tuple[int, int]:
     return a // g, b // g
 
 
+def _column_steps(n: int, j_max: int) -> list[tuple[int, int]]:
+    """The j-edge factors (hi, lo) with mu_{j+1} = mu_j * hi / lo, j < j_max.
+
+    The j-edge up from j has d = n + 2j + 4, so d + n and d - n are twice
+    n + j + 2 and j + 2.  The same factors serve every q-column.
+    """
+    return [(n + j + 2, j + 2) for j in range(j_max)]
+
+
 def _solve_lattice(n: int, j_max: int, seeds: dict[int, Fraction]) -> SpectrumTable:
     """Solve mu_gamma (d - n) = mu_beta (d + n) on the lattice j <= j_max.
 
@@ -98,7 +106,8 @@ def _solve_lattice(n: int, j_max: int, seeds: dict[int, Fraction]) -> SpectrumTa
     degenerate: its factors 2j + 4 and 2n + 2j + 4 are positive, so each
     column is its j = 0 value times one exact product per step, and a
     forced zero stays zero up its column.  Every edge relation is then
-    re-checked exactly.
+    re-checked exactly, with d taken from :func:`kappa` (evaluated once per
+    mode).
 
     Values are carried as pairs of ints (numerator, denominator) in lowest
     terms with a positive denominator, and the re-check is the
@@ -134,18 +143,19 @@ def _solve_lattice(n: int, j_max: int, seeds: dict[int, Fraction]) -> SpectrumTa
         raise InconsistentSystem(f"unreached modes: {missing} with their j-columns")
 
     values = {}
+    steps = _column_steps(n, j_max)
     for q, (num, den) in zip(qs, row):
         values[0, q] = num, den
-        # the j-edge up from j has d = n + 2j + 4: mu_{j+1} = mu_j (n+j+2)/(j+2)
-        for j in range(j_max):
-            num, den = _lowest_terms(num * (n + j + 2), den * (j + 2))
+        for j, (hi, lo) in enumerate(steps):
+            num, den = _lowest_terms(num * hi, den * lo)
             values[j + 1, q] = num, den
     nodes = {(j, q): KType(dim_n=n, j=j, q=q) for j in range(j_max + 1) for q in qs}
-    for (j, q), beta in nodes.items():
+    kappas = {key: kappa(t) for key, t in nodes.items()}
+    for (j, q), k_b in kappas.items():
         num_b, den_b = values[j, q]
         for key in ((j + 1, q), (j, q + 1)):
-            if key in nodes:
-                d = kappa(nodes[key]) - kappa(beta)
+            if key in kappas:
+                d = kappas[key] - k_b
                 num_g, den_g = values[key]
                 if num_g * (d - n) * den_b != num_b * (d + n) * den_g:
                     raise InconsistentSystem(
@@ -183,24 +193,44 @@ def spectrum_generate3(
     return _solve_lattice(3, j_max, {2: base_value_plus, -2: base_value_minus})
 
 
+def _j_factor(n: int, j: int) -> int:
+    """rising(j+2, n) as an int: the j-factor of the closed form."""
+    return prod(range(j + 2, j + 2 + n))
+
+
+def _q_factor(n: int, q: int) -> int:
+    """rising(q-1, n) as an int: the q-factor of the closed form."""
+    return prod(range(q - 1, q - 1 + n))
+
+
 def t0_eigenvalue(t: KType) -> Fraction:
     """Closed-form eigenvalue rising(j+2, n) * rising(q-1, n), exact.
 
     The second factor crosses zero precisely for q in {0, 1}; on the
     3-sphere it is negative at q = -2 and positive at q = 2.
     """
-    n = t.dim_n
-    return rising(t.j + 2, n) * rising(t.q - 1, n)
+    return Fraction(_j_factor(t.dim_n, t.j) * _q_factor(t.dim_n, t.q))
 
 
 def closed_form_table(n: int, j_max: int) -> SpectrumTable:
-    """The closed-form eigenvalue table over the full mode lattice."""
-    entries = {
-        t: t0_eigenvalue(t)
-        for j in range(j_max + 1)
-        for q in q_range(n)
-        for t in (KType(dim_n=n, j=j, q=q),)
-    }
+    """The closed-form eigenvalue table over the full mode lattice j <= j_max.
+
+    Entry (j, q) is the integer product of :func:`t0_eigenvalue`'s two
+    factors; each j-factor and each q-factor is computed once, directly
+    from its rising product and never stepped from a neighbouring entry, so
+    the table stays a route independent of the recursion.
+
+    Raises:
+        DomainError: ``j_max < 0``, as for the recursion.
+    """
+    if j_max < 0:
+        raise DomainError("j_max must be >= 0")
+    q_factors = [(q, _q_factor(n, q)) for q in q_range(n)]
+    entries = {}
+    for j in range(j_max + 1):
+        j_factor = _j_factor(n, j)
+        for q, q_factor in q_factors:
+            entries[KType(dim_n=n, j=j, q=q)] = Fraction(j_factor * q_factor)
     return SpectrumTable(dim_n=n, entries=entries)
 
 

@@ -366,6 +366,74 @@ class TestSymbolsSuite:
                                             "residual": 0.0, "tolerance": 0.0}
 
 
+class TestSpectrumSuite:
+    ROWS = ("recursion-equals-closed-form-n4-8", "five-branch-recursion-n3",
+            "opposite-signs-n3")
+
+    @classmethod
+    def _statuses(cls, capsys):
+        code, out, _ = _run(capsys, "verify", "--suite", "spectrum", "--format", "json")
+        statuses = {c["name"]: c["status"] for c in json.loads(out)["checks"]}
+        assert tuple(statuses) == cls.ROWS
+        return code, statuses
+
+    def test_one_closed_form_j_factor_off(self, capsys, monkeypatch):
+        # The smallest integer defect in rising(9, 3), the j = 7 factor of
+        # the S^3 closed form, changes that table row and no other.
+        from spherehess import spectrum
+
+        clean = spectrum.closed_form_table(3, 40).entries
+        j_factor = spectrum._j_factor
+        monkeypatch.setattr(spectrum, "_j_factor",
+                            lambda n, j: j_factor(n, j) + (n == 3 and j == 7))
+        bent = spectrum.closed_form_table(3, 40).entries
+        assert {t.j for t in clean if bent[t] != clean[t]} == {7}
+        code, statuses = self._statuses(capsys)
+        assert code == 1
+        assert statuses == {"recursion-equals-closed-form-n4-8": "PASS",
+                            "five-branch-recursion-n3": "FAIL",
+                            "opposite-signs-n3": "PASS"}
+
+    def test_one_recursion_j_edge_off(self, capsys, monkeypatch):
+        # mu_11 = mu_10 (n + 12)/12 with one unit more in the numerator at
+        # n = 5; the solver's exact re-check refuses the table.
+        from spherehess import spectrum
+
+        column_steps = spectrum._column_steps
+
+        def bent(n, j_max):
+            steps = column_steps(n, j_max)
+            if n == 5:
+                hi, lo = steps[10]
+                steps[10] = hi + 1, lo
+            return steps
+
+        monkeypatch.setattr(spectrum, "_column_steps", bent)
+        code, statuses = self._statuses(capsys)
+        assert code == 1
+        assert statuses == {"recursion-equals-closed-form-n4-8": "FAIL",
+                            "five-branch-recursion-n3": "PASS",
+                            "opposite-signs-n3": "PASS"}
+
+
+class TestQcurvRows:
+    def test_a_scaled_expected_symbol(self, capsys, monkeypatch):
+        # -|xi|^n/4 times (1 + 10^-6): both printed rows compare in Q.
+        from spherehess import qcurv
+
+        expected = qcurv.q_hessian_expected
+        monkeypatch.setattr(
+            qcurv, "q_hessian_expected",
+            lambda n, xi, k: qcurv.mat_scale(Fraction(1000001, 1000000),
+                                             expected(n, xi, k)))
+        for argv, name in ((("verify", "--suite", "qcurv"), "q-symbol-identity-n468"),
+                           (("qsymbol", "--dim", "4"), "q-symbol-identity")):
+            code, out, _ = _run(capsys, *argv, "--format", "json")
+            assert code == 1
+            assert json.loads(out)["checks"] == [
+                {"name": name, "status": "FAIL", "residual": 0.0, "tolerance": 0.0}]
+
+
 class TestConfgroupSuite:
     def test_pairing_invariance_sees_a_shifted_weight(self, capsys, monkeypatch):
         # A power of Omega off by 1e-3 moves the pulled-back pairing by about

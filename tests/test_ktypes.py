@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from spherehess.errors import DomainError, RankMismatch, UnsupportedSigma
 from spherehess.ktypes import (
+    _dominant_entries,
     DominantWeight,
     KType,
     branches,
@@ -160,3 +161,37 @@ class TestDominantGenerator:
     def test_all_generated_are_dominant(self, group_rank, bound):
         for w in dominant_weights_upto(group_rank, bound):
             assert is_dominant(w)
+
+
+def _dominant_entries_oracle(group_rank, bound):
+    """The enumeration by recursion over the entries, as a list."""
+    rank = group_rank // 2
+    even = group_rank % 2 == 0
+    out = []
+
+    def rec(prefix):
+        if len(prefix) == rank:
+            out.append(tuple(prefix))
+            return
+        cap = prefix[-1] if prefix else bound
+        lo = -cap if even and len(prefix) == rank - 1 else 0
+        for value in range(lo, cap + 1):
+            rec(prefix + [value])
+
+    rec([])
+    return out
+
+
+class TestDominantOdometer:
+    @pytest.mark.parametrize("group_rank", range(2, 13))
+    def test_equals_the_recursive_enumeration_in_order(self, group_rank):
+        # a negative bound gives nothing: a head of zeros must not leak out
+        for bound in (-3, *range(-1, 9)):
+            assert list(_dominant_entries(group_rank, bound)) == \
+                _dominant_entries_oracle(group_rank, bound)
+
+    def test_low_ranks(self):
+        # SO(2): one signed entry; SO(3): one entry from 0
+        assert list(_dominant_entries(2, 2)) == [(-2,), (-1,), (0,), (1,), (2,)]
+        assert list(_dominant_entries(3, 2)) == [(0,), (1,), (2,)]
+        assert list(_dominant_entries(4, 1)) == [(0, 0), (1, -1), (1, 0), (1, 1)]

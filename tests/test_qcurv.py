@@ -550,3 +550,51 @@ class TestFiniteIdentityCheck:
         assert all(qcurv.q_hessian_symbol(n, e1, b) == q_hessian_expected(n, e1, b)
                    for b in _tt_basis(n).values())
         assert not q_symbol_identity_holds(n)
+
+
+# ---------------------------------------------------------------------------
+# Entry conversion and the shared entries of symmetric outputs.
+# ---------------------------------------------------------------------------
+
+
+class _Rational(Fraction):
+    """A `Fraction` subclass, as a caller's own rational type may be."""
+
+
+class TestPlainFractions:
+    @pytest.mark.parametrize("entry, value", [
+        (3, Fraction(3)), (True, Fraction(1)), (False, Fraction(0)),
+        ("-5/6", Fraction(-5, 6)), (_Rational(7, 4), Fraction(7, 4)),
+        (Fraction(2, 9), Fraction(2, 9)),
+    ])
+    def test_entries_are_plain_fractions(self, entry, value):
+        vec = as_vector([entry, 1])
+        mat = as_matrix([[entry, 1], [1, entry]])
+        for got in (vec[0], mat[0][0], mat[1][1]):
+            assert type(got) is Fraction
+            assert got == value
+
+    def test_a_plain_fraction_is_kept(self):
+        f = Fraction(7, 3)
+        assert as_vector([f])[0] is f
+        assert as_matrix([[f]])[0][0] is f
+
+
+class TestSymmetricOutputs:
+    @settings(max_examples=20, deadline=None)
+    @given(_symbol_inputs())
+    def test_outputs_equal_their_transposes(self, data):
+        n, xi, m = data
+        k = project_tt(xi, m)
+        got = q_hessian_symbol(n, xi, k)
+        for out in (k, got):
+            assert out == _transpose(out)
+            assert all(out[i][j] is out[j][i] for i in range(n) for j in range(i))
+
+    def test_distinct_equal_entries_compare_by_value(self):
+        # equal entries that are distinct objects still compare by value
+        m = ((Fraction(1), Fraction(2)), (Fraction(4, 2), Fraction(1)))
+        assert m[0][1] is not m[1][0]
+        _check_symmetric(m)
+        with pytest.raises(DomainError, match="matrix must be symmetric"):
+            _check_symmetric(((Fraction(1), Fraction(2)), (Fraction(3), Fraction(1))))

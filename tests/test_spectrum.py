@@ -105,6 +105,22 @@ class TestRecursion:
         with pytest.raises(InconsistentSystem, match="edge relation violated"):
             _solve_lattice(5, 3, {0: Fraction(1), 2: Fraction(1)})
 
+    def test_recheck_catches_one_wrong_column_step(self, monkeypatch):
+        # the re-check takes d from kappa, not from the propagation's factors
+        from spherehess import spectrum
+
+        column_steps = spectrum._column_steps
+
+        def bent(n, j_max):
+            steps = column_steps(n, j_max)
+            steps[10] = steps[10][0] + 1, steps[10][1]
+            return steps
+
+        monkeypatch.setattr(spectrum, "_column_steps", bent)
+        with pytest.raises(InconsistentSystem, match=r"edge relation violated "
+                           r"between \(j=10, q=2\) and \(j=11, q=2\)"):
+            spectrum_generate(5, 20, Fraction(1))
+
     def test_no_seed_leaves_modes_unreached(self):
         # (0, 2) is cut off from the forced zeros by the degenerate edge
         # from q = 1; the message names the j = 0 mode of its column
@@ -158,6 +174,23 @@ class TestClosedForm:
 
     def test_three_sphere_mirror_zero(self):
         assert t0_eigenvalue(KType(3, 5, -1)) == 0
+
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_table_is_t0_eigenvalue_per_mode(self, n):
+        for j_max in (0, 1, 60):
+            table = closed_form_table(n, j_max)
+            assert table.entries == {
+                KType(n, j, q): t0_eigenvalue(KType(n, j, q))
+                for j in range(j_max + 1) for q in _all_q(n)
+            }
+            assert all(type(v) is Fraction for v in table.entries.values())
+
+    @pytest.mark.parametrize("j_max", [-1, -5])
+    def test_negative_j_max_is_refused_like_the_recursion(self, j_max):
+        with pytest.raises(DomainError, match="j_max must be >= 0"):
+            closed_form_table(5, j_max)
+        with pytest.raises(DomainError, match="j_max must be >= 0"):
+            spectrum_generate(5, j_max, Fraction(1))
 
 
 class TestClassification:
